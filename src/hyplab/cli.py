@@ -177,6 +177,8 @@ def cmd_measure(args):
     code = EXIT_OK
     s = float(cfg.get("s", math.log(3) + 0.2 if backend == TREE else 1.2))
     cap = float(cfg.get("cap", 12 if backend == TREE else 12.0))
+    # plane checks default to their own caps unless --cap is given
+    check_cap = float(cfg["cap"]) if "cap" in cfg else None
     if backend == TREE:
         partition = _tree_partition_from(cfg)
     elif backend == PLANE:
@@ -212,7 +214,8 @@ def cmd_measure(args):
                 pairs = [(2j, 1 + 1j)]
             rows = _pmap(lambda pq: (str(pq[0]), str(pq[1]),
                                      measures.conformal_check(
-                                         backend, pq[0], pq[1], partition)),
+                                         backend, pq[0], pq[1], partition,
+                                         cap=check_cap)),
                          pairs, args.workers)
             write_csv(os.path.join(out, "conformal_defect.csv"),
                       ("p", "q", "max_defect"), rows, cfg, "prop-3.1b")
@@ -229,7 +232,7 @@ def cmd_measure(args):
                 for n in range(1, 6):
                     x = 2j * math.exp(1.0 + 0.5 * n)
                     mass, ratio = measures.shadow_mass_bounds(
-                        PLANE, 2j, x, 1.0)
+                        PLANE, 2j, x, 1.0, cap=check_cap)
                     rows.append((n, mass, ratio))
             write_csv(os.path.join(out, "shadow_bounds.csv"),
                       ("n", "mass", "ratio"), rows, cfg, "prop-3.3")
@@ -240,8 +243,10 @@ def cmd_measure(args):
                 defect = measures.pair_invariance_check(pm, str(gamma))
             else:
                 mat = tuple(int(v) for v in str(gamma).split(","))
-                pm = measures.pair_measure(PLANE, 2j, partition)
-                defect = measures.pair_invariance_check(pm, mat)
+                pm = measures.pair_measure(PLANE, 2j, partition,
+                                           cap=check_cap)
+                defect = measures.pair_invariance_check(pm, mat,
+                                                        cap=check_cap)
             write_csv(os.path.join(out, "pair_invariance.csv"),
                       ("gamma", "defect"), [(gamma, defect)],
                       cfg, "prop-3.4")

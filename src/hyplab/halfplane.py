@@ -268,19 +268,6 @@ def shadow_arc(x, p, rho):
     return (forward_endpoint(x, t0 - theta), forward_endpoint(x, t0 + theta))
 
 
-def shadow_arc_from_boundary(xi, x, rho):
-    """Endpoints of pr_xi(B(x, rho)): geodesics emanating from boundary
-    point xi through the ball.  Conjugate xi to infinity, where those
-    geodesics are the vertical lines through the Euclidean disk."""
-    m = mobius_to_infinity(xi)
-    z = mobius_apply(m, complex(x))
-    # hyperbolic ball -> Euclidean disk, center (x0, y0 cosh rho), radius y0 sinh rho
-    lo = z.real - z.imag * math.sinh(rho)
-    hi = z.real + z.imag * math.sinh(rho)
-    mi = mobius_inverse(m)
-    return (mobius_apply_boundary(mi, lo), mobius_apply_boundary(mi, hi))
-
-
 def point_at(p, theta, r):
     """Point at hyperbolic distance r from p in tangent direction theta."""
     g = ray(complex(p), forward_endpoint(p, theta))

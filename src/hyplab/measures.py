@@ -7,6 +7,7 @@ boundary with its invariance test, closed-geodesic equidistribution, and
 the two flow-measure validators (forward-cone mass and separated sets).
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -59,10 +60,13 @@ class BoundaryPartition:
             halfplane.direction_toward(complex(self.base), xi))
 
     def locate_angle(self, theta):
+        """Index of the arc holding each angle (a scalar or an array)."""
         n = len(self.cells)
         lo0 = self.cells[0][0]
-        return int(math.floor(((theta - lo0) % (2.0 * math.pi))
-                              / (2.0 * math.pi / n))) % n
+        idx = np.floor(np.mod(np.asarray(theta, dtype=float) - lo0,
+                              2.0 * math.pi)
+                       / (2.0 * math.pi / n)).astype(np.int64) % n
+        return int(idx) if idx.ndim == 0 else idx
 
 
 def _forward_letter(w, rank):
@@ -203,9 +207,7 @@ def ps_measure(backend, p, s, cap, x=None, rank=2):
         p = complex(p)
         x = p if x is None else complex(x)
         npart, ntail = poincare_series(PLANE, s, p=x, q=x, cap=cap)
-        ball = modular.modular_ball(p, cap, q=x)
-        mats = np.asarray(ball.elements, dtype=float)
-        z = _apply_many(mats, x)
+        z = _apply_many(modular.modular_ball(p, cap, q=x).elements, x)
         d = halfplane.dist(p, z)
         w = np.exp(-s * d) / npart
         _, num_tail = poincare_series(PLANE, s, p=p, q=x, cap=cap)
@@ -291,9 +293,9 @@ class _PlaneAtoms:
 
     def __init__(self, p, x, cap):
         self.p, self.x, self.cap = complex(p), complex(x), float(cap)
-        ball = modular.modular_ball(self.p, cap, q=self.x)
-        mats = np.asarray(ball.elements, dtype=float)
-        z = _apply_many(mats, self.x)
+        # the ball is dropped as soon as its orbit points are known
+        z = _apply_many(modular.modular_ball(self.p, cap, q=self.x).elements,
+                        self.x)
         keep = np.abs(z - self.p) > 1e-12  # drop the atom at p itself
         self.z = z[keep]
         self.d = halfplane.dist(self.p, self.z)
@@ -302,8 +304,8 @@ class _PlaneAtoms:
 
     def cell_masses(self, s, partition, norm, floor=0.0):
         sel = self.d >= floor
-        th = _angles_toward(partition.base, self.xi[sel])
-        idx = np.array([partition.locate_angle(t) for t in th])
+        idx = partition.locate_angle(
+            _angles_toward(partition.base, self.xi[sel]))
         w = np.exp(-s * self.d[sel])
         w /= w.sum() if norm is None else norm
         return np.bincount(idx, weights=w, minlength=len(partition))
@@ -335,14 +337,16 @@ class _PlaneAtoms:
         return np.array(out)
 
 
-_ATOM_CACHE = {}
-
-
 def _plane_atoms(p, x, cap):
-    key = (complex(p), complex(x), round(float(cap), 9))
-    if key not in _ATOM_CACHE:
-        _ATOM_CACHE[key] = _PlaneAtoms(p, x, cap)
-    return _ATOM_CACHE[key]
+    return _cached_atoms(complex(p), complex(x), round(float(cap), 9))
+
+
+# Two entries cover the alternation of the (x, x) and (p, x) atom sets in
+# cell_masses and ps_measure; more would let memory follow the process
+# history instead of the requested problem.
+@functools.lru_cache(maxsize=2)
+def _cached_atoms(p, x, cap):
+    return _PlaneAtoms(p, x, cap)
 
 
 DEFAULT_PAIR_CAP = 14.0
@@ -426,15 +430,6 @@ def limit_cell_masses(backend, p, partition, s_grid=None, cap=None, x=None):
     return extrapolate_to_h(rows, s_grid, h)
 
 
-def ps_limit_cylinder(backend, p, cell, s_grid=None, rank=2):
-    """Extrapolated limit mass of one tree cylinder cell."""
-    part = tree_partition(len(cell), rank)
-    masses, err, ok = limit_cell_masses(backend, p, part, s_grid=s_grid)
-    if not ok:
-        raise RuntimeError("extrapolation not Cauchy")
-    return masses[part.cells.index(cell)], err
-
-
 # ---------------------------------------------------------------------------
 # conformal density check
 
@@ -468,8 +463,7 @@ def conformal_check(backend, p, q, partition, s_grid=None, cap=None, x=None,
         h = 1.0
         atoms = _plane_atoms(p, x, cap)
         dq = halfplane.dist(q, atoms.z)
-        th = _angles_toward(partition.base, atoms.xi)
-        idx = np.array([partition.locate_angle(t) for t in th])
+        idx = partition.locate_angle(_angles_toward(partition.base, atoms.xi))
         # Only the outer annulus of atoms carries the limit measure: as
         # s -> h the diverging normalizer kills the relative weight of
         # every bounded region, and on far atoms d(q,y) - d(p,y) has
@@ -595,8 +589,12 @@ class PairMeasure:
         return self.weights[(min(i, j), max(i, j))]
 
 
-def pair_measure(backend, p, partition, masses=None, h=None, rank=2):
-    """Build the pair measure from cell masses at representatives."""
+def pair_measure(backend, p, partition, masses=None, h=None, rank=2,
+                 cap=None):
+    """Build the pair measure from cell masses at representatives.
+
+    Plane masses, when not given, are extrapolated from the orbit atoms
+    of radius `cap` (default DEFAULT_PAIR_CAP)."""
     if backend == TREE:
         h = math.log(2 * rank - 1)
         if masses is None:
@@ -618,7 +616,7 @@ def pair_measure(backend, p, partition, masses=None, h=None, rank=2):
         h = 1.0 if h is None else h
         p = complex(p)
         if masses is None:
-            masses, _ = _annulus_limit_masses(p, partition)
+            masses, _ = _annulus_limit_masses(p, partition, cap=cap)
         weights, excluded = {}, set()
         reps = [partition.representative(i) for i in range(len(partition))]
         for i in range(len(partition)):
@@ -703,8 +701,7 @@ def pair_invariance_check(pm, gamma, s_grid=None, cap=None):
     q = modular.apply(modular.mat_inv(gamma), p)
     dq = halfplane.dist(q, atoms.z[far])
     dp = atoms.d[far]
-    th = _angles_toward(part.base, atoms.xi[far])
-    idx = np.array([part.locate_angle(t) for t in th])
+    idx = part.locate_angle(_angles_toward(part.base, atoms.xi[far]))
     svals = np.asarray(s_grid, dtype=float)
     rows = []
     for s in svals:

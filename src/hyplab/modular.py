@@ -2,13 +2,15 @@
 
 The modular group PSL(2, Z) is built in with exact integer arithmetic:
 its orbit balls are enumerated directly at the matrix level (complete,
-with certificate) and its primitive hyperbolic conjugacy classes are the
+with certificate; the sphere itself is decided in float64) as int64
+arrays, and its primitive hyperbolic conjugacy classes are the
 rotation-canonical cyclic words in R = [[1,1],[0,1]], L = [[1,0],[1,1]].
 Arbitrary float generator sets are supported with breadth-first word
 enumeration and heuristic dedup, and are flagged as such.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,7 @@ def normalize(m):
     """Canonical representative modulo sign: first nonzero entry positive."""
     for x in m:
         if x != 0:
-            return m if x > 0 else tuple(-v for v in m)
+            return tuple(m) if x > 0 else tuple(-v for v in m)
     raise ValueError("zero matrix")
 
 
@@ -118,7 +120,9 @@ def _mat_close(m1, m2, tol):
 
 @dataclass
 class BallResult:
-    elements: list  # matrices gamma with d(p, gamma p) <= R
+    # matrices gamma with d(p, gamma q) <= R: an int64 (n, 4) array from
+    # modular_ball, a sorted list of tuples from word_ball
+    elements: object
     radius: float
     base: complex
     complete: bool
@@ -126,13 +130,24 @@ class BallResult:
     word_cap: int = 0
 
 
+BALL_BLOCK_ROWS = 16  # rows c of the (c, d) enumeration handled per block
+
+
 def modular_ball(p, R, q=None, slack=1e-9):
-    """All gamma in PSL(2, Z) with d(p, gamma q) <= R.  Exact-complete.
+    """All gamma in PSL(2, Z) with d(p, gamma q) <= R, complete.
 
     q defaults to p.  Enumerates matrices directly: for each coprime
     (c, d) with |c q + d| bounded, the displacement along the solution
     family (a0 + t c, b0 + t d, c, d) is quadratic in t, so the
-    admissible t form an interval solved in closed form.
+    admissible t form an interval solved in closed form.  Every candidate
+    then passes a float64 displacement check d <= R + slack, so the
+    sphere itself is decided in floating point, not exactly.
+
+    With c >= 0, and d = 1 when c = 0, each element of PSL(2, Z) is
+    enumerated exactly once.  Returns the elements as an int64 (n, 4)
+    array of rows (a, b, c, d), first nonzero entry positive, in
+    lexicographic order (stored column by column).  The work runs in
+    blocks of BALL_BLOCK_ROWS values of c.
     """
     p = complex(p)
     q = p if q is None else complex(q)
@@ -142,58 +157,78 @@ def modular_ball(p, R, q=None, slack=1e-9):
     # y_p / Im(gamma q) <= e^R  ->  |c q + d|^2 <= e^R yq / yp
     bmax = math.sqrt(math.exp(R) * yq / yp)
     cmax = int(math.floor(bmax / yq)) + 1
-    out = []
-    for c in range(0, cmax + 1):
-        if c == 0:
-            d_candidates = [1]
-        else:
-            dmid = -c * q.real
-            dr = bmax + 1.0
-            d_candidates = range(int(math.ceil(dmid - dr)),
-                                 int(math.floor(dmid + dr)) + 1)
-        for d in d_candidates:
-            if c == 0 and d != 1:
-                continue
-            if math.gcd(c, d) != 1:
-                continue
-            g, xg, yg = _ext_gcd(c, d)
-            if g < 0:
-                g, xg, yg = -g, -xg, -yg
-            # xg*c + yg*d = 1  ->  a0 = yg, b0 = -xg gives a0 d - b0 c = 1
-            a0, b0 = yg, -xg
-            beta = c * q + d
-            alpha = (a0 * q + b0) - p * beta
-            # |alpha + t beta|^2 <= nmax
-            A = abs(beta) ** 2
-            B = 2.0 * (alpha * beta.conjugate()).real
-            C = abs(alpha) ** 2 - nmax
-            disc = B * B - 4.0 * A * C
-            if disc < 0:
-                continue
-            sq = math.sqrt(disc)
-            tlo = int(math.ceil((-B - sq) / (2.0 * A) - slack))
-            thi = int(math.floor((-B + sq) / (2.0 * A) + slack))
-            for t in range(tlo, thi + 1):
-                m = (a0 + t * c, b0 + t * d, c, d)
-                disp = halfplane.dist(p, apply(m, q))
-                if disp <= R + slack:
-                    out.append(normalize(m))
-    out = sorted(set(out))
-    # c = 0 rows give gamma = translations; their negatives are the same
-    # element of PSL(2, Z), so d = 1 alone covers them.
-    return BallResult(out, R, p, complete=True,
-                      certificate="exact integer matrix enumeration")
+    blocks = []  # int64 columns a, b, c, d
+    for c0 in range(0, cmax + 1, BALL_BLOCK_ROWS):
+        rows = np.arange(c0, min(c0 + BALL_BLOCK_ROWS, cmax + 1),
+                         dtype=np.int64)
+        c, d = _coprime_cd(rows, q.real, bmax)
+        g, xg, yg = _ext_gcd_rows(c, d)
+        flip = np.where(g < 0, -1, 1)
+        # xg*c + yg*d = 1  ->  a0 = yg, b0 = -xg gives a0 d - b0 c = 1
+        a0, b0 = yg * flip, -xg * flip
+        beta = c * q + d
+        alpha = (a0 * q + b0) - p * beta
+        # |alpha + t beta|^2 <= nmax
+        A = np.abs(beta) ** 2
+        B = 2.0 * (alpha * np.conj(beta)).real
+        C = np.abs(alpha) ** 2 - nmax
+        disc = B * B - 4.0 * A * C
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        tlo = np.ceil((-B - sq) / (2.0 * A) - slack).astype(np.int64)
+        thi = np.floor((-B + sq) / (2.0 * A) + slack).astype(np.int64)
+        n_t = np.where(disc < 0, 0, np.maximum(thi - tlo + 1, 0))
+        pick = np.repeat(np.arange(len(c)), n_t)
+        t = tlo[pick] + _ramp(n_t)
+        c, d = c[pick], d[pick]
+        a, b = a0[pick] + t * c, b0[pick] + t * d
+        disp = halfplane.dist(p, (a * q + b) / (c * q + d))
+        m = np.stack([a, b, c, d])[:, disp <= R + slack]
+        lead = m[(m != 0).argmax(axis=0), np.arange(m.shape[1])]
+        blocks.append(np.where(lead < 0, -m, m))
+    cols = np.concatenate(blocks, axis=1)
+    del blocks
+    order = np.lexsort(cols[::-1])
+    for col in cols:  # one column at a time bounds the peak memory
+        col[:] = col[order]
+    return BallResult(cols.T, R, p, complete=True,
+                      certificate="integer matrix enumeration; sphere "
+                                  f"decided in float64 with slack {slack:g}")
 
 
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
+def _coprime_cd(rows, x, bmax):
+    """Coprime (c, d) with |c x + d| <= bmax + 1 for c in rows, ordered
+    by c then d.  c = 0 gives (0, 1) alone: those rows are translations,
+    whose negatives are the same element of PSL(2, Z)."""
+    dmid = -rows * x
+    dr = bmax + 1.0
+    lo = np.ceil(dmid - dr).astype(np.int64)
+    n = np.floor(dmid + dr).astype(np.int64) - lo + 1
+    lo[rows == 0], n[rows == 0] = 1, 1
+    c = np.repeat(rows, n)
+    d = np.repeat(lo, n) + _ramp(n)
+    keep = np.gcd(c, d) == 1
+    return c[keep], d[keep]
+
+
+def _ramp(counts):
+    """0, 1, ..., k-1 for each k in counts, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) - np.repeat(starts, counts)
+
+
+def _ext_gcd_rows(a, b):
+    """Extended Euclid row by row: (g, s, t) with s a + t b = g, with
+    Python's floor-division steps (g may come out negative)."""
+    old_r, r = a.copy(), b.copy()
+    old_s, s = np.ones_like(a), np.zeros_like(a)
+    old_t, t = np.zeros_like(a), np.ones_like(a)
+    live = np.flatnonzero(r)
+    while live.size:
+        quo = old_r[live] // r[live]
+        old_r[live], r[live] = r[live], old_r[live] - quo * r[live]
+        old_s[live], s[live] = s[live], old_s[live] - quo * s[live]
+        old_t[live], t[live] = t[live], old_t[live] - quo * t[live]
+        live = live[r[live] != 0]
     return old_r, old_s, old_t
 
 
@@ -243,17 +278,6 @@ def word_ball(group, p, R, Lmax=None, buffer=4.0, slack=1e-9):
 
 def _key(m, tol):
     return tuple(round(x / tol) for x in m)
-
-
-def _lower_envelope(envelope):
-    pts = sorted(envelope.items())
-    if len(pts) < 3:
-        return 0.0, 0.0
-    kappa = min((pts[i + 1][1] - pts[i][1])
-                for i in range(1, len(pts) - 1)) if len(pts) > 2 else 0.0
-    kappa = max(kappa, 0.0)
-    kappa0 = max(kappa * n - d for n, d in pts)
-    return kappa, kappa0
 
 
 @dataclass(frozen=True)
@@ -377,7 +401,9 @@ def fold_points(z, theta, max_iter=200):
     standard fundamental domain |Re z| <= 1/2, |z| >= 1 of PSL(2, Z).
 
     Vectorized; angles are transported by the derivative of the applied
-    Mobius maps.  Returns (z_folded, theta_folded in [0, 2*pi)).
+    Mobius maps.  Returns (z_folded, theta_folded in [0, 2*pi)).  Points
+    still outside the domain after max_iter rounds are returned as they
+    are, with a RuntimeWarning that counts them.
     """
     scalar = np.ndim(z) == 0 and np.ndim(theta) == 0
     z = np.atleast_1d(np.array(z, dtype=complex))
@@ -393,6 +419,13 @@ def fold_points(z, theta, max_iter=200):
             zf = z[flip]
             theta[flip] = theta[flip] - 2.0 * np.angle(zf)
             z[flip] = -1.0 / zf
+    else:
+        outside = ((np.round(z.real) != 0)
+                   | (np.abs(z) < 1.0 - FUND_DOMAIN_TOL))
+        if outside.any():
+            warnings.warn(f"fold_points: {int(outside.sum())} points outside "
+                          f"the fundamental domain after {max_iter} rounds",
+                          RuntimeWarning, stacklevel=2)
     theta = np.mod(theta, 2.0 * math.pi)
     if scalar:
         return complex(z[0]), float(theta[0])

@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from hyplab import cli
+from hyplab import cli, measures
+from hyplab.geometry import PLANE
 
 
 def run(tmp_path, *argv):
@@ -61,6 +62,17 @@ def test_measure_tree_conformal(tmp_path):
     assert code == cli.EXIT_OK
     rows = (out / "conformal_defect.csv").read_text().splitlines()[2:]
     assert all(r.rsplit(",", 1)[1] == "0" for r in rows)
+
+
+def test_measure_cap_reaches_the_plane_checks(tmp_path):
+    code, out = run(tmp_path, "measure", "--backend", "modular",
+                    "--check", "pair-invariance", "--cap", "10")
+    assert code == cli.EXIT_OK
+    row = (out / "pair_invariance.csv").read_text().splitlines()[2]
+    pm = measures.pair_measure(PLANE, 2j, measures.plane_partition(256),
+                               cap=10.0)
+    defect = measures.pair_invariance_check(pm, (1, 1, 0, 1), cap=10.0)
+    assert row == f"1,1,0,1,{cli.fmt(defect)}"
 
 
 def test_entropy_tree(tmp_path):

@@ -4,6 +4,7 @@ pair measures, equidistribution, and the flow-mass validators."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyplab import counting, measures, words
@@ -106,6 +107,32 @@ def test_pair_invariance_plane_identity_is_zero():
     pm = measures.pair_measure(PLANE, 2j, part)
     assert measures.pair_invariance_check(pm, (1, 0, 0, 1)) \
         == pytest.approx(0.0, abs=1e-9)
+
+
+def test_locate_angle_array_matches_scalar_formula():
+    part = measures.plane_partition(256)
+    n, lo0 = len(part), part.cells[0][0]
+    rng = np.random.default_rng(5)
+    th = np.concatenate([rng.uniform(-4.0, 4.0, 2000),
+                         [lo for lo, _ in part.cells],
+                         [hi for _, hi in part.cells],
+                         [-math.pi, math.pi]])
+    want = [int(math.floor(((float(t) - lo0) % (2.0 * math.pi))
+                           / (2.0 * math.pi / n))) % n for t in th]
+    got = part.locate_angle(th)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert [part.locate_angle(float(t)) for t in th[-4:]] == want[-4:]
+    assert part.locate_angle(-math.pi) == part.locate_angle(math.pi) == 0
+
+
+def test_plane_atom_cache_keeps_at_most_two_sets():
+    measures._cached_atoms.cache_clear()
+    for cap in (3.0, 4.0, 5.0):
+        measures._plane_atoms(2j, 2j, cap)
+    assert measures._cached_atoms.cache_info().currsize == 2
+    first = measures._plane_atoms(2j, 2j, 5.0)
+    assert measures._plane_atoms(2j, 2j, 5 + 1e-12) is first
+    assert measures._cached_atoms.cache_info().hits == 2
 
 
 def test_liouville_cells_are_uniform():

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from hyplab import halfplane, modular
@@ -71,6 +73,77 @@ def test_modular_ball_nested_and_displacements_within_radius():
         assert halfplane.dist(p, modular.apply(m, p)) <= 5.0 + 1e-6
 
 
+def _brute_ball_2i(bound):
+    """Elements of PSL(2, Z) with 4a^2 + b^2 + 16c^2 + 4d^2 <= bound, which
+    is 8 cosh d(2i, gamma 2i), by integer brute force: every (a, b, c)
+    in the box, with d = (1 + bc) / a when a != 0 and a = 0 rows solved
+    by bc = -1."""
+    amax = math.isqrt(bound // 4)
+    bmax = math.isqrt(bound)
+    cmax = math.isqrt(bound // 16)
+    a, b, c = (x.ravel() for x in np.meshgrid(
+        np.arange(-amax, amax + 1), np.arange(-bmax, bmax + 1),
+        np.arange(-cmax, cmax + 1), indexing="ij"))
+    rows = []
+    nz = (a != 0) & ((1 + b * c) % np.where(a == 0, 1, a) == 0)
+    d = (1 + b * c)[nz] // a[nz]
+    rows.append(np.stack([a[nz], b[nz], c[nz], d], axis=1))
+    zero = (a == 0) & (b * c == -1)
+    for dd in range(-amax, amax + 1):
+        rows.append(np.stack([a[zero], b[zero], c[zero],
+                              np.full(zero.sum(), dd)], axis=1))
+    m = np.concatenate(rows)
+    forms = 4 * m[:, 0] ** 2 + m[:, 1] ** 2 + 16 * m[:, 2] ** 2 \
+        + 4 * m[:, 3] ** 2
+    return sorted({modular.normalize(tuple(int(v) for v in r))
+                   for r in m[forms <= bound]})
+
+
+def _rows(ball):
+    return [tuple(r) for r in ball.elements.tolist()]
+
+
+def test_modular_ball_equals_integer_brute_force():
+    for R in (3.0, 5.0, 6.5):
+        bound = 8.0 * math.cosh(R)
+        assert abs(bound - round(bound)) > 1e-6
+        assert _rows(modular.modular_ball(2j, R)) \
+            == _brute_ball_2i(int(bound))
+
+
+def test_modular_ball_brute_force_on_the_sphere():
+    # radii arccosh(m / 8) at which some elements lie exactly on the sphere
+    values = sorted({4 * a * a + b * b + 16 * c * c + 4 * d * d
+                     for a, b, c, d in _brute_ball_2i(400)})
+    for m in (values[10], values[40]):
+        rows = _rows(modular.modular_ball(2j, math.acosh(m / 8.0)))
+        brute = _brute_ball_2i(m)
+        assert rows == brute
+        assert any(4 * a * a + b * b + 16 * c * c + 4 * d * d == m
+                   for a, b, c, d in rows)
+
+
+def test_modular_ball_two_base_points_word_crosscheck():
+    # d(p, gamma q) <= R implies d(p, gamma p) <= R + d(p, q), so the word
+    # ball of that radius, filtered, is the two-point ball
+    p, q, R = 2j, 1 + 1j, 4.0
+    wide = modular.word_ball(modular.FuchsianGroup.modular(), p,
+                             R + halfplane.dist(p, q))
+    want = sorted(modular.normalize(m) for m in wide.elements
+                  if halfplane.dist(p, modular.apply(m, q)) <= R + 1e-9)
+    assert wide.complete
+    assert _rows(modular.modular_ball(p, R, q=q)) == want
+
+
+def test_modular_ball_rows_are_sorted_unique_int64():
+    el = modular.modular_ball(0.3 + 1.7j, 6.0, q=2j).elements
+    assert el.dtype == np.int64 and el.shape[1] == 4
+    rows = [tuple(r) for r in el.tolist()]
+    assert rows == sorted(set(rows))
+    assert all(modular.normalize(r) == r for r in rows)
+    assert np.all(el[:, 0] * el[:, 3] - el[:, 1] * el[:, 2] == 1)
+
+
 def _brute_census(T):
     """Conjugacy classes via direct R/L-word enumeration with rotation
     dedup, written independently of the library enumeration."""
@@ -131,3 +204,14 @@ def test_fold_points_lands_in_fundamental_domain():
         w, _ = modular.fold_points(z, 0.3)
         assert -0.5 - 1e-9 <= w.real <= 0.5 + 1e-9
         assert abs(w) >= 1.0 - 1e-9
+
+
+def test_fold_points_reports_non_convergence():
+    z = 0.05 + 0.01j  # needs a flip, then a shift, then more flips
+    with pytest.warns(RuntimeWarning, match="1 points outside"):
+        w, _ = modular.fold_points(z, 0.3, max_iter=1)
+    assert abs(w) < 1.0 or abs(w.real) > 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, _ = modular.fold_points(z, 0.3)
+    assert abs(w) >= 1.0 - 1e-9 and abs(w.real) <= 0.5 + 1e-9
