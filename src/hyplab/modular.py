@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import halfplane
+from . import halfplane, words
 
 R_MAT = (1, 1, 0, 1)
 L_MAT = (1, 0, 1, 1)
@@ -299,51 +299,29 @@ def _word_matrix(w):
     return m
 
 
-def _canonical_rotation(w):
-    return min(w[i:] + w[:i] for i in range(len(w)))
-
-
-def _is_primitive_word(w):
-    n = len(w)
-    return not any(n % d == 0 and w[:d] * (n // d) == w for d in range(1, n))
-
-
 def enumerate_conj_classes(T, include_imprimitive=False):
     """Primitive hyperbolic conjugacy classes of PSL(2, Z) with translation
     length <= T, as canonical cyclic words in R and L (both letters
-    present).  Oriented: a class and its inverse are counted separately
-    unless they coincide.
+    present; least rotation with L < R).  Oriented: a class and its
+    inverse are counted separately unless they coincide.
 
-    Complete: the trace of an R/L word never decreases when a letter is
-    appended, so the depth-first search with trace cutoff 2*cosh(T/2)
-    visits every admissible word.
+    Complete: words.necklace_words prunes each prefix whose trace exceeds
+    2*cosh(T/2).  Every prefix of a necklace is a prenecklace, and the
+    trace of an R/L word never decreases when a letter is appended, so no
+    admissible class is lost.  A both-letter word of length n has trace
+    >= n + 1, so the length cutoff (which stops the trace-2 chains L^k
+    and R^k) loses none either.
     """
     trmax = 2.0 * math.cosh(T / 2.0)
-    out = []
-    seen = set()
-    # DFS over words starting with R; a canonical rotation of a word with
-    # both letters present always has a rotation starting with R.
-    stack = [("R", R_MAT)]
-    while stack:
-        w, m = stack.pop()
-        if len(w) >= 2 and "L" in w:
-            if trace(m) <= trmax:
-                cw = _canonical_rotation(w)
-                if cw not in seen:
-                    seen.add(cw)
-                    cm = _word_matrix(cw)
-                    prim = _is_primitive_word(cw)
-                    if prim or include_imprimitive:
-                        out.append(ConjClass(
-                            cw, cm, trace(cm),
-                            2.0 * math.acosh(trace(cm) / 2.0), prim))
-        if len(w) < trmax:
-            for ch, g in (("R", R_MAT), ("L", L_MAT)):
-                m2 = mat_mul(m, g)
-                # appending a letter never decreases the trace, so this
-                # cutoff discards no admissible extension
-                if trace(m2) <= trmax:
-                    stack.append((w + ch, m2))
+
+    def step(m, ch):
+        m2 = mat_mul(m, R_MAT if ch == "R" else L_MAT)
+        return m2 if trace(m2) <= trmax else None
+
+    out = [ConjClass(w, m, trace(m), 2.0 * math.acosh(trace(m) / 2.0), prim)
+           for w, m, prim in words.necklace_words(
+               "LR", math.ceil(trmax), step, IDENT,
+               lambda w, m: "L" in w and "R" in w, not include_imprimitive)]
     out.sort(key=lambda c: (c.length, c.word))
     return out
 

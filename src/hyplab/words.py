@@ -7,7 +7,6 @@ doubles as the brute-force oracle for the numerical backends.
 """
 
 from fractions import Fraction
-from itertools import product
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -254,16 +253,14 @@ class BoundaryWord:
 def tree_busemann(q, p, xi, rank=2):
     """b_p(q, xi) = lim_t d(q, c(t)) - t along the ray c from p to xi.
 
-    Exact: the limit stabilizes once t passes the divergence point.
+    Exact closed form: the ray leaves p toward the identity until it
+    meets xi's ray at depth lcp(p, xi), so
+    b_p(q, xi) = |q| - 2 lcp(q, xi) - |p| + 2 lcp(p, xi).
     Normalization b_p(p, xi) = 0.
     """
-    horizon = len(p) + len(q) + len(xi.prefix) + 2 * len(xi.cycle) + 4
-    ray = tree_ray_vertices(p, xi, horizon)
-    v1 = distance(q, ray[horizon]) - horizon
-    v0 = distance(q, ray[horizon - 1]) - (horizon - 1)
-    if v0 != v1:
-        raise RuntimeError("tree Busemann limit failed to stabilize")
-    return v1
+    target = xi.word(max(len(p), len(q)))
+    return (len(q) - 2 * common_prefix_len(q, target)
+            - len(p) + 2 * common_prefix_len(p, target))
 
 
 def tree_ray_vertices(p, xi, horizon):
@@ -298,31 +295,51 @@ def tree_line_vertices(xi, eta, horizon):
     return verts, len(back)
 
 
+def necklace_words(alphabet, max_len, step, start, close,
+                   primitive_only=False):
+    """Yield (word, state, primitive) for each necklace of length
+    1..max_len over `alphabet` (in increasing order) whose prefixes all
+    pass `step` and which passes close(word, state).
+
+    Fredricksen-Maiorana / Ruskey-Savage-Wang, with an explicit stack: a
+    prenecklace a[1..t-1] of period p extends only by letters c >= a[t-p],
+    to period p if c = a[t-p] and t otherwise; it is a necklace (its own
+    least rotation) iff p divides t, and a Lyndon word iff p = t.
+    step(state, letter) returns the extended prefix's state, or None to
+    prune it with all its extensions.  Every prefix of a necklace is a
+    prenecklace, so a prune that every prefix of an admissible necklace
+    passes loses nothing.
+    """
+    index = {c: i for i, c in enumerate(alphabet)}
+    stack = [("", start, 1)]
+    while stack:
+        w, state, p = stack.pop()
+        n = len(w)
+        if n and n % p == 0 and (p == n or not primitive_only) \
+                and close(w, state):
+            yield w, state, p == n
+        ref = w[n - p] if n else alphabet[0]
+        for c in alphabet[index[ref]:] if n < max_len else ():
+            nxt = step(state, c)
+            if nxt is not None:
+                stack.append((w + c, nxt, p if n and c == ref else n + 1))
+
+
 def necklaces(max_len, rank=2, primitive_only=True):
     """All cyclically reduced cyclic words (canonical least rotation) of
     length <= max_len, i.e. conjugacy classes of F_rank.  Oriented: w and
     w^-1 are distinct unless cyclically equal.
+
+    Complete: such a least rotation is a necklace and its prefixes are
+    reduced prenecklaces, so necklace_words, pruning unreduced prefixes,
+    misses none; the closing check refuses a last letter inverse to the
+    first.
     """
-    alpha = sorted(letters(rank))
-    out = []
-    for n in range(1, max_len + 1):
-        seen = set()
-        stack = [(c,) for c in alpha]
-        while stack:
-            w = stack.pop()
-            if len(w) == n:
-                if w[0] != inv_letter(w[-1]):
-                    s = "".join(w)
-                    c = canonical_rotation(s)
-                    if c not in seen:
-                        seen.add(c)
-                        if not primitive_only or is_primitive(c):
-                            out.append(c)
-                continue
-            for c in alpha:
-                if c != inv_letter(w[-1]):
-                    stack.append(w + (c,))
-    return sorted(out, key=lambda w: (len(w), w))
+    inv = {c: inv_letter(c) for c in letters(rank)}
+    return sorted((w for w, _, _ in necklace_words(
+        sorted(inv), max_len, lambda last, c: None if c == inv.get(last) else c,
+        None, lambda w, last: last != inv[w[0]], primitive_only)),
+        key=lambda w: (len(w), w))
 
 
 def brute_force_translation_length(w, search_radius):

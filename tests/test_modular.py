@@ -199,6 +199,48 @@ def test_shortest_class_is_the_commutator_of_the_cusp_generators():
     assert lengths[0] == pytest.approx(2.0 * math.acosh(1.5))
 
 
+def _brute_classes(T, include_imprimitive):
+    """Classes from every R/L word within the length cutoff and the trace
+    bound (pruned on the trace, which never decreases under appending),
+    each replaced by its least rotation."""
+    trmax = 2.0 * math.cosh(T / 2.0)
+    found = set()
+    stack = [""]
+    while stack:
+        w = stack.pop()
+        if "L" in w and "R" in w:
+            found.add(min(w[i:] + w[:i] for i in range(len(w))))
+        if len(w) < math.ceil(trmax):
+            for ch in "LR":
+                if modular.trace(modular._word_matrix(w + ch)) <= trmax:
+                    stack.append(w + ch)
+    out = []
+    for w in found:
+        prim = len({w[i:] + w[:i] for i in range(len(w))}) == len(w)
+        if prim or include_imprimitive:
+            m = modular._word_matrix(w)
+            t = modular.trace(m)
+            out.append(modular.ConjClass(w, m, t, 2.0 * math.acosh(t / 2.0),
+                                         prim))
+    return sorted(out, key=lambda c: (c.length, c.word))
+
+
+@pytest.mark.parametrize("T", [6.0, 8.0])
+@pytest.mark.parametrize("include_imprimitive", [False, True])
+def test_census_equals_rotation_brute_force(T, include_imprimitive):
+    assert (modular.enumerate_conj_classes(T, include_imprimitive)
+            == _brute_classes(T, include_imprimitive))
+
+
+def test_census_size_at_T12():
+    assert len(modular.enumerate_conj_classes(12.0)) == 14904
+
+
+def test_census_at_T14_needs_no_recursion():
+    # the L^k prefix chain is about 2 cosh 7 ~ 1097 letters deep
+    assert len(modular.enumerate_conj_classes(14.0)) == 92856
+
+
 def test_fold_points_lands_in_fundamental_domain():
     for z in (7.3 + 0.2j, -4.1 + 0.05j, 0.49 + 0.6j):
         w, _ = modular.fold_points(z, 0.3)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,41 @@ def test_necklaces_match_brute_force():
     assert got == _brute_necklaces(5)
 
 
+def _mobius(n):
+    mu, m, f = 1, n, 2
+    while f * f <= m:
+        if m % f == 0:
+            m //= f
+            if m % f == 0:
+                return 0
+            mu = -mu
+        f += 1
+    return -mu if m > 1 else mu
+
+
+def _totient(n):
+    return sum(math.gcd(n, j) == 1 for j in range(1, n + 1))
+
+
+def _class_count(n, k, weight):
+    """(1/n) sum_{d|n} weight(n/d) tr A^d for the non-backtracking letter
+    matrix A of F_k, whose traces are (2k-1)^d + (k-1)(-1)^d + k."""
+    total = sum(weight(n // d) * ((2 * k - 1) ** d + (k - 1) * (-1) ** d + k)
+                for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 12), (3, 7)])
+def test_necklace_counts_match_closed_forms(rank, max_len):
+    for primitive_only, weight in ((True, _mobius), (False, _totient)):
+        counts = [0] * (max_len + 1)
+        for w in words.necklaces(max_len, rank, primitive_only):
+            counts[len(w)] += 1
+        want = [_class_count(n, rank, weight) for n in range(1, max_len + 1)]
+        assert counts[1:] == want
+
+
 def test_cylinder_measures_are_exact_and_additive():
     assert words.cylinder_measure("a") == Fraction(1, 4)
     assert words.cylinder_measure("ab") == Fraction(1, 12)
@@ -117,6 +153,32 @@ def test_tree_busemann_on_rays():
     assert words.tree_busemann("aa", "", xi) == -2
     assert words.tree_busemann("b", "", xi) == 1
     assert words.tree_busemann("", "", xi) == 0
+
+
+def test_tree_busemann_matches_a_far_ray_vertex():
+    rng = random.Random(11)
+
+    def rand_word(n):
+        w = ""
+        while len(w) < n:
+            c = rng.choice("abAB")
+            if not w or w[-1] != words.inv_letter(c):
+                w += c
+        return w
+
+    horizon = 40
+    checked = 0
+    while checked < 2000:
+        try:
+            xi = words.BoundaryWord(rand_word(rng.randint(1, 4)),
+                                    prefix=rand_word(rng.randint(0, 4)))
+        except ValueError:
+            continue  # the continuation cancels
+        q, p = rand_word(rng.randint(0, 7)), rand_word(rng.randint(0, 7))
+        far = words.tree_ray_vertices(p, xi, horizon)[horizon]
+        assert (words.tree_busemann(q, p, xi)
+                == words.distance(q, far) - horizon)
+        checked += 1
 
 
 def test_boundary_word_expansion():
