@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import counting, entropy, geometry, measures, modular, words
@@ -43,15 +42,6 @@ def fmt(x):
 def config_hash(cfg):
     text = "\n".join(f"{k}={fmt(cfg[k])}" for k in sorted(cfg))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _pmap(fn, items, workers):
-    """Order-preserving map over a worker pool; output is independent of
-    the worker count because results are merged in input order."""
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def write_csv(path, header, rows, cfg, refs):
@@ -212,11 +202,10 @@ def cmd_measure(args):
                          for q in ("a", "b", "B") if p != q]
             else:
                 pairs = [(2j, 1 + 1j)]
-            rows = _pmap(lambda pq: (str(pq[0]), str(pq[1]),
-                                     measures.conformal_check(
-                                         backend, pq[0], pq[1], partition,
-                                         cap=check_cap)),
-                         pairs, args.workers)
+            rows = [(str(p), str(q),
+                     measures.conformal_check(backend, p, q, partition,
+                                              cap=check_cap))
+                    for p, q in pairs]
             write_csv(os.path.join(out, "conformal_defect.csv"),
                       ("p", "q", "max_defect"), rows, cfg, "prop-3.1b")
             if any(r[2] > 0.1 for r in rows):
@@ -422,7 +411,7 @@ def _validate_records(args, cfg):
                    spread <= 2.0)
     jobs.append(lemma_5_3)
 
-    return _pmap(lambda job: job(), jobs, args.workers)
+    return [job() for job in jobs]
 
 
 def cmd_validate(args):
@@ -449,7 +438,6 @@ def build_parser():
     ap.add_argument("--config", help="key=value config file")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--workers", type=int, default=1)
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("count", help="orbit and geodesic censuses")

@@ -95,7 +95,7 @@ class FlowPoint:
         if self.backend == PLANE:
             g = self._geodesic()
             z = g.point(self._t0 + t)
-            th = halfplane.direction_toward(z, g.point(self._t0 + t + 1e-4))
+            th = halfplane.direction_toward(z, g.v)
             return FlowPoint(PLANE, pos=z, theta=th)
         if self.backend == FLAT:
             return FlowPoint(FLAT, pos=self.point(t), theta=self.theta)

@@ -51,19 +51,6 @@ def mobius_apply_boundary(m, x):
     return (a * x + b) / den
 
 
-def mobius_compose(m1, m2):
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-
-
-def mobius_inverse(m):
-    a, b, c, d = m
-    det = a * d - b * c
-    return (d / det, -b / det, -c / det, a / det)
-
-
 def mobius_to_infinity(xi):
     """A determinant-one real Mobius matrix sending boundary point xi to inf."""
     if xi == INF:
@@ -106,20 +93,31 @@ def direction_to(p, q):
 
 
 def direction_toward(p, xi):
-    """Initial tangent angle at p of the geodesic ray toward boundary xi."""
-    p = complex(p)
-    if xi == INF:
-        return 0.5 * math.pi
-    if abs(xi - p.real) < EPS_PT:
-        return -0.5 * math.pi
-    # circle center c, radius r with endpoint xi; other endpoint mirror of xi
-    c = 0.5 * (xi + (p.real ** 2 + p.imag ** 2 - xi * p.real) / (p.real - xi))
-    # derive: |p - c| = |xi - c|
-    phi = math.atan2(p.imag, p.real - c)
+    """Initial tangent angle in [-pi, pi) at interior point p of the
+    geodesic ray toward boundary point xi (real or inf).
+
+    Broadcasts over arrays of p and xi; returns a float for scalar input.
+    """
+    scalar = np.ndim(p) == 0 and np.ndim(xi) == 0
+    p = np.asarray(p, dtype=complex)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    out = np.empty(np.broadcast_shapes(p.shape, xi.shape))
+    isinf = np.broadcast_to(np.isinf(xi), out.shape)
+    out[isinf] = 0.5 * math.pi
+    fin = ~isinf
+    # a scalar p stays scalar: no full-length copy of one base point
+    p, x = (np.broadcast_to(a, out.shape)[fin] if a.ndim else a
+            for a in (p, xi))
+    same = np.abs(x - p.real) < 1e-13
+    # circle center c on the real axis with |p - c| = |xi - c|
+    c = 0.5 * (x + (np.abs(p) ** 2 - x * p.real)
+               / np.where(same, 1.0, p.real - x))
+    phi = np.arctan2(p.imag, p.real - c)
     # moving toward xi = c + r means phi decreasing; tangent = dz/d(-phi)
-    if xi > c:
-        return phi - 0.5 * math.pi
-    return phi + 0.5 * math.pi
+    th = np.where(x > c, phi - 0.5 * math.pi, phi + 0.5 * math.pi)
+    th = np.where(same, -0.5 * math.pi, th)
+    out[fin] = np.mod(th + math.pi, 2.0 * math.pi) - math.pi
+    return float(out[0]) if scalar else out
 
 
 class Geodesic:

@@ -51,14 +51,6 @@ class BoundaryPartition:
         lo, hi = self.cells[i]
         return halfplane.forward_endpoint(self.base, 0.5 * (lo + hi))
 
-    def locate_boundary(self, xi):
-        """Index of the cell containing a boundary point."""
-        if self.backend == TREE:
-            depth = len(self.cells[0])
-            return self.cells.index(xi.word(depth))
-        return self.locate_angle(
-            halfplane.direction_toward(complex(self.base), xi))
-
     def locate_angle(self, theta):
         """Index of the arc holding each angle (a scalar or an array)."""
         n = len(self.cells)
@@ -268,25 +260,6 @@ def _ray_endpoints(p, z):
     return out
 
 
-def _angles_toward(base, xi):
-    """Vectorized initial direction at `base` toward boundary points xi."""
-    base = complex(base)
-    xi = np.asarray(xi, dtype=float)
-    out = np.empty(xi.shape, dtype=float)
-    isinf = np.isinf(xi)
-    out[isinf] = 0.5 * math.pi
-    fin = ~isinf
-    x = xi[fin]
-    same = np.abs(x - base.real) < 1e-13
-    c = 0.5 * (x + (abs(base) ** 2 - x * base.real)
-               / np.where(same, 1.0, base.real - x))
-    phi = np.arctan2(base.imag, base.real - c)
-    th = np.where(x > c, phi - 0.5 * math.pi, phi + 0.5 * math.pi)
-    th = np.where(same, -0.5 * math.pi, th)
-    out[fin] = np.mod(th + math.pi, 2.0 * math.pi) - math.pi
-    return out
-
-
 class _PlaneAtoms:
     """Cached orbit atoms around a base point: positions, distances and
     boundary directions, reused across the s grid."""
@@ -305,7 +278,7 @@ class _PlaneAtoms:
     def cell_masses(self, s, partition, norm, floor=0.0):
         sel = self.d >= floor
         idx = partition.locate_angle(
-            _angles_toward(partition.base, self.xi[sel]))
+            halfplane.direction_toward(partition.base, self.xi[sel]))
         w = np.exp(-s * self.d[sel])
         w /= w.sum() if norm is None else norm
         return np.bincount(idx, weights=w, minlength=len(partition))
@@ -318,8 +291,8 @@ class _PlaneAtoms:
         measure without contamination from heavy near atoms.
         """
         sel = self.d >= floor
-        th = np.mod(_angles_toward(partition.base, self.xi[sel]),
-                    2.0 * math.pi)
+        th = np.mod(halfplane.direction_toward(partition.base,
+                                               self.xi[sel]), 2.0 * math.pi)
         w = np.exp(-s * self.d[sel])
         w /= w.sum() if norm is None else norm
         order = np.argsort(th)
@@ -430,6 +403,40 @@ def limit_cell_masses(backend, p, partition, s_grid=None, cap=None, x=None):
     return extrapolate_to_h(rows, s_grid, h)
 
 
+def _far_log_ratios(atoms, q, partition, s_grid, h, cap):
+    """Per-cell log(nu_q / nu_p) read off at s = h, and the usable cells.
+
+    nu_p and nu_q weigh the same orbit atoms by e^{-s d(p, y)} and
+    e^{-s d(q, y)}.  Only the outer annulus d(p, y) >= cap/2 carries the
+    limit measure: as s -> h the diverging normalizer kills the relative
+    weight of every bounded region, and on far atoms d(q,y) - d(p,y) has
+    already converged to the Busemann cocycle.  Each cell's log ratio is
+    fitted to first order in (s - h) over the s grid; cells with no far
+    atom are excluded with a warning.
+    """
+    far = atoms.d >= 0.5 * cap
+    dq = halfplane.dist(q, atoms.z[far])
+    dp = atoms.d[far]
+    idx = partition.locate_angle(
+        halfplane.direction_toward(partition.base, atoms.xi[far]))
+    n = len(partition)
+    svals = np.asarray(s_grid, dtype=float)
+    rows = []
+    for s in svals:
+        num = np.bincount(idx, weights=np.exp(-s * dq), minlength=n)
+        den = np.bincount(idx, weights=np.exp(-s * dp), minlength=n)
+        # an empty cell gives log 0: it is counted in one warning below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows.append(np.log(num) - np.log(den))
+    rows = np.array(rows)
+    usable = np.all(np.isfinite(rows), axis=0)
+    if not usable.all():
+        warnings.warn(f"{int((~usable).sum())} zero-mass cells excluded")
+        rows[:, ~usable] = 0.0
+    coef = np.polyfit(svals - h, rows, 1)
+    return coef[1], usable
+
+
 # ---------------------------------------------------------------------------
 # conformal density check
 
@@ -461,31 +468,12 @@ def conformal_check(backend, p, q, partition, s_grid=None, cap=None, x=None,
         cap = 12.0 if cap is None else float(cap)
         x = p if x is None else complex(x)
         h = 1.0
-        atoms = _plane_atoms(p, x, cap)
-        dq = halfplane.dist(q, atoms.z)
-        idx = partition.locate_angle(_angles_toward(partition.base, atoms.xi))
-        # Only the outer annulus of atoms carries the limit measure: as
-        # s -> h the diverging normalizer kills the relative weight of
-        # every bounded region, and on far atoms d(q,y) - d(p,y) has
-        # already converged to the Busemann cocycle.
-        far = atoms.d >= 0.5 * cap
-        svals = np.asarray(s_grid, dtype=float)
+        log_ratio, usable = _far_log_ratios(_plane_atoms(p, x, cap), q,
+                                            partition, s_grid, h, cap)
         worst = 0.0
-        skipped = 0
-        for i in range(len(partition)):
-            sel = far & (idx == i)
-            if not sel.any():
-                skipped += 1
-                continue
-            dpi, dqi = atoms.d[sel], dq[sel]
-            ratio = np.array([np.exp(-s * dqi).sum() / np.exp(-s * dpi).sum()
-                              for s in svals])
-            # first-order fit of the log ratio in (s - h), read off at h
-            coef = np.polyfit(svals - h, np.log(ratio), 1)
+        for i in np.flatnonzero(usable):
             b = halfplane.busemann(q, p, partition.representative(i))
-            worst = max(worst, abs(coef[1] + h * b))
-        if skipped:
-            warnings.warn(f"{skipped} zero-mass cells excluded")
+            worst = max(worst, abs(log_ratio[i] + h * b))
         return worst
     raise BackendMismatch(f"unknown backend {backend!r}")
 
@@ -532,7 +520,7 @@ def shadow_contains(backend, desc, xi, depth_hint=12):
         raise ValueError(f"unknown shadow description {kind!r}")
     lo, hi = data
     # arc from lo to hi counterclockwise on the boundary circle
-    th = _angles_toward(1j, np.array([lo, hi, xi]))
+    th = halfplane.direction_toward(1j, [lo, hi, xi])
     a, b, t = np.mod(th - th[0], 2.0 * math.pi)
     return t <= b
 
@@ -552,8 +540,7 @@ def shadow_mass_bounds(backend, p, x, rho, partition=None, s_grid=None,
         p, x = complex(p), complex(x)
         lo, hi = halfplane.shadow_arc(p, x, rho)
         base_part = partition or plane_partition(256)
-        th = _angles_toward(base_part.base,
-                            np.array([lo, hi], dtype=float))
+        th = halfplane.direction_toward(base_part.base, [lo, hi])
         interval = (th[0], th[1])
         s_grid = DEFAULT_S_GRID_PLANE if s_grid is None else s_grid
         cap = 12.0 if cap is None else cap
@@ -696,26 +683,9 @@ def pair_invariance_check(pm, gamma, s_grid=None, cap=None):
     h = pm.h
     s_grid = DEFAULT_S_GRID_PLANE if s_grid is None else s_grid
     cap = DEFAULT_PAIR_CAP if cap is None else float(cap)
-    atoms = _plane_atoms(p, p, cap)
-    far = atoms.d >= 0.5 * cap
     q = modular.apply(modular.mat_inv(gamma), p)
-    dq = halfplane.dist(q, atoms.z[far])
-    dp = atoms.d[far]
-    idx = part.locate_angle(_angles_toward(part.base, atoms.xi[far]))
-    svals = np.asarray(s_grid, dtype=float)
-    rows = []
-    for s in svals:
-        num = np.bincount(idx, weights=np.exp(-s * dq), minlength=n)
-        den = np.bincount(idx, weights=np.exp(-s * dp), minlength=n)
-        rows.append(np.log(num) - np.log(den))
-    # first-order fit in (s - h) of each cell's log mass ratio
-    rows = np.array(rows)
-    usable = np.all(np.isfinite(rows), axis=0)
-    if not usable.all():
-        warnings.warn(f"{int((~usable).sum())} zero-mass cells excluded")
-        rows[:, ~usable] = 0.0
-    coef = np.polyfit(svals - h, rows, 1)
-    log_ratio = coef[1]
+    log_ratio, usable = _far_log_ratios(_plane_atoms(p, p, cap), q, part,
+                                        s_grid, h, cap)
     reps = [part.representative(i) for i in range(n)]
     greps = [halfplane.mobius_apply_boundary(gamma, r) for r in reps]
     worst = 0.0
@@ -793,7 +763,8 @@ def equidistribution_test(census, T, n_theta=4, samples_per_unit=40):
         t0 = geo.time_of(_axis_anchor(geo))
         ts = t0 + (np.arange(k) + 0.5) * (ell / k)
         z = geo.point(ts)
-        theta = _tangent_angles(z, geo.v)
+        # fold from [0, 2 pi): an angle on a cell edge keeps its bin
+        theta = np.mod(halfplane.direction_toward(z, geo.v), 2.0 * math.pi)
         zf, tf = modular.fold_points(z, theta)
         idx = _cell_index(zf, tf, n_theta)
         hist += np.bincount(idx, minlength=4 * n_theta) * (ell / k)
@@ -809,25 +780,6 @@ def _axis_anchor(geo):
     c = 0.5 * (geo.u + geo.v)
     r = 0.5 * abs(geo.v - geo.u)
     return complex(c, r)
-
-
-def _tangent_angles(z, fwd):
-    """Tangent direction angles at points z of the geodesic toward the
-    boundary point fwd (vectorized form of direction_toward)."""
-    th = _angles_toward_points(z, fwd)
-    return np.mod(th, 2.0 * math.pi)
-
-
-def _angles_toward_points(z, xi):
-    z = np.asarray(z, dtype=complex)
-    if math.isinf(xi):
-        return np.full(z.shape, 0.5 * math.pi)
-    same = np.abs(xi - z.real) < 1e-13
-    c = 0.5 * (xi + (np.abs(z) ** 2 - xi * z.real)
-               / np.where(same, 1.0, z.real - xi))
-    phi = np.arctan2(z.imag, z.real - c)
-    th = np.where(xi > c, phi - 0.5 * math.pi, phi + 0.5 * math.pi)
-    return np.where(same, -0.5 * math.pi, th)
 
 
 # ---------------------------------------------------------------------------

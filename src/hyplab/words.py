@@ -93,10 +93,6 @@ def cyclic_reduce(w):
     return w, "".join(conj)
 
 
-def is_cyclically_reduced(w):
-    return len(w) < 2 or w[0] != inv_letter(w[-1])
-
-
 def translation_length(w):
     core, _ = cyclic_reduce(w)
     return len(core)

@@ -98,18 +98,6 @@ def test_validate_corruption_is_caught(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_validate_deterministic_across_worker_counts(tmp_path):
-    out1 = tmp_path / "w1"
-    out2 = tmp_path / "w2"
-    assert cli.main(["--out", str(out1), "--workers", "1",
-                     "--seed", "3", "validate"]) == cli.EXIT_OK
-    assert cli.main(["--out", str(out2), "--workers", "4",
-                     "--seed", "3", "validate"]) == cli.EXIT_OK
-    b1 = (out1 / "validate.json").read_bytes()
-    b2 = (out2 / "validate.json").read_bytes()
-    assert b1 == b2
-
-
 def test_unknown_backend_is_usage_error(tmp_path):
     code, _ = run(tmp_path, "count", "--backend", "moebius")
     assert code == cli.EXIT_USAGE

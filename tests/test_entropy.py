@@ -98,6 +98,17 @@ def test_flow_point_shift_moves_along_the_orbit():
     assert w.point(0) == v.point(2)
 
 
+def test_plane_flow_point_shift_moves_along_the_orbit():
+    # n_dirs=4 includes the vertical up and down directions
+    sample = entropy.plane_flow_sample(n_dirs=4, n_pos=2)
+    sample += entropy.plane_flow_sample(n_dirs=5, n_pos=1, seed=9)
+    for v in sample:
+        for t in (-3.0, 0.5, 2.0):
+            w = v.shift(t)
+            for s in (0.0, 0.7, 3.0):
+                assert abs(w.point(s) - v.point(t + s)) < 1e-9
+
+
 def test_rejects_unreduced_windows():
     with pytest.raises(ValueError):
         entropy.FlowPoint(TREE, "", "aA", "b")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyplab import halfplane as hp
+from hyplab import modular
 
 
 def test_dist_vertical_axis():
@@ -35,9 +36,9 @@ def test_mobius_maps_are_isometries():
 def test_mobius_compose_and_inverse():
     m1, m2 = (2, 1, 1, 1), (1, -1, 1, 0)
     z = 0.7 + 1.3j
-    assert hp.mobius_apply(hp.mobius_compose(m1, m2), z) \
+    assert hp.mobius_apply(modular.mat_mul(m1, m2), z) \
         == pytest.approx(hp.mobius_apply(m1, hp.mobius_apply(m2, z)))
-    assert hp.mobius_apply(hp.mobius_compose(m1, hp.mobius_inverse(m1)), z) \
+    assert hp.mobius_apply(modular.mat_mul(m1, modular.mat_inv(m1)), z) \
         == pytest.approx(z)
 
 
@@ -94,6 +95,30 @@ def test_triangle_thinness_bounded_for_random_triangles():
     # slim-triangle constant of the hyperbolic plane is under 0.9
     assert float(defect.max()) < 0.9
     assert float(defect.min()) >= 0.0
+
+
+def test_direction_toward_inverts_forward_endpoint():
+    rng = np.random.default_rng(4)
+    ps = hp.random_points(rng, 200, 3.0)
+    xis = rng.uniform(-5.0, 5.0, size=200)
+    for p, xi in ((ps, 1.7), (ps, -0.4), (0.3 + 1.2j, xis), (ps, xis)):
+        th = hp.direction_toward(p, xi)
+        p_b, xi_b = np.broadcast_arrays(p, xi)
+        assert th.shape == xi_b.shape
+        assert np.all((th >= -math.pi) & (th < math.pi))
+        back = np.array([hp.forward_endpoint(z, t) for z, t in zip(p_b, th)])
+        assert np.max(np.abs(back - xi_b)) < 1e-9
+
+
+def test_direction_toward_vertical_rays_and_scalar_type():
+    p = 0.3 + 1.2j
+    assert hp.direction_toward(p, hp.INF) == 0.5 * math.pi
+    assert hp.direction_toward(p, p.real) == -0.5 * math.pi
+    assert list(hp.direction_toward(p, [hp.INF, p.real, 2.0])[:2]) \
+        == [0.5 * math.pi, -0.5 * math.pi]
+    assert list(hp.direction_toward([p, 2j], hp.INF)) == [0.5 * math.pi] * 2
+    assert type(hp.direction_toward(p, 2.0)) is float
+    assert type(hp.direction_toward(p, hp.INF)) is float
 
 
 def test_point_at_lands_at_the_right_distance():

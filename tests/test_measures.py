@@ -2,12 +2,14 @@
 pair measures, equidistribution, and the flow-mass validators."""
 
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hyplab import counting, measures, words
+from hyplab import counting, halfplane, measures, words
 from hyplab.geometry import FLAT, PLANE, TREE, BackendMismatch
 
 
@@ -77,6 +79,44 @@ def test_conformal_check_plane_small():
     part = measures.plane_partition(64)
     defect = measures.conformal_check(PLANE, 2j, 1 + 1j, part)
     assert defect < 0.1
+
+
+def _per_arc_plane_conformal(p, q, part, cap):
+    """Reference route: one mass ratio and one fit per arc."""
+    h, svals = 1.0, np.asarray(measures.DEFAULT_S_GRID_PLANE)
+    atoms = measures._plane_atoms(p, p, cap)
+    dq = halfplane.dist(q, atoms.z)
+    idx = part.locate_angle(halfplane.direction_toward(part.base, atoms.xi))
+    far = atoms.d >= 0.5 * cap
+    worst = 0.0
+    for i in range(len(part)):
+        sel = far & (idx == i)
+        if not sel.any():
+            continue
+        ratio = [np.exp(-s * dq[sel]).sum() / np.exp(-s * atoms.d[sel]).sum()
+                 for s in svals]
+        coef = np.polyfit(svals - h, np.log(ratio), 1)
+        b = halfplane.busemann(q, p, part.representative(i))
+        worst = max(worst, abs(coef[1] + h * b))
+    return worst
+
+
+def test_conformal_check_plane_equals_per_arc_fits():
+    part = measures.plane_partition(64)
+    for q in (1 + 1j, 0.3 + 1.7j):
+        got = measures.conformal_check(PLANE, 2j, q, part, cap=10)
+        assert got == pytest.approx(
+            _per_arc_plane_conformal(2j, q, part, 10.0), rel=0, abs=1e-12)
+
+
+def test_plane_conformal_reports_empty_cells_in_one_warning():
+    part = measures.plane_partition(256)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        measures.conformal_check(PLANE, 2j, 1 + 1j, part, cap=5)
+    assert len(caught) == 1
+    assert re.fullmatch(r"\d+ zero-mass cells excluded",
+                        str(caught[0].message))
 
 
 def test_shadow_tree_is_a_cylinder():
