@@ -17,7 +17,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import counting, entropy, geometry, measures, modular, words
+import numpy as np
+
+from . import counting, entropy, geometry, halfplane, measures, words
 from .geometry import FLAT, PLANE, TREE
 
 EXIT_OK = 0
@@ -77,15 +79,25 @@ def load_config(path):
 
 
 def effective_config(args, keys):
-    """Merge config file values with flag overrides into a flat dict."""
+    """Merge config file values with flag overrides into a flat dict.
+
+    An explicit flag beats a file value, and a file value beats the
+    default.  The merged seed (and backend, when it is one of `keys`)
+    are written back to args, which the commands read.
+    """
     cfg = {}
     if args.config:
         cfg.update(load_config(args.config))
-    for k in keys:
+    for k in keys + ("seed",):
         v = getattr(args, k.replace("-", "_"), None)
         if v is not None:
             cfg[k] = v
-    cfg["seed"] = args.seed
+    cfg["seed"] = args.seed = int(cfg.get("seed", 0))
+    if "backend" in keys:
+        cfg.setdefault("backend", "tree")
+        if cfg["backend"] not in _BACKENDS:
+            raise ValueError(f"unknown backend {cfg['backend']!r}")
+        args.backend = cfg["backend"]
     return cfg
 
 
@@ -100,8 +112,8 @@ def _parse_range(text):
 # count
 
 def cmd_count(args):
-    backend = _BACKENDS[args.backend]
     cfg = effective_config(args, ("backend", "rank", "Rmax", "T"))
+    backend = _BACKENDS[args.backend]
     rank = int(cfg.get("rank", 2))
     out = args.out
     if backend == TREE:
@@ -155,9 +167,9 @@ def _tree_partition_from(cfg):
 
 
 def cmd_measure(args):
-    backend = _BACKENDS[args.backend]
     cfg = effective_config(args, ("backend", "cells", "check", "s", "cap",
                                   "gamma", "T", "equidist"))
+    backend = _BACKENDS[args.backend]
     out = args.out
     checks = [c for c in str(cfg.get("check", "")).split(",") if c]
     if cfg.get("equidist"):
@@ -273,9 +285,9 @@ def cmd_measure(args):
 # entropy
 
 def cmd_entropy(args):
-    backend = _BACKENDS[args.backend]
     cfg = effective_config(args, ("backend", "n", "delta", "probe", "rho",
                                   "xi", "eta", "rank"))
+    backend = _BACKENDS[args.backend]
     out = args.out
     probe = cfg.get("probe")
     if probe == "z-set":
@@ -326,92 +338,67 @@ def cmd_entropy(args):
 
 def _validate_records(args, cfg):
     corrupt = bool(getattr(args, "corrupt_delta", False))
+    records = []
 
     def rec(name, backend, measured, bound, ok):
-        return {"inequality": name, "backend": backend,
-                "measured": fmt(measured), "bound": fmt(bound),
-                "pass": bool(ok)}
+        records.append({"inequality": name, "backend": backend,
+                        "measured": fmt(measured), "bound": fmt(bound),
+                        "pass": bool(ok)})
 
-    jobs = []
+    # lemma 2.5 on the tree: rays to w and to w.u stay 3 rho apart
+    rho = 2
+    worst = 0
+    for w in sorted(words.ball_words(5)):
+        v1 = words.geodesic_vertices("", w)
+        for u in sorted(words.ball_words(rho)):
+            v2 = words.geodesic_vertices("", words.mul(w, u))
+            worst = max(worst, max(words.distance(a, b)
+                                   for a, b in zip(v1, v2)))
+    rec("lemma-2.5-fellow-traveling", "tree", worst, 3 * rho,
+        worst <= 3 * rho)
 
-    def lemma_2_5_tree():
-        rho = 2
-        worst = 0
-        for w in sorted(words.ball_words(5)):
-            v1 = words.geodesic_vertices("", w)
-            for u in sorted(words.ball_words(rho)):
-                x = words.mul(w, u)
-                v2 = words.geodesic_vertices("", x)
-                worst = max(worst,
-                            max(words.distance(a, b)
-                                for a, b in zip(v1, v2)))
-        bound = 3 * rho
-        return rec("lemma-2.5-fellow-traveling", "tree", worst, bound,
-                   worst <= bound)
-    jobs.append(lemma_2_5_tree)
+    # lemma 2.5 on the plane: thin triangles against 4 delta-hat + 3 rho
+    delta = (0.0 if corrupt
+             else geometry.estimate_delta(PLANE, 20000, 4.0, args.seed).delta)
+    rho = 0.05
+    rng = np.random.default_rng(args.seed + 1)
+    pts = halfplane.random_points(rng, 3 * 2000, 4.0)
+    measured = float(halfplane.triangle_thinness(
+        pts[:2000], pts[2000:4000], pts[4000:]).max())
+    bound = 4 * delta + 3 * rho
+    rec("lemma-2.5-thin-triangles", "plane", measured, bound,
+        measured <= bound)
 
-    def lemma_2_5_plane():
-        from . import halfplane
-        import numpy as np
-        delta = (0.0 if corrupt
-                 else geometry.estimate_delta(PLANE, 20000, 4.0,
-                                              args.seed).delta)
-        rho = 0.05
-        rng = np.random.default_rng(args.seed + 1)
-        pts = halfplane.random_points(rng, 3 * 2000, 4.0)
-        measured = float(halfplane.triangle_thinness(
-            pts[:2000], pts[2000:4000], pts[4000:]).max())
-        bound = 4 * delta + 3 * rho
-        return rec("lemma-2.5-thin-triangles", "plane", measured, bound,
-                   measured <= bound)
-    jobs.append(lemma_2_5_plane)
+    s = math.log(3) + 0.2
+    mu = measures.ps_measure(TREE, "", s, cap=8)
+    _, tail = measures.poincare_series(TREE, s, cap=8)
+    rec("eq-nu-weight-mass", "tree", float(mu.total_mass), 1.0,
+        abs(float(mu.total_mass) - 1.0) <= tail)
 
-    def nu_weight():
-        s = math.log(3) + 0.2
-        mu = measures.ps_measure(TREE, "", s, cap=8)
-        total, tail = measures.poincare_series(TREE, s, cap=8)
-        ok = abs(float(mu.total_mass) - 1.0) <= tail
-        return rec("eq-nu-weight-mass", "tree", float(mu.total_mass),
-                   1.0, ok)
-    jobs.append(nu_weight)
+    part = measures.tree_partition(3)
+    worst = max(measures.conformal_check(TREE, p, q, part)
+                for p in ("", "a") for q in ("b", "aB") if p != q)
+    rec("prop-3.1b-conformal", "tree", worst, 0.0, worst == 0.0)
 
-    def conformal_tree():
-        part = measures.tree_partition(3)
-        worst = max(measures.conformal_check(TREE, p, q, part)
-                    for p in ("", "a") for q in ("b", "aB") if p != q)
-        return rec("prop-3.1b-conformal", "tree", worst, 0.0, worst == 0.0)
-    jobs.append(conformal_tree)
+    ratios = [measures.shadow_mass_bounds(TREE, "", "a" * n, 0.5)[1]
+              for n in range(2, 9)]
+    spread = max(ratios) / min(ratios)
+    rec("prop-3.3-shadow", "tree", spread, 2.0, spread <= 2.0)
 
-    def shadow_tree():
-        ratios = [measures.shadow_mass_bounds(TREE, "", "a" * n, 0.5)[1]
-                  for n in range(2, 9)]
-        spread = max(ratios) / min(ratios)
-        return rec("prop-3.3-shadow", "tree", spread, 2.0, spread <= 2.0)
-    jobs.append(shadow_tree)
+    pm = measures.pair_measure(TREE, "", measures.tree_partition(2))
+    d = measures.pair_invariance_check(pm, "a")
+    rec("prop-3.4-invariance", "tree", d, 0.0, d == 0.0)
 
-    def pair_tree():
-        pm = measures.pair_measure(TREE, "", measures.tree_partition(2))
-        d = measures.pair_invariance_check(pm, "a")
-        return rec("prop-3.4-invariance", "tree", d, 0.0, d == 0.0)
-    jobs.append(pair_tree)
+    cprimes = [measures.validate_D_mass("", "a" * n, 2.5, 0.5)[1]
+               for n in range(3, 9)]
+    spread = float(max(cprimes) / min(cprimes))
+    rec("lemma-5.2-c-prime", "tree", spread, 2.0, spread <= 2.0)
 
-    def lemma_5_2():
-        cprimes = [measures.validate_D_mass("", "a" * n, 2.5, 0.5)[1]
-                   for n in range(3, 9)]
-        spread = float(max(cprimes) / min(cprimes))
-        return rec("lemma-5.2-c-prime", "tree", spread, 2.0, spread <= 2.0)
-    jobs.append(lemma_5_2)
-
-    def lemma_5_3():
-        cards = [measures.validate_separated_bound("a" * 30, n, 1.0,
-                                                   4.5, 1.0)[0]
-                 for n in range(5, 9)]
-        spread = max(cards) / min(cards)
-        return rec("lemma-5.3-separated", "tree", spread, 2.0,
-                   spread <= 2.0)
-    jobs.append(lemma_5_3)
-
-    return [job() for job in jobs]
+    cards = [measures.validate_separated_bound("a" * 30, n, 1.0, 4.5, 1.0)[0]
+             for n in range(5, 9)]
+    spread = max(cards) / min(cards)
+    rec("lemma-5.3-separated", "tree", spread, 2.0, spread <= 2.0)
+    return records
 
 
 def cmd_validate(args):
@@ -436,19 +423,19 @@ def build_parser():
         description="geodesic counting, Patterson-Sullivan measures and "
                     "entropy probes on tree / modular / flat backends")
     ap.add_argument("--config", help="key=value config file")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--out", default=".", help="output directory")
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("count", help="orbit and geodesic censuses")
-    p.add_argument("--backend", choices=sorted(_BACKENDS), default="tree")
+    p.add_argument("--backend", choices=sorted(_BACKENDS))
     p.add_argument("--rank", type=int)
     p.add_argument("--Rmax", type=float)
     p.add_argument("--T", type=float)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("measure", help="Patterson-Sullivan pipeline")
-    p.add_argument("--backend", choices=sorted(_BACKENDS), default="tree")
+    p.add_argument("--backend", choices=sorted(_BACKENDS))
     p.add_argument("--cells")
     p.add_argument("--check")
     p.add_argument("--equidist", action="store_true", default=None)
@@ -459,7 +446,7 @@ def build_parser():
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("entropy", help="spanning counts and probes")
-    p.add_argument("--backend", choices=sorted(_BACKENDS), default="tree")
+    p.add_argument("--backend", choices=sorted(_BACKENDS))
     p.add_argument("--n")
     p.add_argument("--delta", type=float)
     p.add_argument("--rank", type=int)

@@ -61,16 +61,26 @@ def mobius_to_infinity(xi):
 
 def geodesic_endpoints(p, q):
     """Ideal endpoints (u, v) of the geodesic through interior points p, q,
-    ordered so that travel p -> q heads toward v."""
-    p, q = complex(p), complex(q)
-    if abs(p.real - q.real) < EPS_PT * max(1.0, abs(p), abs(q)):
-        x = 0.5 * (p.real + q.real)
-        return (x, INF) if q.imag > p.imag else (INF, x)
-    c = (abs(q) ** 2 - abs(p) ** 2) / (2.0 * (q.real - p.real))
-    r = abs(p - c)
-    u, v = c - r, c + r
-    # p -> q moves toward the endpoint on q's side
-    return (v, u) if q.real < p.real else (u, v)
+    ordered so that travel p -> q heads toward v.
+
+    The one home of the two-point circle-centre formula and of the test
+    that the geodesic is vertical (|Re q - Re p| < EPS_PT * scale), where
+    (u, v) is (x, inf) going up and (inf, x) going down.  Broadcasts over
+    arrays of p and q; returns floats for scalar input.
+    """
+    # no broadcast copy: a scalar p against an array q stays scalar
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
+    ap, aq = np.abs(p), np.abs(q)
+    dx = q.real - p.real
+    vert = np.abs(dx) < EPS_PT * np.maximum(1.0, np.maximum(ap, aq))
+    c = (aq ** 2 - ap ** 2) / (2.0 * np.where(vert, 1.0, dx))
+    r = np.abs(p - c)
+    lo = np.where(vert, 0.5 * (p.real + q.real), c - r)
+    hi = np.where(vert, INF, c + r)
+    # p -> q heads up a vertical line, else toward the endpoint on q's side
+    fwd = np.where(vert, q.imag > p.imag, dx > 0)
+    u, v = np.where(fwd, lo, hi), np.where(fwd, hi, lo)
+    return (float(u), float(v)) if u.ndim == 0 else (u, v)
 
 
 def forward_endpoint(z, theta):
@@ -205,8 +215,9 @@ def ray(p, xi):
 
 
 def line(xi, eta):
-    """Unit-speed line from xi (t=-inf) to eta (t=+inf), origin at the
-    point closest to i (vertical case: at height max(1,...) = |scale|)."""
+    """Unit-speed line from xi (t=-inf) to eta (t=+inf).  Its origin
+    (t=0) is the top of the semicircle, (xi+eta)/2 + i|eta-xi|/2, or the
+    point at height 1 on a vertical line."""
     if xi == eta:
         raise ValueError("coincident boundary points")
     if xi == INF or eta == INF:
@@ -285,37 +296,37 @@ def random_points(rng, n, radius, center=1j):
     return c.real + c.imag * z
 
 
+def _axis_chart(p, q):
+    """The chart of the geodesics p[i] -> q[i] onto the imaginary axis:
+    w = (z - lo)/(hi - z) with lo < hi the ideal endpoints, or
+    w = z - Re p on a vertical line.  w is purely imaginary on the
+    geodesic and log|w| is arclength along it.
+
+    Returns the maps (z -> w, w -> z), which broadcast against p and q.
+    """
+    u, v = geodesic_endpoints(p, q)
+    vert = np.isinf(u) | np.isinf(v)
+    # a vertical line gets the finite stand-in (-1, 1), so no inf reaches
+    # the circle chart that np.where then discards
+    lo = np.where(vert, -1.0, np.minimum(u, v))
+    hi = np.where(vert, 1.0, np.maximum(u, v))
+    x0 = np.real(p)
+    return (lambda z: np.where(vert, z - x0, (z - lo) / (hi - z)),
+            lambda w: np.where(vert, x0 + w, (hi * w + lo) / (w + 1.0)))
+
+
 def geodesic_sample(p, q, n):
     """n points evenly spaced (in arclength) along each segment p[i]->q[i].
 
     p, q: complex arrays of shape (m,).  Returns an (m, n) complex array.
-    Vectorized over segments; vertical and circular cases handled by mask.
     """
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    m = p.shape[0]
-    d = dist(p, q)
+    p = np.asarray(p, dtype=complex)[:, None]
+    q = np.asarray(q, dtype=complex)[:, None]
+    to_w, from_w = _axis_chart(p, q)
     frac = np.linspace(0.0, 1.0, n)
-    out = np.empty((m, n), dtype=complex)
-
-    scale = np.maximum(1.0, np.maximum(np.abs(p), np.abs(q)))
-    vert = np.abs(p.real - q.real) < 1e-12 * scale
-    if vert.any():
-        pv, qv = p[vert], q[vert]
-        s = np.log(pv.imag)[:, None] * (1 - frac) + np.log(qv.imag)[:, None] * frac
-        out[vert] = pv.real[:, None] + 1j * np.exp(s)
-    circ = ~vert
-    if circ.any():
-        pc, qc = p[circ], q[circ]
-        c = (np.abs(qc) ** 2 - np.abs(pc) ** 2) / (2.0 * (qc.real - pc.real))
-        r = np.abs(pc - c)
-        u, v = c - r, c + r
-        wp = (pc - u) / (v - pc)
-        wq = (qc - u) / (v - qc)
-        s = np.log(np.abs(wp))[:, None] * (1 - frac) + np.log(np.abs(wq))[:, None] * frac
-        w = 1j * np.exp(s)
-        out[circ] = (v[:, None] * w + u[:, None]) / (w + 1.0)
-    return out
+    s = (np.log(np.abs(to_w(p))) * (1 - frac)
+         + np.log(np.abs(to_w(q))) * frac)
+    return from_w(1j * np.exp(s))
 
 
 def dist_to_segment(z, p, q):
@@ -325,30 +336,13 @@ def dist_to_segment(z, p, q):
     z = np.asarray(z, dtype=complex)
     p = np.asarray(p, dtype=complex)[:, None]
     q = np.asarray(q, dtype=complex)[:, None]
-    scale = np.maximum(1.0, np.maximum(np.abs(p), np.abs(q)))
-    vert = np.abs(p.real - q.real) < 1e-12 * scale
-
-    # chart coordinate w: purely imaginary on the geodesic, sigma = log|w|
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cc = (np.abs(q) ** 2 - np.abs(p) ** 2) / (2.0 * (q.real - p.real))
-        r = np.abs(p - cc)
-        lo, hi = cc - r, cc + r
-        w = (z - lo) / (hi - z)
-        wp = (p - lo) / (hi - p)
-        wq = (q - lo) / (hi - q)
-        # vertical fallback chart: w = z - x0 (|w|/Im w is the same invariant)
-        x0 = p.real
-        w = np.where(vert, z - x0, w)
-        wp = np.where(vert, p - x0, wp)
-        wq = np.where(vert, q - x0, wq)
-
-    coshd = np.abs(w) / w.imag
-    d_line = np.arccosh(np.maximum(coshd, 1.0))
+    to_w, _ = _axis_chart(p, q)
+    w = to_w(z)
+    d_line = np.arccosh(np.maximum(np.abs(w) / w.imag, 1.0))
     sig = np.log(np.abs(w))
-    sp = np.log(np.abs(wp))
-    sq = np.log(np.abs(wq))
-    slo, shi = np.minimum(sp, sq), np.maximum(sp, sq)
-    inside = (sig >= slo) & (sig <= shi)
+    sp = np.log(np.abs(to_w(p)))
+    sq = np.log(np.abs(to_w(q)))
+    inside = (sig >= np.minimum(sp, sq)) & (sig <= np.maximum(sp, sq))
     d_ends = np.minimum(dist(z, p), dist(z, q))
     return np.where(inside, d_line, d_ends)
 

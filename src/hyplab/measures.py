@@ -243,23 +243,6 @@ def _tree_cell_masses(p, s, partition, cap):
     return np.array(out)
 
 
-def _ray_endpoints(p, z):
-    """Boundary endpoint of the ray from p through each z (vectorized)."""
-    p = complex(p)
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=float)
-    vert = np.abs(z.real - p.real) < 1e-13
-    up = z.imag >= p.imag
-    out[vert & up] = math.inf
-    out[vert & ~up] = p.real
-    nz = ~vert
-    zr, zi = z.real[nz], z.imag[nz]
-    c = (zr * zr + zi * zi - abs(p) ** 2) / (2.0 * (zr - p.real))
-    r = np.abs(p - c)
-    out[nz] = np.where(zr > p.real, c + r, c - r)
-    return out
-
-
 class _PlaneAtoms:
     """Cached orbit atoms around a base point: positions, distances and
     boundary directions, reused across the s grid."""
@@ -272,7 +255,7 @@ class _PlaneAtoms:
         keep = np.abs(z - self.p) > 1e-12  # drop the atom at p itself
         self.z = z[keep]
         self.d = halfplane.dist(self.p, self.z)
-        self.xi = _ray_endpoints(self.p, self.z)
+        self.xi = halfplane.geodesic_endpoints(self.p, self.z)[1]
         self.base_atom = int((~keep).sum())
 
     def cell_masses(self, s, partition, norm, floor=0.0):
@@ -283,18 +266,11 @@ class _PlaneAtoms:
         w /= w.sum() if norm is None else norm
         return np.bincount(idx, weights=w, minlength=len(partition))
 
-    def interval_masses(self, s, intervals, partition, norm, floor=0.0):
-        """Masses of arbitrary circular angle intervals (lo, hi) ccw.
-
-        Atoms closer than `floor` are dropped; with norm=None the
-        remaining weights are self-normalized, which estimates the limit
-        measure without contamination from heavy near atoms.
-        """
-        sel = self.d >= floor
-        th = np.mod(halfplane.direction_toward(partition.base,
-                                               self.xi[sel]), 2.0 * math.pi)
-        w = np.exp(-s * self.d[sel])
-        w /= w.sum() if norm is None else norm
+    def interval_masses(self, s, intervals, partition, norm):
+        """Masses of arbitrary circular angle intervals (lo, hi) ccw."""
+        th = np.mod(halfplane.direction_toward(partition.base, self.xi),
+                    2.0 * math.pi)
+        w = np.exp(-s * self.d) / norm
         order = np.argsort(th)
         th_s, w_s = th[order], np.concatenate(([0.0], np.cumsum(w[order])))
         out = []
@@ -325,26 +301,18 @@ def _cached_atoms(p, x, cap):
 DEFAULT_PAIR_CAP = 14.0
 
 
-def _annulus_limit_masses(p, partition, intervals=None, s_grid=None,
-                          cap=None):
-    """Extrapolated limit masses from the outer atom annulus only.
+def _annulus_limit_masses(p, partition, cap=None):
+    """Extrapolated limit cell masses from the outer atom annulus only.
 
     Heavy atoms near p carry no limit mass (the diverging normalizer
     kills every bounded region as s -> h) but dominate small cells at
     finite cap; dropping the inner half of the ball removes that bias.
     """
-    s_grid = DEFAULT_S_GRID_PLANE if s_grid is None else s_grid
     cap = DEFAULT_PAIR_CAP if cap is None else float(cap)
     atoms = _plane_atoms(complex(p), complex(p), cap)
-    floor = 0.5 * cap
-    rows = []
-    for s in s_grid:
-        if intervals is None:
-            rows.append(atoms.cell_masses(s, partition, None, floor))
-        else:
-            rows.append(atoms.interval_masses(s, intervals, partition,
-                                              None, floor))
-    masses, err, _ = extrapolate_to_h(rows, s_grid, 1.0)
+    rows = [atoms.cell_masses(s, partition, None, 0.5 * cap)
+            for s in DEFAULT_S_GRID_PLANE]
+    masses, err, _ = extrapolate_to_h(rows, DEFAULT_S_GRID_PLANE, 1.0)
     return masses, err
 
 
@@ -509,7 +477,7 @@ def shadow(backend, x, p, rho, rank=2):
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
-def shadow_contains(backend, desc, xi, depth_hint=12):
+def shadow_contains(backend, desc, xi):
     """Membership of a boundary point in a shadow description."""
     kind, data = desc
     if kind == "cyl":
@@ -744,9 +712,12 @@ def equidistribution_test(census, T, n_theta=4, samples_per_unit=40):
     """Cell masses of the closed-geodesic measure mu_T against Liouville.
 
     mu_T averages arc length over all primitive classes of length <= T,
-    normalized to a probability measure; each geodesic is sampled
-    uniformly along one period, folded into the fundamental domain with
-    its tangent direction, and binned into 16 position x direction cells.
+    normalized to a probability measure.  Each geodesic is sampled
+    uniformly along one period [0, ell) of its axis, a halfplane.line
+    whose origin t = 0 is the top of the semicircle (height 1 on a
+    vertical axis).  The samples are folded into the fundamental domain
+    with their tangent directions and binned into 16 position x
+    direction cells.
 
     Returns (mu_masses, liouville_masses, per-cell gaps).
     """
@@ -760,9 +731,7 @@ def equidistribution_test(census, T, n_theta=4, samples_per_unit=40):
         m = modular._word_matrix(word)
         geo, ell = modular.closed_geodesic_path(m)
         k = max(32, int(math.ceil(ell * samples_per_unit)))
-        t0 = geo.time_of(_axis_anchor(geo))
-        ts = t0 + (np.arange(k) + 0.5) * (ell / k)
-        z = geo.point(ts)
+        z = geo.point((np.arange(k) + 0.5) * (ell / k))
         # fold from [0, 2 pi): an angle on a cell edge keeps its bin
         theta = np.mod(halfplane.direction_toward(z, geo.v), 2.0 * math.pi)
         zf, tf = modular.fold_points(z, theta)
@@ -773,13 +742,6 @@ def equidistribution_test(census, T, n_theta=4, samples_per_unit=40):
     ref = liouville_cell_masses(n_theta)
     return mu, ref, mu - ref
 
-
-def _axis_anchor(geo):
-    if geo.vertical:
-        return complex(geo.x0, 1.0)
-    c = 0.5 * (geo.u + geo.v)
-    r = 0.5 * abs(geo.v - geo.u)
-    return complex(c, r)
 
 
 # ---------------------------------------------------------------------------
@@ -831,46 +793,21 @@ def _extended_path(u, x, horizon, rank=2):
     return path
 
 
-def _sampled_ball_words(radius, budget, rank, seed=7):
-    """Deterministic sample of reduced words of length <= radius."""
-    rng = np.random.default_rng(seed)
-    lets = words.letters(rank)
-    out = {""}
-    while len(out) < budget:
-        m = int(rng.integers(0, radius + 1))
-        w = ""
-        for _ in range(m):
-            choices = [c for c in lets
-                       if not w or c != words.inv_letter(w[-1])]
-            w += choices[int(rng.integers(0, len(choices)))]
-        out.add(w)
-    return sorted(out)
-
-
-def validate_separated_bound(x, n, rho, r_prime, r, rank=2,
-                             sample_budget=4000, seed=7):
+def validate_separated_bound(x, n, rho, r_prime, r, rank=2):
     """Cardinality of a maximal (d_n, 2 r0)-separated subset of D(x,R',R).
 
     r0 = 4 delta + 3 rho with delta = 0 on the tree.  The domain is one
     flow line per base vertex in B(identity, R'), each aimed at x;
     separation is measured in the exact d_n metric and the subset is
-    grown greedily in deterministic order.  Small balls are exhausted;
-    larger ones are sampled within the budget, in which case the result
-    is only a lower bound and flagged as such.
+    grown greedily in deterministic order over the whole ball.
 
-    Returns (cardinality, "exhaustive" | "sampled-lower-bound").
+    Returns (cardinality, "exhaustive").
     """
     if words.distance("", x) < n + r + r_prime:
         raise ValueError("need d(x, p) >= n + R + R'")
     r0 = 3 * rho
     horizon = n + int(math.ceil(r_prime)) + 2
-    radius = int(math.floor(r_prime))
-    if words.ball_count(radius, rank) <= sample_budget:
-        bases = sorted(words.ball_words(radius, rank))
-        method = "exhaustive"
-    else:
-        bases = _sampled_ball_words(radius, sample_budget, rank, seed)
-        method = "sampled-lower-bound"
+    bases = sorted(words.ball_words(int(math.floor(r_prime)), rank))
     lines = [_extended_path(u, x, horizon + len(x), rank) for u in bases]
     kept = []
     for path in lines:
@@ -883,4 +820,4 @@ def validate_separated_bound(x, n, rho, r_prime, r, rank=2,
                 break
         if ok:
             kept.append(path)
-    return len(kept), method
+    return len(kept), "exhaustive"

@@ -348,14 +348,7 @@ def fixed_points(m):
 def axis(m):
     """Unit-speed axis of a hyperbolic matrix, oriented so that
     m . point(t) = point(t + l) with l the translation length."""
-    rep, att = fixed_points(m)
-    if rep == math.inf or att == math.inf:
-        x = rep if att == math.inf else att
-        anchor = x + 1j
-    else:
-        c0, r0 = 0.5 * (rep + att), 0.5 * abs(att - rep)
-        anchor = c0 + 1j * r0
-    return halfplane.Geodesic(rep, att, anchor)
+    return halfplane.line(*fixed_points(m))
 
 
 def closed_geodesic_path(cls):

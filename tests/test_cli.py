@@ -114,3 +114,43 @@ def test_config_file_round_trip(tmp_path):
     code = cli.main(["--out", str(tmp_path / "o"), "--config", str(cfg),
                      "count"])
     assert code == cli.EXIT_OK
+
+
+def test_config_file_backend_and_seed_beat_the_defaults(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("backend=modular\nRmax=6\nT=4\nseed=5\n")
+
+    def census(name, *argv):
+        code = cli.main(["--out", str(tmp_path / name)] + list(argv))
+        assert code == cli.EXIT_OK
+        return (tmp_path / name / "orbit_census.csv").read_text()
+
+    from_file = census("file", "--config", str(cfg), "count")
+    from_flags = census("flags", "--seed", "5", "count", "--backend",
+                        "modular", "--Rmax", "6", "--T", "4")
+    assert from_file == from_flags  # config hash line included
+    # the tree would give 2 * 3^2 - 1 = 17 points at R = 2
+    assert from_file.splitlines()[2].split(",")[1] != "17"
+    # an explicit flag still beats the file
+    overridden = census("over", "--config", str(cfg), "--seed", "6",
+                        "count", "--backend", "tree")
+    assert overridden == census("tree", "--seed", "6", "count", "--backend",
+                                "tree", "--Rmax", "6", "--T", "4")
+    assert overridden.splitlines()[2].split(",")[1] == "17"
+
+    seeds = tmp_path / "seed.cfg"
+    seeds.write_text("seed=5\n")
+    for name, argv in (("vf", ["--config", str(seeds)]),
+                       ("vs", ["--seed", "5"])):
+        assert cli.main(["--out", str(tmp_path / name)] + argv
+                        + ["validate"]) == cli.EXIT_OK
+    assert ((tmp_path / "vf" / "validate.json").read_text()
+            == (tmp_path / "vs" / "validate.json").read_text())
+
+
+def test_config_file_unknown_backend_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("backend=moebius\n")
+    code = cli.main(["--out", str(tmp_path / "o"), "--config", str(cfg),
+                     "count"])
+    assert code == cli.EXIT_USAGE

@@ -49,6 +49,62 @@ def test_geodesic_endpoints_footpoints():
     assert u == hp.INF or v == hp.INF
 
 
+def test_geodesic_endpoints_array_equals_scalar():
+    rng = np.random.default_rng(6)
+    ps = hp.random_points(rng, 300, 3.0)
+    qs = hp.random_points(rng, 300, 3.0)
+    qs[:20] = ps[:20].real + 1j * qs[:20].imag  # vertical pairs too
+    u, v = hp.geodesic_endpoints(ps, qs)
+    assert u.shape == v.shape == ps.shape
+    scalar = np.array([hp.geodesic_endpoints(p, q) for p, q in zip(ps, qs)])
+    assert np.array_equal(u, scalar[:, 0]) and np.array_equal(v, scalar[:, 1])
+    # a scalar base point broadcasts against an array, as in the atom rays
+    u1, v1 = hp.geodesic_endpoints(ps[0], qs)
+    assert np.array_equal(v1, [hp.geodesic_endpoints(ps[0], q)[1]
+                               for q in qs])
+    # both points lie on the circle on (u, v), and p -> q heads toward v
+    circ = np.isfinite(u) & np.isfinite(v)
+    c, r = 0.5 * (u + v)[circ], 0.5 * np.abs(v - u)[circ]
+    for z in (ps[circ], qs[circ]):
+        assert np.max(np.abs(np.abs(z - c) - r) / r) < 1e-9
+    assert np.all((v[circ] > u[circ]) == (qs.real > ps.real)[circ])
+
+
+def test_geodesic_endpoints_vertical_pairs():
+    for x in (0.0, 0.3, -2.5):
+        for dx in (0.0, 1e-10 * max(1.0, abs(x) + 3.0)):
+            lo, hi = complex(x, 0.5), complex(x + dx, 3.0)
+            up = hp.geodesic_endpoints(lo, hi)
+            down = hp.geodesic_endpoints(hi, lo)
+            assert up[1] == hp.INF and down[0] == hp.INF
+            assert up[0] == pytest.approx(x, abs=1e-9)
+            assert down[1] == pytest.approx(x, abs=1e-9)
+            assert all(type(e) is float for e in up + down)
+            u, v = hp.geodesic_endpoints([lo, hi], [hi, lo])
+            assert list(u) == [up[0], down[0]] and list(v) == [up[1], down[1]]
+    # a real-part gap well above the tolerance is a semicircle
+    assert np.isfinite(hp.geodesic_endpoints(1j, 1e-6 + 3j)).all()
+
+
+def test_vertical_segments_sample_and_distance():
+    p = np.array([0.3 + 0.5j, 0.3 + 4j, -2 + 1j, -2 + 1e-10 + 2j])
+    q = np.array([0.3 + 4j, 0.3 + 0.5j, -2 + 5j, -2 + 0.1j])
+    pts = hp.geodesic_sample(p, q, 11)
+    assert np.max(np.abs(pts.real - p.real[:, None])) < 1e-9
+    lo = np.minimum(p.imag, q.imag)[:, None] * (1 - 1e-12)
+    hi = np.maximum(p.imag, q.imag)[:, None] * (1 + 1e-12)
+    assert np.all((pts.imag >= lo) & (pts.imag <= hi))
+    assert np.allclose(pts[:, 0], p) and np.allclose(pts[:, -1], q)
+    # evenly spaced in arclength
+    steps = hp.dist(pts[:, 1:], pts[:, :-1])
+    assert np.allclose(steps, hp.dist(p, q)[:, None] / 10, atol=1e-9)
+    assert float(np.abs(hp.dist_to_segment(pts, p, q)).max()) < 1e-7
+    # off the line: the perpendicular distance, and clamping beyond q
+    d = hp.dist_to_segment(np.array([[1.3 + 1j, 0.3 + 8j]]), p[:1], q[:1])
+    assert d[0, 0] == pytest.approx(math.asinh(1.0))
+    assert d[0, 1] == pytest.approx(hp.dist(0.3 + 8j, 0.3 + 4j))
+
+
 def test_segment_parametrized_by_arclength():
     p, q = -1 + 1j, 2 + 0.5j
     g = hp.segment(p, q)
