@@ -51,6 +51,11 @@ class BoundaryPartition:
         lo, hi = self.cells[i]
         return halfplane.forward_endpoint(self.base, 0.5 * (lo + hi))
 
+    @functools.cached_property
+    def representatives(self):
+        """representative(i) for every cell, built once per partition."""
+        return tuple(self.representative(i) for i in range(len(self)))
+
     def locate_angle(self, theta):
         """Index of the arc holding each angle (a scalar or an array)."""
         n = len(self.cells)
@@ -412,17 +417,24 @@ def conformal_check(backend, p, q, partition, s_grid=None, cap=None, x=None,
                     rank=2):
     """Max over cells of |log(nu_q/nu_p) + h b_p(q, xi_cell)|.
 
-    Tree route is exact (rational masses, integer Busemann cocycle);
-    plane route uses extrapolated arc masses and the closed-form Busemann
+    Tree route is exact: where neither base lies below a cell w, its
+    masses are (1/2k)(2k-1)^-e with integer e = d(base, w) - 1, so
+    nu_q/nu_p = (2k-1)^-b reads e_q - e_p == b, with b the integer
+    Busemann value at the cell's representative.  Complement cells and
+    mismatches are measured in Fractions, which give the float defect.
+    Plane route uses extrapolated arc masses and the closed-form Busemann
     function at each arc's representative direction.
     """
     if backend == TREE:
         worst = 0.0
-        for i, w in enumerate(partition.cells):
+        for w, xi in zip(partition.cells, partition.representatives):
+            e_p, inside_p = words.visual_exponent(p, w)
+            e_q, inside_q = words.visual_exponent(q, w)
+            b = words.tree_busemann(q, p, xi, rank)
+            if not (inside_p or inside_q) and e_q - e_p == b:
+                continue
             nu_p = words.visual_measure(p, w, rank)
             nu_q = words.visual_measure(q, w, rank)
-            xi = partition.representative(i)
-            b = words.tree_busemann(q, p, xi, rank)
             # exact check: nu_q/nu_p must equal (2k-1)^{-b}
             if nu_q / nu_p == Fraction(2 * rank - 1) ** (-b):
                 continue
@@ -440,7 +452,7 @@ def conformal_check(backend, p, q, partition, s_grid=None, cap=None, x=None,
                                             partition, s_grid, h, cap)
         worst = 0.0
         for i in np.flatnonzero(usable):
-            b = halfplane.busemann(q, p, partition.representative(i))
+            b = halfplane.busemann(q, p, partition.representatives[i])
             worst = max(worst, abs(log_ratio[i] + h * b))
         return worst
     raise BackendMismatch(f"unknown backend {backend!r}")
@@ -573,7 +585,7 @@ def pair_measure(backend, p, partition, masses=None, h=None, rank=2,
         if masses is None:
             masses, _ = _annulus_limit_masses(p, partition, cap=cap)
         weights, excluded = {}, set()
-        reps = [partition.representative(i) for i in range(len(partition))]
+        reps = partition.representatives
         for i in range(len(partition)):
             for j in range(i + 1, len(partition)):
                 beta = halfplane.gromov_beta(p, reps[i], reps[j])
@@ -610,36 +622,43 @@ def cylinder_pushforward(g, w, rank=2):
 
 
 def _exact_pair_mass(cells_a, cells_b, rank):
-    """Exact pair-measure mass of (union of cylinders) x (union)."""
-    total = Fraction(0)
-    for a in cells_a:
-        for b in cells_b:
-            lcp = words.common_prefix_len(a, b)
-            total += (Fraction(2 * rank - 1) ** (2 * lcp)
-                      * words.cylinder_measure(a, rank)
-                      * words.cylinder_measure(b, rank))
-    return total
+    """Exact pair-measure mass of (union of cylinders) x (union), as
+    (n, E) with mass n / ((2k)^2 (2k-1)^E) in integers.
+
+    The pair (a, b) weighs (2k-1)^(2 lcp(a, b)) nu(a) nu(b), which is
+    (2k)^-2 (2k-1)^-t with t = |a| + |b| - 2 - 2 lcp(a, b) = d(a, b) - 2.
+    """
+    ts = [words.distance(a, b) - 2 for a in cells_a for b in cells_b]
+    e = max(0, *ts)
+    return sum((2 * rank - 1) ** (e - t) for t in ts), e
 
 
 def pair_invariance_check(pm, gamma, s_grid=None, cap=None):
     """Max defect of mu-bar(gamma A x gamma B) against mu-bar(A x B).
 
-    Tree route is exact rational arithmetic over the cylinder pushforward
-    (defect must be identically zero); plane route re-bins the atomic
-    masses over the Mobius image arcs and reports the max relative defect.
+    Tree route is exact over the cylinder pushforward: both masses are
+    integers over a common power of (2k-1), compared as integers, and a
+    nonzero difference is returned as a float of the exact rational (it
+    must be identically zero).  Plane route re-bins the atomic masses
+    over the Mobius image arcs and reports the max relative defect.
     """
     part = pm.partition
     if pm.backend == TREE:
+        if not words.is_reduced(gamma):
+            raise ValueError("gamma must be a reduced word")
         rank = part.rank
+        base = 2 * rank - 1
+        images = [cylinder_pushforward(gamma, w, rank) for w in part.cells]
         worst = Fraction(0)
         for (i, j) in pm.weights:
-            lhs = _exact_pair_mass([part.cells[i]], [part.cells[j]], rank)
-            rhs = _exact_pair_mass(cylinder_pushforward(gamma,
-                                                        part.cells[i], rank),
-                                   cylinder_pushforward(gamma,
-                                                        part.cells[j], rank),
-                                   rank)
-            worst = max(worst, abs(rhs - lhs))
+            n_lhs, e_lhs = _exact_pair_mass([part.cells[i]], [part.cells[j]],
+                                            rank)
+            n_rhs, e_rhs = _exact_pair_mass(images[i], images[j], rank)
+            e = max(e_lhs, e_rhs)
+            diff = n_rhs * base ** (e - e_rhs) - n_lhs * base ** (e - e_lhs)
+            if diff:
+                worst = max(worst, Fraction(abs(diff),
+                                            (2 * rank) ** 2 * base ** e))
         return float(worst)
     # plane: gamma is an integer matrix acting by Mobius maps.  The
     # image cell mass is computed by pushing the measure instead of the
@@ -654,7 +673,7 @@ def pair_invariance_check(pm, gamma, s_grid=None, cap=None):
     q = modular.apply(modular.mat_inv(gamma), p)
     log_ratio, usable = _far_log_ratios(_plane_atoms(p, p, cap), q, part,
                                         s_grid, h, cap)
-    reps = [part.representative(i) for i in range(n)]
+    reps = part.representatives
     greps = [halfplane.mobius_apply_boundary(gamma, r) for r in reps]
     worst = 0.0
     for i in range(n):

@@ -2,8 +2,9 @@
 
 Everything here is exact: words are python strings over the alphabet
 a..z (generators) and A..Z (inverses), distances are integers, boundary
-cylinder masses are Fractions.  The tree is 0-hyperbolic, so this module
-doubles as the brute-force oracle for the numerical backends.
+cylinder masses are Fractions or integer exponents of 1/(2k-1).  The
+tree is 0-hyperbolic, so this module doubles as the brute-force oracle
+for the numerical backends.
 """
 
 from fractions import Fraction
@@ -176,26 +177,30 @@ def cylinder_measure(prefix, rank=2):
     return Fraction(1, k2) * Fraction(1, k2 - 1) ** (len(prefix) - 1)
 
 
-def visual_measure(base, prefix, rank=2):
-    """nu_base(cyl(prefix)): visual measure of the cylinder below `prefix`
-    (as named from the identity) seen from the vertex `base`.  Exact.
+def visual_exponent(base, prefix):
+    """(e, inside): nu_base(cyl(prefix)) in integer form.
 
     The cylinder is the boundary of the subtree hanging at `prefix` away
-    from the identity.  From a base point outside that subtree the mass is
-    (1/2k)(1/(2k-1))^(d-1) with d = d(base, prefix); from inside it is the
-    complement of the shadow through the parent edge.
+    from the identity.  From a base point outside that subtree its mass
+    is (1/2k)(1/(2k-1))^e with e = d(base, prefix) - 1; from inside it is
+    1 minus that, with e = d(base, parent(prefix)) - 1, the complement of
+    the shadow through the parent edge.
     """
     if not prefix:
         raise ValueError("cylinder prefix must be nonempty")
-    k2 = 2 * rank
-    q = Fraction(1, k2 - 1)
     if prefix == base[: len(prefix)]:
-        # base inside the subtree: complement of the cylinder through the
-        # edge prefix -> parent(prefix), seen from base
-        d = distance(base, prefix[:-1])
-        return 1 - Fraction(1, k2) * q ** (d - 1)
-    d = distance(base, prefix)
-    return Fraction(1, k2) * q ** (d - 1)
+        return distance(base, prefix[:-1]) - 1, True
+    return distance(base, prefix) - 1, False
+
+
+def visual_measure(base, prefix, rank=2):
+    """nu_base(cyl(prefix)): visual measure of the cylinder below `prefix`
+    (as named from the identity) seen from the vertex `base`.  Exact
+    rational, from visual_exponent.
+    """
+    e, inside = visual_exponent(base, prefix)
+    mass = Fraction(1, 2 * rank) * Fraction(1, 2 * rank - 1) ** e
+    return 1 - mass if inside else mass
 
 
 class BoundaryWord:
@@ -257,6 +262,21 @@ def tree_busemann(q, p, xi, rank=2):
     target = xi.word(max(len(p), len(q)))
     return (len(q) - 2 * common_prefix_len(q, target)
             - len(p) + 2 * common_prefix_len(p, target))
+
+
+def fellow_travel_deviation(v, rho, rank=2):
+    """Exact max of d(x, [1, v]) over the vertices x of every geodesic
+    [u, v w] with |u|, |w| <= rho.
+
+    d(x, [1, v]) = |x| - lcp(x, v): the nearest point of [1, v] is x's
+    longest prefix on it.  Every vertex of [u, v'] is a prefix of u or of
+    v', and along a chain of prefixes |x| grows by one per step while
+    lcp(x, v) grows by at most one, so the worst vertex of each geodesic
+    is an endpoint and the max runs over y in B(rho) and v B(rho) only.
+    """
+    ball = list(ball_words(rho, rank))
+    return max(len(y) - common_prefix_len(y, v)
+               for y in ball + [mul(v, w) for w in ball])
 
 
 def tree_ray_vertices(p, xi, horizon):

@@ -2,6 +2,7 @@
 pair measures, equidistribution, and the flow-mass validators."""
 
 import math
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -75,6 +76,54 @@ def test_conformal_check_tree_exact_zero():
         assert measures.conformal_check(TREE, p, q, part) == 0
 
 
+def _fraction_tree_conformal(p, q, part):
+    """Reference route: both masses and their ratio in Fractions."""
+    worst = 0.0
+    for i, w in enumerate(part.cells):
+        nu_p = words.visual_measure(p, w)
+        nu_q = words.visual_measure(q, w)
+        b = words.tree_busemann(q, p, part.representative(i))
+        if nu_q / nu_p == Fraction(3) ** (-b):
+            continue
+        worst = max(worst, abs(math.log(float(nu_q / nu_p))
+                               + math.log(3) * b))
+    return worst
+
+
+def _negated_busemann(monkeypatch):
+    busemann = words.tree_busemann
+    monkeypatch.setattr(words, "tree_busemann",
+                        lambda q, p, xi, rank=2: -busemann(q, p, xi, rank))
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_conformal_check_tree_equals_fraction_route(mutant, monkeypatch):
+    if mutant:
+        _negated_busemann(monkeypatch)
+    part = measures.tree_partition(2)
+    # bases deeper than the partition lie below some cells: the
+    # complement path runs there
+    bases = ["", "a", "bA", "abA", "BBab", "aabAb", "ABaabb"]
+    for p in bases:
+        for q in bases:
+            assert (measures.conformal_check(TREE, p, q, part)
+                    == _fraction_tree_conformal(p, q, part))
+
+
+def test_conformal_check_tree_detects_a_negated_busemann(monkeypatch):
+    _negated_busemann(monkeypatch)
+    part = measures.tree_partition(3)
+    assert measures.conformal_check(TREE, "", "a", part) > 1.0
+    assert measures.conformal_check(TREE, "ab", "B", part) > 1.0
+
+
+def test_representatives_are_built_once():
+    part = measures.tree_partition(3)
+    reps = part.representatives
+    assert reps is part.representatives
+    assert list(reps) == [part.representative(i) for i in range(len(part))]
+
+
 def test_conformal_check_plane_small():
     part = measures.plane_partition(64)
     defect = measures.conformal_check(PLANE, 2j, 1 + 1j, part)
@@ -140,6 +189,40 @@ def test_pair_measure_tree_invariance_exact():
     pm = measures.pair_measure(TREE, "", part)
     for g in ("a", "b", "A", "ab"):
         assert measures.pair_invariance_check(pm, g) == 0
+
+
+def test_exact_pair_mass_equals_fraction_sum():
+    rng = random.Random(5)
+    cells = [w for w in words.ball_words(4) if w]
+    for _ in range(200):
+        a = rng.sample(cells, rng.randint(1, 4))
+        b = rng.sample(cells, rng.randint(1, 4))
+        want = sum(Fraction(3) ** (2 * words.common_prefix_len(x, y))
+                   * words.cylinder_measure(x) * words.cylinder_measure(y)
+                   for x in a for y in b)
+        n, e = measures._exact_pair_mass(a, b, 2)
+        assert e >= 0
+        assert Fraction(n, 16 * 3 ** e) == want
+
+
+def test_pair_invariance_tree_exact_when_gamma_absorbs_cells():
+    # |gamma| >= depth: some cells are absorbed and their images split,
+    # so the two sides carry different common powers of 3
+    pm = measures.pair_measure(TREE, "", measures.tree_partition(2))
+    for g in ("aB", "abA", "aaa", "BAbb"):
+        assert any(len(measures.cylinder_pushforward(g, w)) > 1
+                   for w in pm.partition.cells)
+        assert measures.pair_invariance_check(pm, g) == 0
+    with pytest.raises(ValueError):
+        measures.pair_invariance_check(pm, "BAab")
+
+
+def test_pair_invariance_tree_detects_a_shifted_pushforward(monkeypatch):
+    push = measures.cylinder_pushforward
+    monkeypatch.setattr(measures, "cylinder_pushforward",
+                        lambda g, w, rank=2: push(g, w[:-1] or w, rank))
+    pm = measures.pair_measure(TREE, "", measures.tree_partition(3))
+    assert measures.pair_invariance_check(pm, "a") > 0
 
 
 def test_pair_invariance_plane_identity_is_zero():

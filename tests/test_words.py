@@ -147,6 +147,54 @@ def test_visual_measure_conformal_scaling():
             == Fraction(1, 3) * words.visual_measure("", "ab"))
 
 
+def test_visual_exponent_equals_visual_measure():
+    # every base |p| <= 4 against every cell of depth 1..4, inside cells
+    # (p below w, the complement form) included
+    cells = [w for w in words.ball_words(4) if w]
+    inside = 0
+    for p in words.ball_words(4):
+        for w in cells:
+            e, below = words.visual_exponent(p, w)
+            mass = Fraction(1, 4) * Fraction(1, 3) ** e
+            assert (1 - mass if below else mass) == words.visual_measure(p, w)
+            assert below == p.startswith(w)
+            inside += below
+    assert inside > 0
+
+
+def test_visual_exponent_matches_sphere_proportions():
+    # independent route: the share of the sphere S(p, n) below w is
+    # exactly (1/4)(1/3)^(d(p, w) - 1) once n >= d(p, w), and the
+    # complement share across the parent edge when p lies below w
+    n = 6
+    sphere = [z for z in words.ball_words(n) if len(z) == n]
+    for p in words.ball_words(2):
+        ends = [words.mul(p, z) for z in sphere]
+        for w in (w for w in words.ball_words(3) if w):
+            share = Fraction(sum(y.startswith(w) for y in ends), len(ends))
+            e, below = words.visual_exponent(p, w)
+            mass = Fraction(1, 4) * Fraction(1, 3) ** e
+            assert share == (1 - mass if below else mass)
+
+
+def _exhaustive_deviation(v, rho):
+    """Every vertex of every geodesic [u, v w], |u|, |w| <= rho."""
+    ball = sorted(words.ball_words(rho))
+    worst = 0
+    for u in ball:
+        for v2 in (words.mul(v, w) for w in ball):
+            for x in words.geodesic_vertices(u, v2):
+                worst = max(worst, len(x) - words.common_prefix_len(x, v))
+    return worst
+
+
+@pytest.mark.parametrize("rho", [1, 2])
+def test_fellow_travel_deviation_matches_exhaustive_walk(rho):
+    got = {v: words.fellow_travel_deviation(v, rho)
+           for v in words.ball_words(5)}
+    assert got == {v: _exhaustive_deviation(v, rho) for v in got}
+
+
 def test_tree_busemann_on_rays():
     xi = words.BoundaryWord("a")
     # moving toward xi decreases the Busemann value by the step count
