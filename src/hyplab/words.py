@@ -264,17 +264,19 @@ def tree_busemann(q, p, xi, rank=2):
             - len(p) + 2 * common_prefix_len(p, target))
 
 
-def fellow_travel_deviation(v, rho, rank=2):
+def fellow_travel_deviation(v, rho):
     """Exact max of d(x, [1, v]) over the vertices x of every geodesic
-    [u, v w] with |u|, |w| <= rho.
+    [u, v w] with |u|, |w| <= rho, in the rank-2 free group.
 
     d(x, [1, v]) = |x| - lcp(x, v): the nearest point of [1, v] is x's
     longest prefix on it.  Every vertex of [u, v'] is a prefix of u or of
     v', and along a chain of prefixes |x| grows by one per step while
     lcp(x, v) grows by at most one, so the worst vertex of each geodesic
     is an endpoint and the max runs over y in B(rho) and v B(rho) only.
+    Each half alone gives exactly rho: d(y, [1, v]) <= |y| on B(rho) and
+    <= |w| at y = v w, with equality at a y of length rho leaving v.
     """
-    ball = list(ball_words(rho, rank))
+    ball = list(ball_words(rho))
     return max(len(y) - common_prefix_len(y, v)
                for y in ball + [mul(v, w) for w in ball])
 

@@ -209,7 +209,10 @@ def test_09_equidistribution(modular_census):
 def test_10_fellow_traveling():
     # tree: every geodesic [1, v], |v| <= 8, against every perturbation of
     # its endpoints within rho = 2 (exhaustive via vertex transitivity;
-    # the kernel's convexity argument reduces each geodesic to its ends)
+    # the kernel's convexity argument reduces each geodesic to its ends).
+    # The exact worst deviation is rho itself: a vertex's distance to
+    # [1, v] is at most its distance to the nearer end, and a u of length
+    # rho leaving v attains it; so 2 <= 6 holds with a factor 3 to spare.
     worst = max(words.fellow_travel_deviation(v, 2)
                 for v in words.ball_words(8))
     tree_ok = worst <= 6

@@ -193,6 +193,30 @@ def test_fellow_travel_deviation_matches_exhaustive_walk(rho):
     got = {v: words.fellow_travel_deviation(v, rho)
            for v in words.ball_words(5)}
     assert got == {v: _exhaustive_deviation(v, rho) for v in got}
+    # the per-v value is rho for every v (see the kernel's docstring), so
+    # this comparison alone cannot see the endpoint reduction; the
+    # per-geodesic test below checks it where the values vary
+    assert set(got.values()) == {rho}
+
+
+@pytest.mark.parametrize("rho", [1, 2])
+def test_geodesic_deviation_is_attained_at_an_endpoint(rho):
+    # the kernel's reduction, geodesic by geodesic: the worst vertex of
+    # [u, v'] lies at u or at v', for every u in B(rho), v' in v B(rho)
+    def dev(x, v):
+        return len(x) - words.common_prefix_len(x, v)
+
+    ball = sorted(words.ball_words(rho))
+    seen = set()
+    for v in words.ball_words(5):
+        for u in ball:
+            for v2 in (words.mul(v, w) for w in ball):
+                walk = max(dev(x, v) for x in words.geodesic_vertices(u, v2))
+                assert walk == max(dev(u, v), dev(v2, v)), (u, v2, v)
+                seen.add((dev(u, v), dev(v2, v)))
+    # both endpoints are needed: each can be the sole maximizer
+    assert any(a > b for a, b in seen) and any(b > a for a, b in seen)
+    assert {max(a, b) for a, b in seen} == set(range(rho + 1))
 
 
 def test_tree_busemann_on_rays():
