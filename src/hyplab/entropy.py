@@ -5,6 +5,7 @@ top-entropy slope estimates, and the expansivity probes that contrast
 the hyperbolic backends with the flat negative control.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +51,8 @@ class FlowPoint:
                                       1.0))
 
     def point(self, t):
-        """The base-space point c_v(t)."""
+        """The base-space point c_v(t); on the continuous backends an
+        array of times gives the array of points."""
         if self.backend == TREE:
             n = int(round(t))
             word = self.future if n >= 0 else self.past
@@ -64,7 +66,7 @@ class FlowPoint:
             return self._geodesic().point(self._t0 + t)
         if self.backend == FLAT:
             v = np.array([math.cos(self.theta), math.sin(self.theta)])
-            return self.pos + t * v
+            return self.pos + np.multiply.outer(t, v)
         raise BackendMismatch(f"unknown backend {self.backend!r}")
 
     def _geodesic(self):
@@ -147,74 +149,109 @@ class SpanningReport:
             raise ValueError("separated lower bound exceeds cover upper")
 
 
-def _pairwise_tables(sample, n, samples_per_unit=4):
-    """Positions of every sample flow line on the common [0, n] grid."""
+SAMPLES_PER_UNIT = 4  # d_n grid points per unit time, continuous backends
+
+
+def _dn_rows(sample, n_grid):
+    """d_n from one sample line to every sample line, for all n in n_grid.
+
+    Each line is evaluated once, on the time grid of the largest n:
+    integer times on the tree, multiples of 1/SAMPLES_PER_UNIT otherwise.
+    For integer n that grid starts with the grid of every smaller n, so a
+    running max along t reads off every d_n in one pass.  Returns row(i),
+    an array of shape (len(n_grid), len(sample)).
+    """
     backend = sample[0].backend
+    steps = 1 if backend == TREE else SAMPLES_PER_UNIT
+    cols = [steps * int(n) for n in n_grid]
+    ts = np.arange(max(cols) + 1) / steps
     if backend == TREE:
-        ts = list(range(int(n) + 1))
+        pts = [[v.point(t) for t in ts] for v in sample]
+
+        def along(i):
+            return np.array([[float(words.distance(a, b))
+                              for a, b in zip(r, pts[i])] for r in pts])
     else:
-        ts = np.linspace(0.0, float(n), max(2, int(n * samples_per_unit) + 1))
-    return backend, [[v.point(t) for t in ts] for v in sample]
+        pts = np.array([v.point(ts) for v in sample])
+        metric = flat.torus_dist if backend == FLAT else halfplane.dist
+
+        def along(i):
+            return metric(pts, pts[i])
+    return lambda i: np.maximum.accumulate(along(i), axis=1)[:, cols].T
 
 
-def _dn_from_tables(backend, rows, i, j):
-    return max(_base_dist(backend, a, b)
-               for a, b in zip(rows[i], rows[j]))
+def _greedy_separated(apart, m, g):
+    """Sizes of g greedy maximal separated sets of the lines 0..m-1: in
+    index order, line i joins set k when apart(j)[k, i] holds for every
+    member j so far.  apart(j) is the symmetric relation seen from j, so
+    only members' rows are ever asked for."""
+    free = np.ones((g, m), dtype=bool)
+    size = np.zeros(g, dtype=int)
+    for i in range(m):
+        join = free[:, i].copy()
+        if join.any():
+            size += join
+            free[join] &= apart(i)[join]
+    return size
 
 
-def _dn_row(backend, rows, i, idx):
-    """d_n from sample i to the samples in idx, vectorized when possible."""
-    if backend == TREE:
-        return np.array([_dn_from_tables(backend, rows, i, j)
-                         for j in idx])
-    arr = rows
-    if backend == FLAT:
-        diff = np.abs(arr[idx] - arr[i])
-        diff = np.minimum(diff, 1.0 - diff)
-        return np.sqrt((diff ** 2).sum(-1)).max(-1)
-    return halfplane.dist(arr[idx], np.broadcast_to(arr[i],
-                                                    arr[idx].shape)).max(-1)
+def spanning_counts(sample, n_grid, delta):
+    """`spanning_count` for every n in n_grid, in one pass over the sample.
+
+    The n must be integers: the one-pass d_n grid nests only then, so a
+    non-integer n raises ValueError.  Each line's distance row is built
+    at most once, the first time the greedy cover or the separated scan
+    needs it, and lives only for this call.
+    """
+    if not sample:
+        raise ValueError("empty flow sample")
+    n_grid = list(n_grid)
+    if not n_grid or any(n != int(n) or n < 0 for n in n_grid):
+        raise ValueError(f"n grid {n_grid} is not non-negative integers")
+    backend, m = sample[0].backend, len(sample)
+    if backend == TREE and 0 < delta < 1.0:
+        # exact symbolic route: vertex distances are integers, so a
+        # delta-ball (delta < 1) holds exactly the lines sharing the
+        # forward prefix, and distinct prefixes are d_n >= 2 separated
+        out = []
+        for n in n_grid:
+            prefixes = {tuple(v.point(t) for t in range(int(n) + 1))
+                        for v in sample}
+            out.append(SpanningReport(int(n), float(delta), len(prefixes),
+                                      len(prefixes), "exact-symbolic",
+                                      f"tree sample of {m} flow lines"))
+        return out
+    row = _dn_rows(sample, n_grid)
+
+    @functools.cache
+    def apart(i):
+        d = row(i)
+        return d > delta, d > 2.0 * delta
+
+    g = len(n_grid)
+    upper = _greedy_separated(lambda i: apart(i)[0], m, g)
+    lower = _greedy_separated(lambda i: apart(i)[1], m, g)
+    return [SpanningReport(int(n), float(delta), int(lo), int(up),
+                           "greedy-cover/separated-lower",
+                           f"{backend} sample of {m} flow lines")
+            for n, lo, up in zip(n_grid, lower, upper)]
 
 
-def spanning_count(sample, n, delta, samples_per_unit=4):
+def spanning_count(sample, n, delta):
     """Greedy d_n cover (upper bound for r_n) and greedy maximal
     (n, 2 delta)-separated subset (lower bound), both reported.
 
     A 2 delta-separated set meets each delta-ball at most once, so the
-    lower figure never exceeds any delta-cover cardinality.  Distance
-    rows are computed on demand, never the full matrix.
+    lower figure never exceeds any delta-cover cardinality.  The greedy
+    cover is itself a maximal delta-separated set, so both figures come
+    from one greedy scan at two thresholds.  n must be an integer.
+
+    On the flat torus (diameter sqrt(2)/2) no two lines are ever more
+    than 2 delta apart once 2 delta > sqrt(2)/2, as at the default
+    delta = 0.5: the lower figure is then trivially 1 and the report is
+    an upper bound only.
     """
-    if not sample:
-        raise ValueError("empty flow sample")
-    if sample[0].backend == TREE and 0 < delta < 1.0:
-        # exact symbolic route: vertex distances are integers, so a
-        # delta-ball (delta < 1) holds exactly the lines sharing the
-        # forward prefix, and distinct prefixes are d_n >= 2 separated
-        prefixes = {tuple(v.point(t) for t in range(int(n) + 1))
-                    for v in sample}
-        return SpanningReport(int(n), float(delta), len(prefixes),
-                              len(prefixes), "exact-symbolic",
-                              f"tree sample of {len(sample)} flow lines")
-    backend, rows = _pairwise_tables(sample, n, samples_per_unit)
-    if backend != TREE:
-        rows = np.asarray(rows)
-    m = len(sample)
-    everyone = np.arange(m)
-    covered = np.zeros(m, dtype=bool)
-    upper = 0
-    for i in range(m):
-        if covered[i]:
-            continue
-        upper += 1
-        covered |= _dn_row(backend, rows, i, everyone) <= delta
-    kept = []
-    for i in range(m):
-        if not kept or (_dn_row(backend, rows, i, np.array(kept))
-                        > 2.0 * delta).all():
-            kept.append(i)
-    return SpanningReport(int(n), float(delta), len(kept), upper,
-                          "greedy-cover/separated-lower",
-                          f"{backend} sample of {m} flow lines")
+    return spanning_counts(sample, [n], delta)[0]
 
 
 def tree_flow_sample(depth, rank=2, window=None):
@@ -301,7 +338,7 @@ def estimate_htop(backend, n_grid=None, delta_grid=None, rank=2,
         raise BackendMismatch(f"unknown backend {backend!r}")
     slopes, all_reports = {}, []
     for delta in delta_grid:
-        reports = [spanning_count(sample, n, delta) for n in n_grid]
+        reports = spanning_counts(sample, n_grid, delta)
         all_reports.extend(reports)
         logs = np.log([r.upper for r in reports])
         slopes[delta] = float(np.polyfit(n_grid, logs, 1)[0])

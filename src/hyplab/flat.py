@@ -16,9 +16,14 @@ def dist(p, q):
 
 
 def torus_dist(p, q):
-    dx = abs(p[0] - q[0]) % 1.0
-    dy = abs(p[1] - q[1]) % 1.0
-    return math.hypot(min(dx, 1.0 - dx), min(dy, 1.0 - dy))
+    """Distance on the unit-square torus between lifts p and q: pairs,
+    or arrays of shape (..., 2) that broadcast.  Per coordinate of the
+    lift difference d, |d - round(d)| is min(|d| mod 1, 1 - |d| mod 1)
+    exactly, however far apart the lifts are."""
+    d = np.subtract(p, q)
+    d -= np.rint(d)
+    out = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+    return float(out) if out.ndim == 0 else out
 
 
 class Line:

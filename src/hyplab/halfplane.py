@@ -296,23 +296,75 @@ def random_points(rng, n, radius, center=1j):
     return c.real + c.imag * z
 
 
-def _axis_chart(p, q):
-    """The chart of the geodesics p[i] -> q[i] onto the imaginary axis:
-    w = (z - lo)/(hi - z) with lo < hi the ideal endpoints, or
-    w = z - Re p on a vertical line.  w is purely imaginary on the
-    geodesic and log|w| is arclength along it.
+class _SegmentChart:
+    """The chart of the geodesic segments p[i] -> q[i] (arrays of shape
+    (m, 1)) onto the imaginary axis: w = (z - lo)/(hi - z) with lo < hi
+    the ideal endpoints, or w = z - Re p on a vertical line.  w is purely
+    imaginary on the geodesic and log|w| is arclength along it; sp and sq
+    are that arclength at p and q.
 
-    Returns the maps (z -> w, w -> z), which broadcast against p and q.
+    The one home of the segment chart: sampling a side and measuring the
+    distance to it both read the endpoints built here once.
     """
-    u, v = geodesic_endpoints(p, q)
-    vert = np.isinf(u) | np.isinf(v)
-    # a vertical line gets the finite stand-in (-1, 1), so no inf reaches
-    # the circle chart that np.where then discards
-    lo = np.where(vert, -1.0, np.minimum(u, v))
-    hi = np.where(vert, 1.0, np.maximum(u, v))
-    x0 = np.real(p)
-    return (lambda z: np.where(vert, z - x0, (z - lo) / (hi - z)),
-            lambda w: np.where(vert, x0 + w, (hi * w + lo) / (w + 1.0)))
+
+    __slots__ = ("p", "q", "lo", "hi", "vert", "x0", "sp", "sq")
+
+    def __init__(self, p, q):
+        self.p, self.q = p, q
+        u, v = geodesic_endpoints(p, q)
+        vert = np.isinf(u) | np.isinf(v)
+        # a vertical line gets the finite stand-in (-1, 1), so no inf
+        # reaches the circle chart whose values the vertical patch replaces
+        self.lo = np.where(vert, -1.0, np.minimum(u, v))
+        self.hi = np.where(vert, 1.0, np.maximum(u, v))
+        self.vert = vert if vert.any() else None
+        self.x0 = p.real
+        self.sp = np.log(np.abs(self.to_w(p)))
+        self.sq = np.log(np.abs(self.to_w(q)))
+
+    def to_w(self, z):
+        w = z - self.lo
+        w /= self.hi - z
+        if self.vert is None:
+            return w
+        return np.where(self.vert, z - self.x0, w)
+
+    def from_w(self, w):
+        z = self.hi * w
+        z += self.lo
+        z /= w + 1.0
+        if self.vert is None:
+            return z
+        return np.where(self.vert, self.x0 + w, z)
+
+    def sample(self, n):
+        """n points evenly spaced in arclength from p to q, shape (m, n)."""
+        frac = np.linspace(0.0, 1.0, n)
+        s = self.sp * (1 - frac) + self.sq * frac
+        return self.from_w(1j * np.exp(s, out=s))
+
+    def dist(self, z):
+        """Distance from z (shape (m, n)) to the segments: the closed-form
+        foot-of-perpendicular distance, clamped to the nearer endpoint
+        where the foot falls outside the segment."""
+        w = self.to_w(z)
+        aw = np.abs(w)
+        out = aw / w.imag
+        np.arccosh(np.maximum(out, 1.0, out=out), out=out)
+        sig = np.log(aw, out=aw)
+        outside = ~((sig >= np.minimum(self.sp, self.sq))
+                    & (sig <= np.maximum(self.sp, self.sq)))
+        if outside.any():
+            zo = z[outside]
+            p = np.broadcast_to(self.p, z.shape)[outside]
+            q = np.broadcast_to(self.q, z.shape)[outside]
+            out[outside] = np.minimum(dist(zo, p), dist(zo, q))
+        return out
+
+
+def _segments(p, q):
+    return _SegmentChart(np.asarray(p, dtype=complex)[:, None],
+                      np.asarray(q, dtype=complex)[:, None])
 
 
 def geodesic_sample(p, q, n):
@@ -320,31 +372,14 @@ def geodesic_sample(p, q, n):
 
     p, q: complex arrays of shape (m,).  Returns an (m, n) complex array.
     """
-    p = np.asarray(p, dtype=complex)[:, None]
-    q = np.asarray(q, dtype=complex)[:, None]
-    to_w, from_w = _axis_chart(p, q)
-    frac = np.linspace(0.0, 1.0, n)
-    s = (np.log(np.abs(to_w(p))) * (1 - frac)
-         + np.log(np.abs(to_w(q))) * frac)
-    return from_w(1j * np.exp(s))
+    return _segments(p, q).sample(n)
 
 
 def dist_to_segment(z, p, q):
     """Distance from points z (shape (m, n)) to the geodesic segments
     p[i] -> q[i] (shape (m,)): closed-form foot-of-perpendicular distance,
     clamped to the nearer endpoint when the foot falls outside."""
-    z = np.asarray(z, dtype=complex)
-    p = np.asarray(p, dtype=complex)[:, None]
-    q = np.asarray(q, dtype=complex)[:, None]
-    to_w, _ = _axis_chart(p, q)
-    w = to_w(z)
-    d_line = np.arccosh(np.maximum(np.abs(w) / w.imag, 1.0))
-    sig = np.log(np.abs(w))
-    sp = np.log(np.abs(to_w(p)))
-    sq = np.log(np.abs(to_w(q)))
-    inside = (sig >= np.minimum(sp, sq)) & (sig <= np.maximum(sp, sq))
-    d_ends = np.minimum(dist(z, p), dist(z, q))
-    return np.where(inside, d_line, d_ends)
+    return _segments(p, q).dist(np.asarray(z, dtype=complex))
 
 
 def triangle_thinness(a, b, c, samples_per_side=24):
@@ -352,17 +387,12 @@ def triangle_thinness(a, b, c, samples_per_side=24):
     over sides of the max over sampled points on the side of the distance
     to the union of the other two sides.  Side points are sampled; the
     distance to each opposite side is exact."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    n = samples_per_side
-    defect = np.zeros(a.shape[0])
-    for (s1, s2), (o1, o2), (o3, o4) in (((a, b), (b, c), (c, a)),
-                                         ((b, c), (c, a), (a, b)),
-                                         ((c, a), (a, b), (b, c))):
-        pts = geodesic_sample(s1, s2, n)
-        dmin = np.minimum(dist_to_segment(pts, o1, o2),
-                          dist_to_segment(pts, o3, o4))
+    sides = [_segments(a, b), _segments(b, c), _segments(c, a)]
+    defect = np.zeros(len(sides[0].p))
+    for k, side in enumerate(sides):
+        pts = side.sample(samples_per_side)
+        dmin = np.minimum(sides[(k + 1) % 3].dist(pts),
+                          sides[(k + 2) % 3].dist(pts))
         defect = np.maximum(defect, dmin.max(axis=1))
     return defect
 

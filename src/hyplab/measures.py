@@ -387,17 +387,21 @@ def _far_log_ratios(atoms, q, partition, s_grid, h, cap):
     fitted to first order in (s - h) over the s grid; cells with no far
     atom are excluded with a warning.
     """
-    far = atoms.d >= 0.5 * cap
-    dq = halfplane.dist(q, atoms.z[far])
-    dp = atoms.d[far]
-    idx = partition.locate_angle(
-        halfplane.direction_toward(partition.base, atoms.xi[far]))
     n = len(partition)
+    dq = halfplane.dist(q, atoms.z)
+    idx = partition.locate_angle(
+        halfplane.direction_toward(partition.base, atoms.xi))
+    # near atoms go to an extra cell n that is dropped, so the atom arrays
+    # are read in place, not copied through a mask (at cap 12 all but
+    # about 0.25% of them are far); each cell still sums the same far
+    # atoms in the same order
+    idx[atoms.d < 0.5 * cap] = n
     svals = np.asarray(s_grid, dtype=float)
     rows = []
     for s in svals:
-        num = np.bincount(idx, weights=np.exp(-s * dq), minlength=n)
-        den = np.bincount(idx, weights=np.exp(-s * dp), minlength=n)
+        num = np.bincount(idx, weights=np.exp(-s * dq), minlength=n + 1)[:n]
+        den = np.bincount(idx, weights=np.exp(-s * atoms.d),
+                          minlength=n + 1)[:n]
         # an empty cell gives log 0: it is counted in one warning below
         with np.errstate(divide="ignore", invalid="ignore"):
             rows.append(np.log(num) - np.log(den))

@@ -33,6 +33,61 @@ def test_spanning_report_sandwich():
     assert rep.lower >= 1
 
 
+def _greedy_reference(sample, n, delta):
+    """(lower, upper) of one n by the plain greedy loops over a full
+    dyn_metric matrix: the cover marks each new centre's delta-ball, the
+    separated set keeps a line 2 delta-far from all kept so far."""
+    m = len(sample)
+    d = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            d[i, j] = d[j, i] = entropy.dyn_metric(sample[i], sample[j], n)
+    covered, upper = np.zeros(m, dtype=bool), 0
+    for i in range(m):
+        if not covered[i]:
+            upper += 1
+            covered |= d[i] <= delta
+    kept = []
+    for i in range(m):
+        if all(d[i, j] > 2.0 * delta for j in kept):
+            kept.append(i)
+    return len(kept), upper
+
+
+@pytest.mark.parametrize("sample, grid, delta", [
+    (entropy.flat_flow_sample(n_dirs=48, n_pos=1), [2, 1, 3], 0.3),
+    (entropy.plane_flow_sample(n_dirs=8, n_pos=3), [3, 1, 4], 0.5),
+    (entropy.tree_flow_sample(3), [1, 3, 2], 1.5),
+])
+def test_spanning_counts_grids_nest(sample, grid, delta):
+    # one pass on the largest n gives what independent per-n runs give
+    reports = entropy.spanning_counts(sample, grid, delta)
+    assert [r.n for r in reports] == grid
+    for n, rep in zip(grid, reports):
+        assert (rep.lower, rep.upper) == _greedy_reference(sample, n, delta)
+        assert rep == entropy.spanning_count(sample, n, delta)
+    # neither scan is trivial: both thresholds cut somewhere
+    assert any(1 < r.lower < r.upper < len(sample) for r in reports)
+    for bad in ([2.5], [1, 0.25], [-1]):
+        with pytest.raises(ValueError):
+            entropy.spanning_counts(sample, bad, delta)
+    with pytest.raises(ValueError):
+        entropy.spanning_count(sample, 1.5, delta)
+
+
+def test_flat_dn_is_the_torus_dyn_metric():
+    # lifts drift up to 40 apart by n = 40; d_n must still be a torus
+    # distance, at most the diameter sqrt(2)/2
+    sample = entropy.flat_flow_sample(n_dirs=12, n_pos=2)
+    row = entropy._dn_rows(sample, [40])
+    for i in (0, 5, 17):
+        dn = row(i)[0]
+        assert dn.max() <= math.sqrt(0.5) + 1e-12
+        for j in range(0, len(sample), 3):
+            assert abs(dn[j] - entropy.dyn_metric(sample[i], sample[j],
+                                                  40)) <= 1e-12
+
+
 def test_flat_spanning_counts_grow_linearly():
     sample = entropy.flat_flow_sample(n_dirs=360, n_pos=2)
     counts = [entropy.spanning_count(sample, n, 0.5).upper

@@ -153,6 +153,50 @@ def test_triangle_thinness_bounded_for_random_triangles():
     assert float(defect.min()) >= 0.0
 
 
+def _slim_batch():
+    """Seeded triangles with vertical sides and obtuse angles."""
+    rng = np.random.default_rng(7)
+    a, b, c = hp.random_points(rng, 3 * 64, 3.0).reshape(3, 64)
+    b[:8] = a[:8].real + 4j * a[:8].imag  # side ab vertical, going up
+    c[8:16] = a[8:16].real + 0.3j * a[8:16].imag  # side ca vertical
+    # obtuse at c: c just off the midpoint of side ab
+    mid = hp.geodesic_sample(a[16:32], b[16:32], 3)[:, 1]
+    c[16:32] = mid.real + 1.05j * mid.imag
+    return a, b, c
+
+
+def test_triangle_thinness_matches_per_segment_route():
+    # one chart per side gives bit for bit what a chart per call gives
+    a, b, c = _slim_batch()
+    want = np.zeros(len(a))
+    for (s1, s2), (o1, o2), (o3, o4) in (((a, b), (b, c), (c, a)),
+                                         ((b, c), (c, a), (a, b)),
+                                         ((c, a), (a, b), (b, c))):
+        pts = hp.geodesic_sample(s1, s2, 24)
+        d = np.minimum(hp.dist_to_segment(pts, o1, o2),
+                       hp.dist_to_segment(pts, o3, o4))
+        want = np.maximum(want, d.max(axis=1))
+    assert np.array_equal(hp.triangle_thinness(a, b, c), want)
+
+
+def test_dist_to_segment_matches_dense_sampling():
+    # the nearest of 4001 evenly spaced segment points is within half a
+    # spacing of the closed form, vertical sides and clamped feet included
+    a, b, c = _slim_batch()
+    z = hp.geodesic_sample(a, b, 24)
+    for p, q in ((b, c), (c, a)):
+        exact = hp.dist_to_segment(z, p, q)
+        dense = hp.geodesic_sample(p, q, 4001)
+        d = hp.dist(z[:, :, None], dense[:, None, :])
+        brute = d.min(axis=2)
+        slack = hp.dist(p, q)[:, None] / 8000.0 + 1e-9
+        assert np.all(brute >= exact - 1e-9)
+        assert np.all(brute <= exact + slack)
+        # some nearest points are segment ends: the clamp is exercised
+        ends = np.isin(d.argmin(axis=2), (0, 4000)) & (brute > 1e-6)
+        assert ends.any()
+
+
 def test_direction_toward_inverts_forward_endpoint():
     rng = np.random.default_rng(4)
     ps = hp.random_points(rng, 200, 3.0)
