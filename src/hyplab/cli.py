@@ -178,7 +178,7 @@ def cmd_measure(args):
         checks = ["conformal"]
     code = EXIT_OK
     s = float(cfg.get("s", math.log(3) + 0.2 if backend == TREE else 1.2))
-    cap = float(cfg.get("cap", 12 if backend == TREE else 12.0))
+    cap = float(cfg.get("cap", 12))
     # plane checks default to their own caps unless --cap is given
     check_cap = float(cfg["cap"]) if "cap" in cfg else None
     if backend == TREE:
@@ -336,7 +336,7 @@ def cmd_entropy(args):
 # ---------------------------------------------------------------------------
 # validate
 
-def _validate_records(args, cfg):
+def _validate_records(args):
     corrupt = bool(getattr(args, "corrupt_delta", False))
     records = []
 
@@ -403,7 +403,7 @@ def _validate_records(args, cfg):
 
 def cmd_validate(args):
     cfg = effective_config(args, ())
-    records = _validate_records(args, cfg)
+    records = _validate_records(args)
     payload = {"records": records,
                "all_pass": all(r["pass"] for r in records)}
     write_json(os.path.join(args.out, "validate.json"), payload, cfg,

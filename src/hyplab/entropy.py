@@ -422,7 +422,7 @@ def z_set_probe(v, rho, horizon=20, sample_budget=400, seed=11):
     raise BackendMismatch(f"unknown backend {v.backend!r}")
 
 
-def endpoint_fiber_probe(backend, xi, eta, sample_budget=100):
+def endpoint_fiber_probe(backend, xi, eta):
     """Number of distinct flow lines found with the given endpoints.
 
     Tree and plane geodesics are determined by their endpoint pair

@@ -11,10 +11,6 @@ import math
 import numpy as np
 
 
-def dist(p, q):
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 def torus_dist(p, q):
     """Distance on the unit-square torus between lifts p and q: pairs,
     or arrays of shape (..., 2) that broadcast.  Per coordinate of the
@@ -24,29 +20,6 @@ def torus_dist(p, q):
     d -= np.rint(d)
     out = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
     return float(out) if out.ndim == 0 else out
-
-
-class Line:
-    """Unit-speed straight line t -> base + t * (cos theta, sin theta)."""
-
-    __slots__ = ("base", "theta")
-
-    def __init__(self, base, theta):
-        self.base = (float(base[0]), float(base[1]))
-        self.theta = float(theta)
-
-    def point(self, t):
-        t = np.asarray(t, dtype=float)
-        x = self.base[0] + t * math.cos(self.theta)
-        y = self.base[1] + t * math.sin(self.theta)
-        if x.ndim == 0:
-            return (float(x), float(y))
-        return np.stack([x, y], axis=-1)
-
-
-def segment(p, q):
-    theta = math.atan2(q[1] - p[1], q[0] - p[0])
-    return Line(p, theta)
 
 
 def lattice_ball(radius):

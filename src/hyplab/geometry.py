@@ -1,21 +1,16 @@
-"""Backend-agnostic space core.
+"""Backend names and hyperbolicity constants.
 
-Wraps the three model spaces (free-group tree, hyperbolic half-plane,
-flat plane) behind one set of point and geodesic types, and houses the
-geometry operations shared by all of them: distances, geodesic
-construction, Busemann functions, fellow-traveling deviation, and
-hyperbolicity estimation.
+Names the three model spaces (free-group tree, hyperbolic half-plane,
+flat plane), the error raised when a call meets the wrong backend, and
+the hyperbolicity constant of each space.  The geometry itself (points,
+geodesics, Busemann functions) lives in the per-backend modules `words`,
+`halfplane` and `flat`.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import flat, halfplane, words
-
-EPS_PT = 1e-9
-EPS_BETA = 1e-6
+from . import flat, halfplane
 
 TREE, PLANE, FLAT = "tree", "plane", "flat"
 
@@ -25,265 +20,10 @@ class BackendMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class SpacePoint:
-    backend: str
-    data: object  # tree: reduced word; plane: complex (Im > 0); flat: (x, y)
-
-    def __post_init__(self):
-        if self.backend == TREE:
-            if not words.is_reduced(self.data):
-                raise ValueError(f"tree word {self.data!r} is not reduced")
-        elif self.backend == PLANE:
-            if complex(self.data).imag <= 0:
-                raise ValueError("plane point must have positive imaginary part")
-        elif self.backend != FLAT:
-            raise ValueError(f"unknown backend {self.backend!r}")
-
-    def close_to(self, other, eps=EPS_PT):
-        if self.backend != other.backend:
-            return False
-        if self.backend == TREE:
-            return self.data == other.data
-        if self.backend == PLANE:
-            return abs(complex(self.data) - complex(other.data)) <= eps
-        return flat.dist(self.data, other.data) <= eps
-
-
-def tree_point(word):
-    return SpacePoint(TREE, word)
-
-
-def plane_point(z):
-    return SpacePoint(PLANE, complex(z))
-
-
-def flat_point(x, y):
-    return SpacePoint(FLAT, (float(x), float(y)))
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    backend: str
-    data: object  # tree: words.BoundaryWord; plane: real or inf; flat: angle
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundaryPoint) or self.backend != other.backend:
-            return NotImplemented
-        return self.data == other.data
-
-    def __hash__(self):
-        return hash((self.backend, self.data))
-
-
-def tree_boundary(cycle, prefix=""):
-    return BoundaryPoint(TREE, words.BoundaryWord(cycle, prefix))
-
-
-def plane_boundary(x):
-    return BoundaryPoint(PLANE, float(x) if x != math.inf else math.inf)
-
-
-def flat_boundary(theta):
-    return BoundaryPoint(FLAT, float(theta))
-
-
-@dataclass(frozen=True)
 class HyperbolicityConstant:
     delta: float
     provenance: str  # "exact" | "estimated" | "unbounded-witness"
     witness: object = None
-
-
-class GeodesicPath:
-    """Unit-speed geodesic (segment, ray, or line) in one of the backends.
-
-    point(t) returns a SpacePoint; on the tree backend t must be an
-    integer time (vertices).  domain is (t_min, t_max) with math.inf for
-    unbounded ends.
-    """
-
-    def __init__(self, backend, kind, domain, evaluate, endpoints,
-                 degenerate=False):
-        self.backend = backend
-        self.kind = kind  # "segment" | "ray" | "line"
-        self.domain = domain
-        self._evaluate = evaluate
-        self.endpoints = endpoints  # SpacePoints and/or BoundaryPoints
-        self.degenerate = degenerate
-
-    def point(self, t):
-        lo, hi = self.domain
-        if not (lo - EPS_PT <= t <= hi + EPS_PT):
-            raise ValueError(f"parameter {t} outside domain {self.domain}")
-        return self._evaluate(t)
-
-    def __repr__(self):
-        return f"GeodesicPath({self.backend}, {self.kind}, {self.domain})"
-
-
-def _check_same_backend(*items):
-    backends = {it.backend for it in items}
-    if len(backends) != 1:
-        raise BackendMismatch(f"mixed backends: {sorted(backends)}")
-    return backends.pop()
-
-
-def distance(p, q):
-    b = _check_same_backend(p, q)
-    if b == TREE:
-        return float(words.distance(p.data, q.data))
-    if b == PLANE:
-        return halfplane.dist(p.data, q.data)
-    return flat.dist(p.data, q.data)
-
-
-def _tree_eval(vertices, offset):
-    def evaluate(t):
-        i = int(round(t))
-        if abs(t - i) > EPS_PT:
-            raise ValueError("tree paths are evaluated at integer times")
-        return tree_point(vertices[offset + i])
-    return evaluate
-
-
-def connect(p, q):
-    """Geodesic segment with point(0)=p and point(d(p,q))=q."""
-    b = _check_same_backend(p, q)
-    if p.close_to(q):
-        return GeodesicPath(b, "segment", (0.0, 0.0), lambda t: p, (p, q),
-                            degenerate=True)
-    if b == TREE:
-        verts = words.geodesic_vertices(p.data, q.data)
-        return GeodesicPath(b, "segment", (0, len(verts) - 1),
-                            _tree_eval(verts, 0), (p, q))
-    if b == PLANE:
-        g = halfplane.segment(p.data, q.data)
-        d = halfplane.dist(p.data, q.data)
-        return GeodesicPath(b, "segment", (0.0, d),
-                            lambda t: plane_point(g.point(t)), (p, q))
-    g = flat.segment(p.data, q.data)
-    d = flat.dist(p.data, q.data)
-    return GeodesicPath(b, "segment", (0.0, d),
-                        lambda t: flat_point(*g.point(t)), (p, q))
-
-
-def ray(p, xi):
-    """Geodesic ray from p representing the boundary point xi."""
-    b = _check_same_backend(p, xi)
-    if b == TREE:
-        def evaluate(t, p=p.data, xi=xi.data):
-            i = int(round(t))
-            if abs(t - i) > EPS_PT:
-                raise ValueError("tree paths are evaluated at integer times")
-            return tree_point(words.tree_ray_vertices(p, xi, i)[i])
-        return GeodesicPath(b, "ray", (0, math.inf), evaluate, (p, xi))
-    if b == PLANE:
-        g = halfplane.ray(p.data, xi.data)
-        return GeodesicPath(b, "ray", (0.0, math.inf),
-                            lambda t: plane_point(g.point(t)), (p, xi))
-    g = flat.Line(p.data, xi.data)
-    return GeodesicPath(b, "ray", (0.0, math.inf),
-                        lambda t: flat_point(*g.point(t)), (p, xi))
-
-
-def line(xi, eta):
-    """Bi-infinite geodesic with c(-inf)=xi, c(+inf)=eta."""
-    b = _check_same_backend(xi, eta)
-    if xi == eta:
-        raise ValueError("no line joins a boundary point to itself")
-    if b == TREE:
-        def evaluate(t, xi=xi.data, eta=eta.data):
-            i = int(round(t))
-            if abs(t - i) > EPS_PT:
-                raise ValueError("tree paths are evaluated at integer times")
-            verts, off = words.tree_line_vertices(xi, eta, abs(i) + 1)
-            return tree_point(verts[off + i])
-        return GeodesicPath(b, "line", (-math.inf, math.inf), evaluate,
-                            (xi, eta))
-    if b == PLANE:
-        g = halfplane.line(xi.data, eta.data)
-        return GeodesicPath(b, "line", (-math.inf, math.inf),
-                            lambda t: plane_point(g.point(t)), (xi, eta))
-    # flat: line through the origin-ish anchor in direction eta
-    g = flat.Line((0.0, 0.0), eta.data)
-    return GeodesicPath(b, "line", (-math.inf, math.inf),
-                        lambda t: flat_point(*g.point(t)), (xi, eta))
-
-
-def busemann(q, p, xi):
-    """b_p(q, xi) = lim_t [d(q, c(t)) - t] along the ray c from p to xi.
-
-    Normalized so that busemann(p, p, xi) = 0.  Exact on the tree, closed
-    form (conjugation to infinity) on the plane.
-    """
-    b = _check_same_backend(q, p, xi)
-    if b == TREE:
-        return float(words.tree_busemann(q.data, p.data, xi.data))
-    if b == PLANE:
-        return halfplane.busemann(q.data, p.data, xi.data)
-    u = (math.cos(xi.data), math.sin(xi.data))
-    return -((q.data[0] - p.data[0]) * u[0] + (q.data[1] - p.data[1]) * u[1])
-
-
-def busemann_numeric(q, p, xi, horizon=30.0):
-    """Monotone-limit oracle for busemann(); returns (value, gap bound)."""
-    b = _check_same_backend(q, p, xi)
-    r = ray(p, xi)
-    if b == TREE:
-        h = int(len(q.data) + len(p.data) + horizon)
-        t1, t2 = h - 1, h
-    else:
-        t1, t2 = horizon - 1.0, horizon
-    v1 = distance(q, r.point(t1)) - t1
-    v2 = distance(q, r.point(t2)) - t2
-    return v2, abs(v2 - v1)
-
-
-def busemann_cocycle_check(p, q, z, xi):
-    """Defect |b_q(z, xi) - b_p(z, xi) + b_p(q, xi)|; should be ~0."""
-    return abs(busemann(z, q, xi) - busemann(z, p, xi) + busemann(q, p, xi))
-
-
-def gromov_beta(p, xi, eta, probe_offsets=(0.0,)):
-    """beta_p(xi, eta) = -(b_p(q, xi) + b_p(q, eta)) for q on line(xi, eta).
-
-    Independence of q is verified over probe_offsets; the spread must stay
-    below EPS_BETA (exact on the tree).
-    """
-    b = _check_same_backend(p, xi, eta)
-    if xi == eta:
-        raise ValueError("beta undefined on the diagonal")
-    if b == TREE:
-        n = 4 + len(xi.data.prefix) + len(eta.data.prefix) \
-            + 2 * len(xi.data.cycle) * len(eta.data.cycle)
-        u, v = xi.data.word(n), eta.data.word(n)
-        k = words.common_prefix_len(u, v)
-        q = tree_point(u[:k])  # junction vertex lies on line(xi, eta)
-        return -float(words.tree_busemann(q.data, p.data, xi.data)
-                      + words.tree_busemann(q.data, p.data, eta.data))
-    ln = line(xi, eta)
-    vals = [-(busemann(ln.point(t), p, xi) + busemann(ln.point(t), p, eta))
-            for t in probe_offsets]
-    if max(vals) - min(vals) > EPS_BETA:
-        raise RuntimeError("beta evaluation depends on the probe point")
-    return vals[0]
-
-
-def fellow_traveling_deviation(c1, c2, T, step=None):
-    """max_t d(c1(t), c2(t)) over a grid on [0, T].
-
-    Tree paths use exact integer times; the plane/flat grid step defaults
-    to 0.05.  Lemma bound checked by the caller: 4*delta + 3*rho.
-    """
-    if c1.backend != c2.backend:
-        raise BackendMismatch("paths live in different backends")
-    if c1.backend == TREE:
-        ts = range(0, int(T) + 1)
-    else:
-        step = 0.05 if step is None else step
-        n = max(2, int(math.ceil(T / step)) + 1)
-        ts = np.linspace(0.0, T, n)
-    return max(distance(c1.point(t), c2.point(t)) for t in ts)
 
 
 def estimate_delta(backend, sample_count=10000, radius=10.0, seed=0):

@@ -195,23 +195,12 @@ class Geodesic:
         return f"Geodesic(u={self.u}, v={self.v})"
 
 
-def segment(p, q):
-    """Unit-speed geodesic with point(0)=p, point(d(p,q))=q."""
-    u, v = geodesic_endpoints(p, q)
-    return Geodesic(u, v, p)
-
-
 def ray(p, xi):
-    """Unit-speed ray with point(0)=p heading to boundary point xi."""
+    """Unit-speed ray with point(0)=p heading to boundary point xi; its
+    backward endpoint is where the opposite tangent direction leads."""
     p = complex(p)
-    if xi == INF:
-        return Geodesic(p.real, INF, p)
-    if abs(xi - p.real) < EPS_PT:
-        return Geodesic(INF, xi, p)
-    c = 0.5 * (xi + (p.real ** 2 + p.imag ** 2 - xi * p.real) / (p.real - xi))
-    r = abs(xi - c)
-    other = c - r if xi > c else c + r
-    return Geodesic(other, xi, p)
+    return Geodesic(forward_endpoint(p, direction_toward(p, xi) + math.pi),
+                    xi, p)
 
 
 def line(xi, eta):

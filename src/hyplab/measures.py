@@ -321,7 +321,7 @@ def _annulus_limit_masses(p, partition, cap=None):
     return masses, err
 
 
-def cell_masses(backend, p, s, partition, cap=None, x=None, rank=2):
+def cell_masses(backend, p, s, partition, cap=None, x=None):
     """Cell masses of nu_{p,x,s} pushed to the boundary partition."""
     if backend == TREE:
         return _tree_cell_masses(p, s, partition, cap)
@@ -434,7 +434,7 @@ def conformal_check(backend, p, q, partition, s_grid=None, cap=None, x=None,
         for w, xi in zip(partition.cells, partition.representatives):
             e_p, inside_p = words.visual_exponent(p, w)
             e_q, inside_q = words.visual_exponent(q, w)
-            b = words.tree_busemann(q, p, xi, rank)
+            b = words.tree_busemann(q, p, xi)
             if not (inside_p or inside_q) and e_q - e_p == b:
                 continue
             nu_p = words.visual_measure(p, w, rank)
@@ -465,7 +465,7 @@ def conformal_check(backend, p, q, partition, s_grid=None, cap=None, x=None,
 # ---------------------------------------------------------------------------
 # shadows and the shadow lemma
 
-def shadow(backend, x, p, rho, rank=2):
+def shadow(backend, x, p, rho):
     """The shadow pr_x B(p, rho): boundary points whose ray from x meets
     the ball around p.
 
@@ -493,7 +493,7 @@ def shadow(backend, x, p, rho, rank=2):
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
-def shadow_contains(backend, desc, xi):
+def shadow_contains(desc, xi):
     """Membership of a boundary point in a shadow description."""
     kind, data = desc
     if kind == "cyl":
@@ -513,7 +513,7 @@ def shadow_mass_bounds(backend, p, x, rho, partition=None, s_grid=None,
                        cap=None, rank=2):
     """(nu_p(shadow of B(x, rho)), ratio to e^{-h d(p,x)})."""
     if backend == TREE:
-        desc = shadow(TREE, p, x, rho, rank)  # shadow of B(x,.) seen from p
+        desc = shadow(TREE, p, x, rho)  # shadow of B(x,.) seen from p
         if desc[0] != "cyl":
             raise ValueError("mass bound route expects a proper shadow")
         mass = words.visual_measure(p, desc[1], rank)

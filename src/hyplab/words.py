@@ -251,7 +251,7 @@ class BoundaryWord:
         return f"BoundaryWord({pre}{self.cycle}^inf)"
 
 
-def tree_busemann(q, p, xi, rank=2):
+def tree_busemann(q, p, xi):
     """b_p(q, xi) = lim_t d(q, c(t)) - t along the ray c from p to xi.
 
     Exact closed form: the ray leaves p toward the identity until it
@@ -293,24 +293,6 @@ def tree_ray_vertices(p, xi, horizon):
         if i > len(target):
             target = xi.word(2 * len(target) + 8)
     return verts[: horizon + 1]
-
-
-def tree_line_vertices(xi, eta, horizon):
-    """Vertices c(-horizon..horizon) of the line from xi to eta, indexed so
-    that c(0) is the vertex of the line closest to the identity.
-    Returns (vertices, offset) with vertices[offset + t] = c(t).
-    """
-    n = 2 * horizon + len(xi.prefix) + len(eta.prefix) \
-        + 2 * len(xi.cycle) + 2 * len(eta.cycle) + 8
-    u, v = xi.word(n), eta.word(n)
-    k = common_prefix_len(u, v)
-    if k >= min(len(u), len(v)):
-        raise ValueError("equal boundary points admit no connecting line")
-    # the line passes through the vertex u[:k]; backward along u, forward along v
-    back = [u[:i] for i in range(k + horizon, k, -1)]
-    fwd = [v[:i] for i in range(k, k + horizon + 1)]
-    verts = back + fwd  # verts[len(back)] is the junction u[:k] = c(0)
-    return verts, len(back)
 
 
 def necklace_words(alphabet, max_len, step, start, close,

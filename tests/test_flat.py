@@ -27,13 +27,6 @@ def test_torus_dist_wraps():
         == pytest.approx(math.sqrt(0.5))
 
 
-def test_segment_endpoints_and_speed():
-    g = flat.segment((0.0, 0.0), (3.0, 4.0))
-    assert g.point(0.0) == pytest.approx((0.0, 0.0))
-    assert g.point(5.0) == pytest.approx((3.0, 4.0))
-    assert flat.dist(g.point(0.0), g.point(2.0)) == pytest.approx(2.0)
-
-
 def test_witness_triangle_defect_grows_with_radius():
     _, d1 = flat.witness_triangle(10.0)
     _, d2 = flat.witness_triangle(100.0)

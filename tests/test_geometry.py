@@ -1,97 +1,34 @@
-"""Backend-dispatching geometry layer: distances, rays, Busemann cocycle."""
+"""Backend names and hyperbolicity constants, and the Busemann cocycle
+and Gromov-product limit checked on each backend's own primitives."""
 
 import math
 
 import pytest
 
 from hyplab import geometry as geo
-from hyplab import words
-from hyplab.geometry import FLAT, PLANE, TREE, BackendMismatch
-
-
-def test_distance_dispatch():
-    assert geo.distance(geo.tree_point("ab"), geo.tree_point("aB")) == 2
-    assert geo.distance(geo.plane_point(1j), geo.plane_point(2j)) \
-        == pytest.approx(math.log(2))
-    assert geo.distance(geo.flat_point(0, 0), geo.flat_point(3, 4)) \
-        == pytest.approx(5.0)
-
-
-def test_mixed_backends_raise():
-    with pytest.raises(BackendMismatch):
-        geo.distance(geo.tree_point("a"), geo.plane_point(1j))
-
-
-def test_connect_hits_both_endpoints():
-    cases = [
-        (geo.tree_point(""), geo.tree_point("abA")),
-        (geo.plane_point(-1 + 1j), geo.plane_point(2 + 0.5j)),
-        (geo.flat_point(0, 0), geo.flat_point(1, 2)),
-    ]
-    for p, q in cases:
-        c = geo.connect(p, q)
-        assert geo.distance(c.point(c.domain[0]), p) < 1e-9
-        assert geo.distance(c.point(c.domain[1]), q) < 1e-9
-
-
-def test_ray_moves_unit_speed_toward_boundary():
-    r = geo.ray(geo.tree_point(""), geo.tree_boundary("ab"))
-    assert geo.distance(r.point(0), r.point(5)) == 5
-    r = geo.ray(geo.plane_point(2j), geo.plane_boundary(0.0))
-    assert geo.distance(r.point(0.0), r.point(3.0)) == pytest.approx(3.0)
-
-
-def test_busemann_agrees_with_numeric_limit():
-    cases = [
-        (geo.tree_point("ab"), geo.tree_point(""), geo.tree_boundary("a")),
-        (geo.plane_point(1 + 2j), geo.plane_point(1j),
-         geo.plane_boundary(0.0)),
-        (geo.flat_point(1, 1), geo.flat_point(0, 0), geo.flat_boundary(0.0)),
-    ]
-    for q, p, xi in cases:
-        exact = geo.busemann(q, p, xi)
-        approx, err = geo.busemann_numeric(q, p, xi, horizon=50.0)
-        # flat convergence is only O(1/t); hyperbolic cases are far tighter
-        assert exact == pytest.approx(approx, abs=max(1e-6, err, 2.0 / 50.0))
+from hyplab import halfplane, words
+from hyplab.geometry import FLAT, PLANE, TREE
 
 
 def test_busemann_cocycle_identity():
-    p = geo.plane_point(1j)
-    q = geo.plane_point(0.5 + 0.8j)
-    z = geo.plane_point(-0.3 + 2j)
-    xi = geo.plane_boundary(1.0)
-    assert geo.busemann_cocycle_check(p, q, z, xi) < 1e-9
-    p = geo.tree_point("")
-    q = geo.tree_point("ba")
-    z = geo.tree_point("aB")
-    xi = geo.tree_boundary("a")
-    assert geo.busemann_cocycle_check(p, q, z, xi) == 0
+    # b_q(z, xi) - b_p(z, xi) + b_p(q, xi) = 0
+    p, q, z, xi = 1j, 0.5 + 0.8j, -0.3 + 2j, 1.0
+    b = halfplane.busemann
+    assert abs(b(z, q, xi) - b(z, p, xi) + b(q, p, xi)) < 1e-9
+    p, q, z, xi = "", "ba", "aB", words.BoundaryWord("a")
+    b = words.tree_busemann
+    assert b(z, q, xi) - b(z, p, xi) + b(q, p, xi) == 0
 
 
 def test_gromov_beta_matches_distance_limit():
     # 2 * (xi|eta)_p computed two ways: closed form and divergence limit
-    p = geo.plane_point(2j)
-    xi = geo.plane_boundary(-1.0)
-    eta = geo.plane_boundary(1.0)
-    beta = geo.gromov_beta(p, xi, eta)
+    p, xi, eta = 2j, -1.0, 1.0
+    beta = halfplane.gromov_beta(p, xi, eta)
     t = 18.0
-    x = geo.ray(p, xi).point(t)
-    y = geo.ray(p, eta).point(t)
-    limit = 2 * t - geo.distance(x, y)
+    x = halfplane.ray(p, xi).point(t)
+    y = halfplane.ray(p, eta).point(t)
+    limit = 2 * t - halfplane.dist(x, y)
     assert beta == pytest.approx(limit, abs=1e-5)
-
-
-def test_gromov_beta_tree_exact():
-    p = geo.tree_point("")
-    xi = geo.tree_boundary("a", prefix="b")
-    eta = geo.tree_boundary("b", prefix="b")
-    # rays share exactly the prefix "b": 2 * (xi|eta)_p = 2
-    assert geo.gromov_beta(p, xi, eta) == 2
-
-
-def test_fellow_traveling_deviation_zero_for_equal_paths():
-    c = geo.connect(geo.plane_point(1j), geo.plane_point(1 + 1j))
-    assert geo.fellow_traveling_deviation(c, c, c.domain[1]) < 1e-12
 
 
 def test_estimate_delta_per_backend():

@@ -105,15 +105,6 @@ def test_vertical_segments_sample_and_distance():
     assert d[0, 1] == pytest.approx(hp.dist(0.3 + 8j, 0.3 + 4j))
 
 
-def test_segment_parametrized_by_arclength():
-    p, q = -1 + 1j, 2 + 0.5j
-    g = hp.segment(p, q)
-    L = hp.dist(p, q)
-    for f in (0.0, 0.3, 0.7, 1.0):
-        z = g.point(f * L)
-        assert hp.dist(p, z) == pytest.approx(f * L, abs=1e-9)
-
-
 def test_busemann_closed_form_matches_numeric_limit():
     cases = [(1 + 2j, 1j, 0.0), (0.3 + 0.4j, 2j, -1.0), (5j, 1j, hp.INF)]
     for q, p, xi in cases:

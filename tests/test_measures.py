@@ -93,7 +93,7 @@ def _fraction_tree_conformal(p, q, part):
 def _negated_busemann(monkeypatch):
     busemann = words.tree_busemann
     monkeypatch.setattr(words, "tree_busemann",
-                        lambda q, p, xi, rank=2: -busemann(q, p, xi, rank))
+                        lambda q, p, xi: -busemann(q, p, xi))
 
 
 @pytest.mark.parametrize("mutant", [False, True])
@@ -170,9 +170,9 @@ def test_plane_conformal_reports_empty_cells_in_one_warning():
 
 def test_shadow_tree_is_a_cylinder():
     desc = measures.shadow(TREE, "", "aab", 0.5)
-    assert measures.shadow_contains(TREE, desc, words.BoundaryWord("b",
-                                                                   prefix="aab"))
-    assert not measures.shadow_contains(TREE, desc, words.BoundaryWord("b"))
+    assert measures.shadow_contains(desc, words.BoundaryWord("b",
+                                                             prefix="aab"))
+    assert not measures.shadow_contains(desc, words.BoundaryWord("b"))
 
 
 def test_shadow_mass_bounds_tree_family():
