@@ -147,9 +147,8 @@ def cmd_count(args):
                   ("length", "word"),
                   sorted((length, w) for length, w in gc.entries),
                   cfg, "thm-2.10")
-        h = math.log(2 * rank - 1) if backend == TREE else 1.0
         table = counting.margulis_table(
-            gc, h, [t for t in range(4, int(T) + 1)])
+            gc, gc.h, [t for t in range(4, int(T) + 1)])
         write_csv(os.path.join(out, "margulis.csv"),
                   ("T", "P", "ratio"), table, cfg, "eqn-margulis")
     return EXIT_INCOMPLETE if incomplete else EXIT_OK
@@ -168,12 +167,10 @@ def _tree_partition_from(cfg):
 
 def cmd_measure(args):
     cfg = effective_config(args, ("backend", "cells", "check", "s", "cap",
-                                  "gamma", "T", "equidist"))
+                                  "gamma", "T"))
     backend = _BACKENDS[args.backend]
     out = args.out
     checks = [c for c in str(cfg.get("check", "")).split(",") if c]
-    if cfg.get("equidist"):
-        checks.append("equidist")
     if not checks:
         checks = ["conformal"]
     code = EXIT_OK
@@ -438,7 +435,6 @@ def build_parser():
     p.add_argument("--backend", choices=sorted(_BACKENDS))
     p.add_argument("--cells")
     p.add_argument("--check")
-    p.add_argument("--equidist", action="store_true", default=None)
     p.add_argument("--s", type=float)
     p.add_argument("--cap", type=float)
     p.add_argument("--gamma")

@@ -9,7 +9,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-from . import flat, halfplane, modular, words
+from . import flat, modular, words
 from .geometry import FLAT, PLANE, TREE, BackendMismatch
 
 
@@ -67,7 +67,6 @@ class GeodesicCensus:
     entries: tuple  # ((length, label), ...) sorted by length
     h: float
     complete: bool = True
-    note: str = ""
     _lengths: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -89,12 +88,12 @@ class GeodesicCensus:
         return self._lengths[-1] if self._lengths else 0.0
 
 
-def orbit_count(backend, base, r_grid, rank=2, group=None):
+def orbit_count(backend, base, r_grid, rank=2):
     """Census of card{gamma : d(x, gamma x) <= R} over an R grid.
 
     Tree and flat counts are exact closed-form/lattice enumerations; the
     hyperbolic-plane route uses the certified integer-matrix ball of the
-    modular group (or the pruned word ball for a custom group).
+    modular group.
     """
     r_grid = [float(r) for r in r_grid]
     if backend == TREE:
@@ -109,10 +108,7 @@ def orbit_count(backend, base, r_grid, rank=2, group=None):
         entries = []
         flags = []
         for r in r_grid:
-            if group is None or group.exact:
-                ball = modular.modular_ball(p, r)
-            else:
-                ball = modular.word_ball(group, p, r)
+            ball = modular.modular_ball(p, r)
             entries.append((r, len(ball.elements)))
             flags.append(ball.complete)
         return OrbitCensus(PLANE, base, tuple(entries), tuple(flags))

@@ -15,6 +15,7 @@ from . import counting, flat, halfplane, words
 from .geometry import FLAT, PLANE, TREE, BackendMismatch
 
 DEFAULT_WINDOW = 32
+SAMPLES_PER_UNIT = 4  # d_n grid points per unit time, continuous backends
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,12 @@ def _base_dist(backend, a, b):
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
-def dyn_metric(v, w, k, samples_per_unit=4):
+def dyn_metric(v, w, k):
     """d_k(v, w) = max over t in [0, k] of d(c_v(t), c_w(t)).
 
     Tree flow lines are evaluated at the exact integer times; the
-    continuous backends sample a uniform t grid including both ends.
+    continuous backends sample a uniform t grid including both ends,
+    SAMPLES_PER_UNIT points per unit time.
     """
     if v.backend != w.backend:
         raise BackendMismatch("flow points live on different backends")
@@ -128,7 +130,7 @@ def dyn_metric(v, w, k, samples_per_unit=4):
         return max(float(words.distance(words.mul(v.origin, v.future[:t]),
                                         words.mul(w.origin, w.future[:t])))
                    for t in range(int(k) + 1))
-    ts = np.linspace(0.0, float(k), max(2, int(k * samples_per_unit) + 1))
+    ts = np.linspace(0.0, float(k), max(2, int(k * SAMPLES_PER_UNIT) + 1))
     return max(_base_dist(v.backend, v.point(t), w.point(t)) for t in ts)
 
 
@@ -147,9 +149,6 @@ class SpanningReport:
     def __post_init__(self):
         if self.lower > self.upper:
             raise ValueError("separated lower bound exceeds cover upper")
-
-
-SAMPLES_PER_UNIT = 4  # d_n grid points per unit time, continuous backends
 
 
 def _dn_rows(sample, n_grid):
@@ -254,21 +253,21 @@ def spanning_count(sample, n, delta):
     return spanning_counts(sample, [n], delta)[0]
 
 
-def tree_flow_sample(depth, rank=2, window=None):
-    """One flow line per reduced forward word of length `depth`.
+def tree_flow_sample(depth, rank=2):
+    """One flow line per reduced forward word of length `depth`, with a
+    window of radius `depth`.
 
     All lines share the origin vertex; the backward direction is any
     non-backtracking letter, which d_n over t >= 0 never sees.
     """
-    window = depth if window is None else window
     lets = words.letters(rank)
     out = []
     for f in sorted(words.ball_words(depth, rank)):
         if len(f) != depth:
             continue
         back = next(c for c in lets if c != f[0])
-        out.append(FlowPoint(TREE, "", f, back * max(1, window),
-                             window=window))
+        out.append(FlowPoint(TREE, "", f, back * max(1, depth),
+                             window=depth))
     return out
 
 

@@ -33,11 +33,6 @@ def lattice_ball(radius):
     return out
 
 
-def orbit_counts(r_grid):
-    """card {v in Z^2 : |v| <= R} for each R; quadratic growth."""
-    return [len(lattice_ball(r)) for r in r_grid]
-
-
 def witness_triangle(radius):
     """Equilateral triangle whose slim-triangle defect grows linearly with
     the side length: the flat plane is not Gromov hyperbolic.

@@ -266,12 +266,6 @@ def shadow_arc(x, p, rho):
     return (forward_endpoint(x, t0 - theta), forward_endpoint(x, t0 + theta))
 
 
-def point_at(p, theta, r):
-    """Point at hyperbolic distance r from p in tangent direction theta."""
-    g = ray(complex(p), forward_endpoint(p, theta))
-    return g.point(float(r))
-
-
 def random_points(rng, n, radius, center=1j):
     """n points uniform w.r.t. hyperbolic area in B(center, radius)."""
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
@@ -386,18 +380,19 @@ def triangle_thinness(a, b, c, samples_per_side=24):
     return defect
 
 
-def estimate_delta_mc(sample_count, radius, seed, samples_per_side=24,
-                      batch=4096):
+MC_BATCH = 4096  # triangles per vectorised batch
+
+
+def estimate_delta_mc(sample_count, radius, seed):
     """Monte-Carlo maximum slim-triangle defect over random triangles in
     B(i, radius).  Deterministic given the seed."""
     rng = np.random.default_rng(seed)
     best = 0.0
     left = int(sample_count)
     while left > 0:
-        m = min(batch, left)
+        m = min(MC_BATCH, left)
         pts = random_points(rng, 3 * m, radius)
-        defect = triangle_thinness(pts[:m], pts[m:2 * m], pts[2 * m:],
-                                   samples_per_side)
+        defect = triangle_thinness(pts[:m], pts[m:2 * m], pts[2 * m:])
         best = max(best, float(defect.max()))
         left -= m
     return best

@@ -1,10 +1,12 @@
 """Patterson-Sullivan measures and their quantitative checks.
 
-Truncated Poincare series with tail bounds, the atomic orbital measures,
-extrapolation of boundary-cell masses toward the critical exponent,
-conformal-density and shadow-lemma checks, the pair measure on the double
-boundary with its invariance test, closed-geodesic equidistribution, and
-the two flow-measure validators (forward-cone mass and separated sets).
+Truncated Poincare series with tail bounds, the atomic orbital measures
+nu_{p,s} at one base point p, extrapolation of boundary-cell masses
+toward the critical exponent, conformal-density and shadow-lemma checks,
+the pair measure on the double boundary with its invariance test,
+closed-geodesic equidistribution, and the two flow-measure validators
+(forward-cone mass and separated sets).  Tree routes that take a
+partition read the rank, and with it h, from the partition.
 """
 
 import functools
@@ -128,8 +130,8 @@ def tree_series_closed_form(s, rank=2):
     return (1.0 + x) / (1.0 - q)
 
 
-def poincare_series(backend, s, p=None, q=None, cap=30.0, rank=2):
-    """Truncated Poincare series sum_gamma e^{-s d(p, gamma q)}.
+def poincare_series(backend, s, p=None, cap=30.0, rank=2):
+    """Truncated Poincare series sum_gamma e^{-s d(p, gamma p)}.
 
     Returns (partial sum over the enumerated ball, tail bound).  Tree and
     flat tails are exact geometric/polynomial sums; the plane tail uses
@@ -152,8 +154,7 @@ def poincare_series(backend, s, p=None, q=None, cap=30.0, rank=2):
         if s <= 1.0:
             raise ValueError("series diverges for s <= 1 (modular group)")
         p = 2j if p is None else complex(p)
-        q = p if q is None else complex(q)
-        atoms = _plane_atoms(p, q, cap)
+        atoms = _plane_atoms(p, cap)
         d = atoms.d
         partial = float(np.exp(-s * d).sum()) + atoms.base_atom
         # measured upper growth constant over the outer half of the ball
@@ -184,12 +185,11 @@ def _measured_c2(dists, cap):
     return float(max(counts * np.exp(-grid)))
 
 
-def ps_measure(backend, p, s, cap, x=None, rank=2):
-    """The orbital measure nu_{p,x,s}: atoms e^{-s d(p, gamma x)} at the
-    orbit points gamma x, normalized by the Poincare series at x."""
+def ps_measure(backend, p, s, cap, rank=2):
+    """The orbital measure nu_{p,s}: atoms e^{-s d(p, gamma p)} at the
+    orbit points gamma p, normalized by the Poincare series at p."""
     if backend == TREE:
         p = p or ""
-        x = p if x is None else x
         norm = tree_series_closed_form(s, rank)
         atoms = []
         for u in words.ball_words(int(cap), rank):
@@ -198,22 +198,18 @@ def ps_measure(backend, p, s, cap, x=None, rank=2):
         _, tail_num = poincare_series(TREE, s, cap=cap, rank=rank)
         total = sum(w for _, w in atoms)
         return AtomicMeasure(TREE, tuple(atoms), total, tail_num / norm,
-                             (("s", s), ("cap", cap), ("d_px", 0.0 if x == p
-                                                       else float(words.distance(p, x)))))
+                             (("s", s), ("cap", cap), ("d_px", 0.0)))
     if backend == PLANE:
         p = complex(p)
-        x = p if x is None else complex(x)
-        npart, ntail = poincare_series(PLANE, s, p=x, q=x, cap=cap)
-        z = _apply_many(modular.modular_ball(p, cap, q=x).elements, x)
+        npart, ntail = poincare_series(PLANE, s, p=p, cap=cap)
+        z = _apply_many(modular.modular_ball(p, cap).elements, p)
         d = halfplane.dist(p, z)
         w = np.exp(-s * d) / npart
-        _, num_tail = poincare_series(PLANE, s, p=p, q=x, cap=cap)
         total = float(w.sum())
-        tail = num_tail / npart + total * ntail / npart
+        tail = ntail / npart + total * ntail / npart
         atoms = tuple(zip(z.tolist(), w.tolist()))
         return AtomicMeasure(PLANE, atoms, total, tail,
-                             (("s", s), ("cap", cap),
-                              ("d_px", float(halfplane.dist(p, x)))))
+                             (("s", s), ("cap", cap), ("d_px", 0.0)))
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
@@ -221,7 +217,7 @@ def ps_measure(backend, p, s, cap, x=None, rank=2):
 # boundary-cell masses and the limit s -> h
 
 def _tree_cell_masses(p, s, partition, cap):
-    """Normalized nu_{p,x,s} masses of the cylinder cells, base p = root.
+    """Normalized nu_{p,s} masses of the cylinder cells, base p = root.
 
     Per-cell geometric sums in closed form (over the full orbit when
     cap=None): a cylinder of depth m holds (2k-1)^{n-m} orbit points at
@@ -252,11 +248,10 @@ class _PlaneAtoms:
     """Cached orbit atoms around a base point: positions, distances and
     boundary directions, reused across the s grid."""
 
-    def __init__(self, p, x, cap):
-        self.p, self.x, self.cap = complex(p), complex(x), float(cap)
+    def __init__(self, p, cap):
+        self.p = complex(p)
         # the ball is dropped as soon as its orbit points are known
-        z = _apply_many(modular.modular_ball(self.p, cap, q=self.x).elements,
-                        self.x)
+        z = _apply_many(modular.modular_ball(self.p, cap).elements, self.p)
         keep = np.abs(z - self.p) > 1e-12  # drop the atom at p itself
         self.z = z[keep]
         self.d = halfplane.dist(self.p, self.z)
@@ -291,16 +286,16 @@ class _PlaneAtoms:
         return np.array(out)
 
 
-def _plane_atoms(p, x, cap):
-    return _cached_atoms(complex(p), complex(x), round(float(cap), 9))
+def _plane_atoms(p, cap):
+    return _cached_atoms(complex(p), round(float(cap), 9))
 
 
-# Two entries cover the alternation of the (x, x) and (p, x) atom sets in
-# cell_masses and ps_measure; more would let memory follow the process
-# history instead of the requested problem.
+# Two entries cover a run that alternates two caps (the checks' cap and
+# DEFAULT_PAIR_CAP); more would let memory follow the process history
+# instead of the requested problem.
 @functools.lru_cache(maxsize=2)
-def _cached_atoms(p, x, cap):
-    return _PlaneAtoms(p, x, cap)
+def _cached_atoms(p, cap):
+    return _PlaneAtoms(p, cap)
 
 
 DEFAULT_PAIR_CAP = 14.0
@@ -314,23 +309,21 @@ def _annulus_limit_masses(p, partition, cap=None):
     finite cap; dropping the inner half of the ball removes that bias.
     """
     cap = DEFAULT_PAIR_CAP if cap is None else float(cap)
-    atoms = _plane_atoms(complex(p), complex(p), cap)
+    atoms = _plane_atoms(p, cap)
     rows = [atoms.cell_masses(s, partition, None, 0.5 * cap)
             for s in DEFAULT_S_GRID_PLANE]
     masses, err, _ = extrapolate_to_h(rows, DEFAULT_S_GRID_PLANE, 1.0)
     return masses, err
 
 
-def cell_masses(backend, p, s, partition, cap=None, x=None):
-    """Cell masses of nu_{p,x,s} pushed to the boundary partition."""
+def cell_masses(backend, p, s, partition, cap=None):
+    """Cell masses of nu_{p,s} pushed to the boundary partition."""
     if backend == TREE:
         return _tree_cell_masses(p, s, partition, cap)
     if backend == PLANE:
-        p = complex(p)
-        x = p if x is None else complex(x)
         cap = 12.0 if cap is None else cap
-        norm, _ = poincare_series(PLANE, s, p=x, q=x, cap=cap)
-        return _plane_atoms(p, x, cap).cell_masses(s, partition, norm)
+        norm, _ = poincare_series(PLANE, s, p=p, cap=cap)
+        return _plane_atoms(p, cap).cell_masses(s, partition, norm)
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
@@ -357,26 +350,24 @@ def extrapolate_to_h(values_by_s, s_grid, h):
     return extr[-1], diffs[-1], cauchy
 
 
-DEFAULT_S_GRID_TREE = tuple(math.log(3) + e for e in (0.4, 0.2, 0.1, 0.05))
+TREE_S_OFFSETS = (0.4, 0.2, 0.1, 0.05)  # tree s grid: h + offset
 DEFAULT_S_GRID_PLANE = (1.8, 1.4, 1.2, 1.1)
 
 
-def limit_cell_masses(backend, p, partition, s_grid=None, cap=None, x=None):
+def limit_cell_masses(backend, p, partition, cap=None):
     """Extrapolated s -> h boundary masses on all partition cells."""
     if backend == TREE:
-        s_grid = DEFAULT_S_GRID_TREE if s_grid is None else s_grid
         h = math.log(2 * partition.rank - 1)
+        s_grid = tuple(h + e for e in TREE_S_OFFSETS)
     elif backend == PLANE:
-        s_grid = DEFAULT_S_GRID_PLANE if s_grid is None else s_grid
-        h = 1.0
+        s_grid, h = DEFAULT_S_GRID_PLANE, 1.0
     else:
         raise BackendMismatch(f"unknown backend {backend!r}")
-    rows = [cell_masses(backend, p, s, partition, cap=cap, x=x)
-            for s in s_grid]
+    rows = [cell_masses(backend, p, s, partition, cap=cap) for s in s_grid]
     return extrapolate_to_h(rows, s_grid, h)
 
 
-def _far_log_ratios(atoms, q, partition, s_grid, h, cap):
+def _far_log_ratios(atoms, q, partition, h, cap):
     """Per-cell log(nu_q / nu_p) read off at s = h, and the usable cells.
 
     nu_p and nu_q weigh the same orbit atoms by e^{-s d(p, y)} and
@@ -384,8 +375,8 @@ def _far_log_ratios(atoms, q, partition, s_grid, h, cap):
     limit measure: as s -> h the diverging normalizer kills the relative
     weight of every bounded region, and on far atoms d(q,y) - d(p,y) has
     already converged to the Busemann cocycle.  Each cell's log ratio is
-    fitted to first order in (s - h) over the s grid; cells with no far
-    atom are excluded with a warning.
+    fitted to first order in (s - h) over DEFAULT_S_GRID_PLANE; cells
+    with no far atom are excluded with a warning.
     """
     n = len(partition)
     dq = halfplane.dist(q, atoms.z)
@@ -396,7 +387,7 @@ def _far_log_ratios(atoms, q, partition, s_grid, h, cap):
     # about 0.25% of them are far); each cell still sums the same far
     # atoms in the same order
     idx[atoms.d < 0.5 * cap] = n
-    svals = np.asarray(s_grid, dtype=float)
+    svals = np.asarray(DEFAULT_S_GRID_PLANE, dtype=float)
     rows = []
     for s in svals:
         num = np.bincount(idx, weights=np.exp(-s * dq), minlength=n + 1)[:n]
@@ -417,8 +408,7 @@ def _far_log_ratios(atoms, q, partition, s_grid, h, cap):
 # ---------------------------------------------------------------------------
 # conformal density check
 
-def conformal_check(backend, p, q, partition, s_grid=None, cap=None, x=None,
-                    rank=2):
+def conformal_check(backend, p, q, partition, cap=None):
     """Max over cells of |log(nu_q/nu_p) + h b_p(q, xi_cell)|.
 
     Tree route is exact: where neither base lies below a cell w, its
@@ -430,6 +420,7 @@ def conformal_check(backend, p, q, partition, s_grid=None, cap=None, x=None,
     function at each arc's representative direction.
     """
     if backend == TREE:
+        rank = partition.rank
         worst = 0.0
         for w, xi in zip(partition.cells, partition.representatives):
             e_p, inside_p = words.visual_exponent(p, w)
@@ -448,12 +439,10 @@ def conformal_check(backend, p, q, partition, s_grid=None, cap=None, x=None,
         return worst
     if backend == PLANE:
         p, q = complex(p), complex(q)
-        s_grid = DEFAULT_S_GRID_PLANE if s_grid is None else s_grid
         cap = 12.0 if cap is None else float(cap)
-        x = p if x is None else complex(x)
         h = 1.0
-        log_ratio, usable = _far_log_ratios(_plane_atoms(p, x, cap), q,
-                                            partition, s_grid, h, cap)
+        log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q,
+                                            partition, h, cap)
         worst = 0.0
         for i in np.flatnonzero(usable):
             b = halfplane.busemann(q, p, partition.representatives[i])
@@ -493,24 +482,7 @@ def shadow(backend, x, p, rho):
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
-def shadow_contains(desc, xi):
-    """Membership of a boundary point in a shadow description."""
-    kind, data = desc
-    if kind == "cyl":
-        return xi.word(len(data)) == data
-    if kind == "co-cyl":
-        return xi.word(len(data)) != data
-    if kind != "arc":
-        raise ValueError(f"unknown shadow description {kind!r}")
-    lo, hi = data
-    # arc from lo to hi counterclockwise on the boundary circle
-    th = halfplane.direction_toward(1j, [lo, hi, xi])
-    a, b, t = np.mod(th - th[0], 2.0 * math.pi)
-    return t <= b
-
-
-def shadow_mass_bounds(backend, p, x, rho, partition=None, s_grid=None,
-                       cap=None, rank=2):
+def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
     """(nu_p(shadow of B(x, rho)), ratio to e^{-h d(p,x)})."""
     if backend == TREE:
         desc = shadow(TREE, p, x, rho)  # shadow of B(x,.) seen from p
@@ -523,17 +495,16 @@ def shadow_mass_bounds(backend, p, x, rho, partition=None, s_grid=None,
     if backend == PLANE:
         p, x = complex(p), complex(x)
         lo, hi = halfplane.shadow_arc(p, x, rho)
-        base_part = partition or plane_partition(256)
-        th = halfplane.direction_toward(base_part.base, [lo, hi])
+        part = plane_partition(256)
+        th = halfplane.direction_toward(part.base, [lo, hi])
         interval = (th[0], th[1])
-        s_grid = DEFAULT_S_GRID_PLANE if s_grid is None else s_grid
         cap = 12.0 if cap is None else cap
         rows = []
-        for s in s_grid:
-            norm, _ = poincare_series(PLANE, s, p=p, q=p, cap=cap)
-            rows.append(_plane_atoms(p, p, cap)
-                        .interval_masses(s, [interval], base_part, norm))
-        mass, _, _ = extrapolate_to_h(rows, s_grid, 1.0)
+        for s in DEFAULT_S_GRID_PLANE:
+            norm, _ = poincare_series(PLANE, s, p=p, cap=cap)
+            rows.append(_plane_atoms(p, cap)
+                        .interval_masses(s, [interval], part, norm))
+        mass, _, _ = extrapolate_to_h(rows, DEFAULT_S_GRID_PLANE, 1.0)
         d = halfplane.dist(p, x)
         return float(mass[0]), float(mass[0] * math.exp(d))
     raise BackendMismatch(f"unknown backend {backend!r}")
@@ -554,19 +525,16 @@ class PairMeasure:
     excluded: frozenset
     h: float
 
-    def weight(self, i, j):
-        if i == j:
-            raise ValueError("diagonal pairs carry no pair-measure weight")
-        return self.weights[(min(i, j), max(i, j))]
 
-
-def pair_measure(backend, p, partition, masses=None, h=None, rank=2,
-                 cap=None):
+def pair_measure(backend, p, partition, masses=None, cap=None):
     """Build the pair measure from cell masses at representatives.
 
-    Plane masses, when not given, are extrapolated from the orbit atoms
-    of radius `cap` (default DEFAULT_PAIR_CAP)."""
+    Tree masses default to the exact visual measure at p, with the rank
+    read from the partition.  Plane masses, when not given, are
+    extrapolated from the orbit atoms of radius `cap` (default
+    DEFAULT_PAIR_CAP)."""
     if backend == TREE:
+        rank = partition.rank
         h = math.log(2 * rank - 1)
         if masses is None:
             masses = [words.visual_measure(p or "", w, rank)
@@ -584,7 +552,7 @@ def pair_measure(backend, p, partition, masses=None, h=None, rank=2,
         return PairMeasure(TREE, p or "", partition, weights,
                            frozenset(excluded), h)
     if backend == PLANE:
-        h = 1.0 if h is None else h
+        h = 1.0
         p = complex(p)
         if masses is None:
             masses, _ = _annulus_limit_masses(p, partition, cap=cap)
@@ -637,7 +605,7 @@ def _exact_pair_mass(cells_a, cells_b, rank):
     return sum((2 * rank - 1) ** (e - t) for t in ts), e
 
 
-def pair_invariance_check(pm, gamma, s_grid=None, cap=None):
+def pair_invariance_check(pm, gamma, cap=None):
     """Max defect of mu-bar(gamma A x gamma B) against mu-bar(A x B).
 
     Tree route is exact over the cylinder pushforward: both masses are
@@ -672,21 +640,19 @@ def pair_invariance_check(pm, gamma, s_grid=None, cap=None):
     p = complex(pm.base)
     n = len(part)
     h = pm.h
-    s_grid = DEFAULT_S_GRID_PLANE if s_grid is None else s_grid
     cap = DEFAULT_PAIR_CAP if cap is None else float(cap)
     q = modular.apply(modular.mat_inv(gamma), p)
-    log_ratio, usable = _far_log_ratios(_plane_atoms(p, p, cap), q, part,
-                                        s_grid, h, cap)
+    log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q, part, h,
+                                        cap)
     reps = part.representatives
     greps = [halfplane.mobius_apply_boundary(gamma, r) for r in reps]
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
+            # pm.excluded holds the pairs with e^{h beta} > PAIR_WEIGHT_CAP
             if (i, j) in pm.excluded or not (usable[i] and usable[j]):
                 continue
             beta = halfplane.gromov_beta(p, reps[i], reps[j])
-            if math.exp(h * beta) > PAIR_WEIGHT_CAP:
-                continue
             dlog = (h * (halfplane.gromov_beta(p, greps[i], greps[j])
                          - beta) + log_ratio[i] + log_ratio[j])
             worst = max(worst, abs(math.exp(dlog) - 1.0))
@@ -699,16 +665,18 @@ def pair_invariance_check(pm, gamma, s_grid=None, cap=None):
 # y levels cutting the fundamental domain into four regions of equal
 # hyperbolic area pi/12 (area above height Y is 1/Y for Y >= 1)
 _Y_CUTS = (4.0 / math.pi, 6.0 / math.pi, 12.0 / math.pi)
+_N_THETA = 4  # direction bins per height band
+_SAMPLES_PER_UNIT = 40  # samples per unit length along a closed geodesic
 
 
-def _cell_index(z, theta, n_theta=4):
+def _cell_index(z, theta):
     ybin = np.digitize(z.imag, _Y_CUTS)
-    tbin = np.minimum((theta / (2.0 * math.pi / n_theta)).astype(int),
-                      n_theta - 1)
-    return ybin * n_theta + tbin
+    tbin = np.minimum((theta / (2.0 * math.pi / _N_THETA)).astype(int),
+                      _N_THETA - 1)
+    return ybin * _N_THETA + tbin
 
 
-def liouville_cell_masses(n_theta=4):
+def liouville_cell_masses():
     """Reference masses of the 16 position x direction cells.
 
     Liouville measure is the product of the normalized hyperbolic area
@@ -728,10 +696,10 @@ def liouville_cell_masses(n_theta=4):
         area.append(col.mean())
     area = np.array(area)
     area /= area.sum()
-    return np.repeat(area, n_theta) / n_theta
+    return np.repeat(area, _N_THETA) / _N_THETA
 
 
-def equidistribution_test(census, T, n_theta=4, samples_per_unit=40):
+def equidistribution_test(census, T):
     """Cell masses of the closed-geodesic measure mu_T against Liouville.
 
     mu_T averages arc length over all primitive classes of length <= T,
@@ -746,23 +714,23 @@ def equidistribution_test(census, T, n_theta=4, samples_per_unit=40):
     """
     if census.backend != PLANE:
         raise BackendMismatch("equidistribution runs on the modular census")
-    hist = np.zeros(4 * n_theta)
+    hist = np.zeros(4 * _N_THETA)
     total = 0.0
     for length, word in census.entries:
         if length > T + 1e-12:
             continue
         m = modular._word_matrix(word)
         geo, ell = modular.closed_geodesic_path(m)
-        k = max(32, int(math.ceil(ell * samples_per_unit)))
+        k = max(32, int(math.ceil(ell * _SAMPLES_PER_UNIT)))
         z = geo.point((np.arange(k) + 0.5) * (ell / k))
         # fold from [0, 2 pi): an angle on a cell edge keeps its bin
         theta = np.mod(halfplane.direction_toward(z, geo.v), 2.0 * math.pi)
         zf, tf = modular.fold_points(z, theta)
-        idx = _cell_index(zf, tf, n_theta)
-        hist += np.bincount(idx, minlength=4 * n_theta) * (ell / k)
+        idx = _cell_index(zf, tf)
+        hist += np.bincount(idx, minlength=4 * _N_THETA) * (ell / k)
         total += ell
     mu = hist / total
-    ref = liouville_cell_masses(n_theta)
+    ref = liouville_cell_masses()
     return mu, ref, mu - ref
 
 

@@ -5,13 +5,11 @@ its orbit balls are enumerated directly at the matrix level (complete,
 with certificate; the sphere itself is decided in float64) as int64
 arrays, and its primitive hyperbolic conjugacy classes are the
 rotation-canonical cyclic words in R = [[1,1],[0,1]], L = [[1,0],[1,1]].
-Arbitrary float generator sets are supported with breadth-first word
-enumeration and heuristic dedup, and are flagged as such.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,54 +66,26 @@ def apply(m, z):
 PARABOLIC, ELLIPTIC, HYPERBOLIC = "parabolic", "elliptic", "hyperbolic"
 
 
-def classify(m, eps=EPS_ID):
+def classify(m):
     t = abs(trace(m))
-    if t > 2 + eps:
+    if t > 2 + EPS_ID:
         return HYPERBOLIC
-    if t >= 2 - eps:
+    if t >= 2 - EPS_ID:
         return PARABOLIC
     return ELLIPTIC
 
 
-def translation_length(m, eps=EPS_ID):
+def translation_length(m):
     """inf_x d(x, m x): 2 arccosh(|tr|/2) for hyperbolic m, else 0.
 
     Returns (length, kind).
     """
     if normalize(m) == IDENT:
         raise ValueError("identity has no translation length")
-    kind = classify(m, eps)
+    kind = classify(m)
     if kind != HYPERBOLIC:
         return 0.0, kind
     return 2.0 * math.acosh(abs(trace(m)) / 2.0), kind
-
-
-@dataclass(frozen=True)
-class FuchsianGroup:
-    generators: tuple  # matrices, inverses added automatically
-    exact: bool = False  # integer matrix arithmetic throughout
-    dedup_tol: float = EPS_ID
-    name: str = "custom"
-
-    @staticmethod
-    def modular():
-        return FuchsianGroup(generators=(R_MAT, L_MAT), exact=True,
-                             name="modular")
-
-    def symmetric_generators(self):
-        gens = []
-        for g in self.generators:
-            gens.append(normalize(g))
-            gens.append(normalize(mat_inv(g)))
-        out = []
-        for g in gens:
-            if not any(_mat_close(g, h, self.dedup_tol) for h in out):
-                out.append(g)
-        return out
-
-
-def _mat_close(m1, m2, tol):
-    return max(abs(x - y) for x, y in zip(m1, m2)) <= tol
 
 
 @dataclass
@@ -127,20 +97,21 @@ class BallResult:
     base: complex
     complete: bool
     certificate: str
-    word_cap: int = 0
 
 
 BALL_BLOCK_ROWS = 16  # rows c of the (c, d) enumeration handled per block
+BALL_SLACK = 1e-9  # float64 tolerance of the sphere d = R
+WORD_BALL_BUFFER = 4.0  # word_ball extends words up to displacement R + this
 
 
-def modular_ball(p, R, q=None, slack=1e-9):
+def modular_ball(p, R, q=None):
     """All gamma in PSL(2, Z) with d(p, gamma q) <= R, complete.
 
     q defaults to p.  Enumerates matrices directly: for each coprime
     (c, d) with |c q + d| bounded, the displacement along the solution
     family (a0 + t c, b0 + t d, c, d) is quadratic in t, so the
     admissible t form an interval solved in closed form.  Every candidate
-    then passes a float64 displacement check d <= R + slack, so the
+    then passes a float64 displacement check d <= R + BALL_SLACK, so the
     sphere itself is decided in floating point, not exactly.
 
     With c >= 0, and d = 1 when c = 0, each element of PSL(2, Z) is
@@ -174,15 +145,15 @@ def modular_ball(p, R, q=None, slack=1e-9):
         C = np.abs(alpha) ** 2 - nmax
         disc = B * B - 4.0 * A * C
         sq = np.sqrt(np.maximum(disc, 0.0))
-        tlo = np.ceil((-B - sq) / (2.0 * A) - slack).astype(np.int64)
-        thi = np.floor((-B + sq) / (2.0 * A) + slack).astype(np.int64)
+        tlo = np.ceil((-B - sq) / (2.0 * A) - BALL_SLACK).astype(np.int64)
+        thi = np.floor((-B + sq) / (2.0 * A) + BALL_SLACK).astype(np.int64)
         n_t = np.where(disc < 0, 0, np.maximum(thi - tlo + 1, 0))
         pick = np.repeat(np.arange(len(c)), n_t)
         t = tlo[pick] + _ramp(n_t)
         c, d = c[pick], d[pick]
         a, b = a0[pick] + t * c, b0[pick] + t * d
         disp = halfplane.dist(p, (a * q + b) / (c * q + d))
-        m = np.stack([a, b, c, d])[:, disp <= R + slack]
+        m = np.stack([a, b, c, d])[:, disp <= R + BALL_SLACK]
         lead = m[(m != 0).argmax(axis=0), np.arange(m.shape[1])]
         blocks.append(np.where(lead < 0, -m, m))
     cols = np.concatenate(blocks, axis=1)
@@ -192,7 +163,8 @@ def modular_ball(p, R, q=None, slack=1e-9):
         col[:] = col[order]
     return BallResult(cols.T, R, p, complete=True,
                       certificate="integer matrix enumeration; sphere "
-                                  f"decided in float64 with slack {slack:g}")
+                                  f"decided in float64 with slack "
+                                  f"{BALL_SLACK:g}")
 
 
 def _coprime_cd(rows, x, bmax):
@@ -232,52 +204,41 @@ def _ext_gcd_rows(a, b):
     return old_r, old_s, old_t
 
 
-def word_ball(group, p, R, Lmax=None, buffer=4.0, slack=1e-9):
-    """Breadth-first enumeration of group elements by word length, keeping
-    those with displacement <= R.
+def word_ball(p, R):
+    """Breadth-first enumeration of PSL(2, Z) by word length in R, L and
+    their inverses, keeping the elements with displacement <= R: the
+    reference route that modular_ball is tested against.
 
-    The search is pruned at displacement R + buffer: a word is extended only
-    while it stays that close to the base point.  This is a heuristic route
-    (a large enough buffer recovers the full ball because word geodesics
-    fellow-travel the hyperbolic ones); completeness is claimed only when
-    the pruned frontier exhausts itself below the word cap.
+    The search is pruned at displacement R + WORD_BALL_BUFFER: a word is
+    extended only while it stays that close to the base point.  This is
+    a heuristic route (a large enough buffer recovers the full ball
+    because word geodesics fellow-travel the hyperbolic ones); it ends
+    when the pruned frontier exhausts itself.
     """
     p = complex(p)
-    gens = group.symmetric_generators()
-    tol = group.dedup_tol
-    seen = {_key(IDENT, tol)}
+    gens = [normalize(g) for m in (R_MAT, L_MAT) for g in (m, mat_inv(m))]
+    seen = {IDENT}
     frontier = [IDENT]
     hits = [IDENT]
-    exhausted = False
-    length = 0
-    while Lmax is None or length < Lmax:
-        length += 1
+    while frontier:
         nxt = []
         for w in frontier:
             for g in gens:
                 m = normalize(mat_mul(w, g))
-                k = _key(m, tol)
-                if k in seen:
+                if m in seen:
                     continue
-                seen.add(k)
+                seen.add(m)
                 disp = halfplane.dist(p, apply(m, p))
-                if disp > R + buffer:
+                if disp > R + WORD_BALL_BUFFER:
                     continue
                 nxt.append(m)
-                if disp <= R + slack:
+                if disp <= R + BALL_SLACK:
                     hits.append(m)
         frontier = nxt
-        if not frontier:
-            exhausted = True
-            break
-    cert = (f"displacement-pruned BFS, buffer={buffer}, word cap L={Lmax}, "
-            f"frontier {'exhausted' if exhausted else 'truncated'}")
-    return BallResult(sorted(set(hits)), R, p, complete=exhausted,
-                      certificate=cert, word_cap=Lmax)
-
-
-def _key(m, tol):
-    return tuple(round(x / tol) for x in m)
+    cert = (f"displacement-pruned BFS, buffer={WORD_BALL_BUFFER}, "
+            "frontier exhausted")
+    return BallResult(sorted(set(hits)), R, p, complete=True,
+                      certificate=cert)
 
 
 @dataclass(frozen=True)

@@ -117,16 +117,14 @@ def is_primitive(w):
     return True
 
 
-def ball_words(radius, rank=2, prefix=""):
-    """Yield all reduced words of length <= radius extending `prefix`,
-    in length-then-lexicographic order.  Deterministic.
+def ball_words(radius, rank=2):
+    """Yield all reduced words of length <= radius, in
+    length-then-lexicographic order.  Deterministic.
     """
     alpha = sorted(letters(rank))
-    if prefix and not is_reduced(prefix):
-        raise ValueError("prefix must be reduced")
-    frontier = [prefix]
-    yield prefix
-    for _ in range(len(prefix), radius):
+    frontier = [""]
+    yield ""
+    for _ in range(radius):
         nxt = []
         for w in frontier:
             for c in alpha:

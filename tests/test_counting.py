@@ -97,3 +97,13 @@ def test_primitive_test_matrices():
     assert not counting.primitive_test(counting.modular.mat_pow(m, 3))
     with pytest.raises(ValueError):
         counting.primitive_test((1, 1, 0, 1))  # parabolic
+
+
+def test_primitive_test_agrees_with_the_necklace_period():
+    # the Cayley-Hamilton root test shares no code with the necklace
+    # period that enumerate_conj_classes reads primitivity from
+    classes = counting.modular.enumerate_conj_classes(
+        8, include_imprimitive=True)
+    assert any(not c.primitive for c in classes)
+    for c in classes:
+        assert counting.primitive_test(c.matrix) == c.primitive

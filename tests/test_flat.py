@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from hyplab import flat
+from hyplab import counting, flat
+from hyplab.geometry import FLAT
 
 
 def test_lattice_ball_small_radii():
@@ -15,7 +16,7 @@ def test_lattice_ball_small_radii():
 
 
 def test_lattice_ball_quadratic_growth():
-    counts = flat.orbit_counts([10.0, 20.0, 40.0])
+    counts = counting.orbit_count(FLAT, (0.0, 0.0), [10.0, 20.0, 40.0]).counts
     # area law: count / (pi r^2) -> 1
     for r, c in zip((10.0, 20.0, 40.0), counts):
         assert abs(c / (math.pi * r * r) - 1.0) < 0.1

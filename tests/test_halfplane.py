@@ -212,12 +212,6 @@ def test_direction_toward_vertical_rays_and_scalar_type():
     assert type(hp.direction_toward(p, hp.INF)) is float
 
 
-def test_point_at_lands_at_the_right_distance():
-    for theta in (0.0, 1.1, 2.5, 4.0):
-        z = hp.point_at(1j, theta, 1.7)
-        assert hp.dist(1j, z) == pytest.approx(1.7, abs=1e-9)
-
-
 def test_shadow_arc_shrinks_with_distance():
     widths = []
     for d in (1.0, 2.0, 3.0):

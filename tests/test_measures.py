@@ -61,12 +61,14 @@ def test_tree_partition_is_a_partition():
     assert len(part.cells) == 4 * 3 ** 2
 
 
-def test_limit_cell_masses_tree_equals_visual_measure():
-    part = measures.tree_partition(2)
+@pytest.mark.parametrize("rank", [2, 3])
+def test_limit_cell_masses_tree_equals_visual_measure(rank):
+    # the s grid follows h = log(2k - 1) of the partition's rank
+    part = measures.tree_partition(2, rank=rank)
     masses, err, cauchy = measures.limit_cell_masses(TREE, "", part)
     assert cauchy
     for cell, m in zip(part.cells, masses):
-        assert m == pytest.approx(float(words.cylinder_measure(cell)),
+        assert m == pytest.approx(float(words.cylinder_measure(cell, rank)),
                                   abs=max(3 * err, 1e-9))
 
 
@@ -133,7 +135,7 @@ def test_conformal_check_plane_small():
 def _per_arc_plane_conformal(p, q, part, cap):
     """Reference route: one mass ratio and one fit per arc."""
     h, svals = 1.0, np.asarray(measures.DEFAULT_S_GRID_PLANE)
-    atoms = measures._plane_atoms(p, p, cap)
+    atoms = measures._plane_atoms(p, cap)
     dq = halfplane.dist(q, atoms.z)
     idx = part.locate_angle(halfplane.direction_toward(part.base, atoms.xi))
     far = atoms.d >= 0.5 * cap
@@ -169,10 +171,7 @@ def test_plane_conformal_reports_empty_cells_in_one_warning():
 
 
 def test_shadow_tree_is_a_cylinder():
-    desc = measures.shadow(TREE, "", "aab", 0.5)
-    assert measures.shadow_contains(desc, words.BoundaryWord("b",
-                                                             prefix="aab"))
-    assert not measures.shadow_contains(desc, words.BoundaryWord("b"))
+    assert measures.shadow(TREE, "", "aab", 0.5) == ("cyl", "aab")
 
 
 def test_shadow_mass_bounds_tree_family():
@@ -184,9 +183,18 @@ def test_shadow_mass_bounds_tree_family():
     assert max(ratios) / min(ratios) <= 2.0
 
 
-def test_pair_measure_tree_invariance_exact():
-    part = measures.tree_partition(3)
+@pytest.mark.parametrize("rank", [2, 3])
+def test_pair_measure_tree_invariance_exact(rank):
+    part = measures.tree_partition(3, rank=rank)
     pm = measures.pair_measure(TREE, "", part)
+    # h and the default masses come from the partition's rank
+    assert pm.h == math.log(2 * rank - 1)
+    for i, j in pm.weights:
+        assert pm.weights[(i, j)] == (
+            Fraction(2 * rank - 1) ** (2 * words.common_prefix_len(
+                part.cells[i], part.cells[j]))
+            * words.cylinder_measure(part.cells[i], rank)
+            * words.cylinder_measure(part.cells[j], rank))
     for g in ("a", "b", "A", "ab"):
         assert measures.pair_invariance_check(pm, g) == 0
 
@@ -251,10 +259,10 @@ def test_locate_angle_array_matches_scalar_formula():
 def test_plane_atom_cache_keeps_at_most_two_sets():
     measures._cached_atoms.cache_clear()
     for cap in (3.0, 4.0, 5.0):
-        measures._plane_atoms(2j, 2j, cap)
+        measures._plane_atoms(2j, cap)
     assert measures._cached_atoms.cache_info().currsize == 2
-    first = measures._plane_atoms(2j, 2j, 5.0)
-    assert measures._plane_atoms(2j, 2j, 5 + 1e-12) is first
+    first = measures._plane_atoms(2j, 5.0)
+    assert measures._plane_atoms(2j, 5 + 1e-12) is first
     assert measures._cached_atoms.cache_info().hits == 2
 
 

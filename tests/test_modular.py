@@ -56,7 +56,7 @@ def test_modular_ball_brute_force_word_crosscheck():
     p = 2j
     for R in (2.0, 4.0, 6.0):
         direct = modular.modular_ball(p, R)
-        bfs = modular.word_ball(modular.FuchsianGroup.modular(), p, R)
+        bfs = modular.word_ball(p, R)
         assert direct.complete and bfs.complete
         assert (sorted(modular.normalize(m) for m in direct.elements)
                 == sorted(modular.normalize(m) for m in bfs.elements))
@@ -127,8 +127,7 @@ def test_modular_ball_two_base_points_word_crosscheck():
     # d(p, gamma q) <= R implies d(p, gamma p) <= R + d(p, q), so the word
     # ball of that radius, filtered, is the two-point ball
     p, q, R = 2j, 1 + 1j, 4.0
-    wide = modular.word_ball(modular.FuchsianGroup.modular(), p,
-                             R + halfplane.dist(p, q))
+    wide = modular.word_ball(p, R + halfplane.dist(p, q))
     want = sorted(modular.normalize(m) for m in wide.elements
                   if halfplane.dist(p, modular.apply(m, q)) <= R + 1e-9)
     assert wide.complete
