@@ -240,9 +240,26 @@ def busemann_numeric(q, p, xi, horizon=30.0):
 
 
 def gromov_beta(p, xi, eta):
-    """beta_p(xi, eta) = -(b_p(q, xi) + b_p(q, eta)) for q on the line."""
-    q = line(xi, eta).point(0.0)
-    return -(busemann(q, p, xi) + busemann(q, p, eta))
+    """beta_p(xi, eta) = -(b_p(q, xi) + b_p(q, eta)) for q on the line
+    from xi to eta, in closed form:
+
+        beta_p(xi, eta) = log(|p - xi|^2 |p - eta|^2
+                              / (Im(p)^2 |xi - eta|^2)),
+
+    where a factor that holds an endpoint at inf is 1.  Broadcasts over
+    arrays of p, xi and eta; returns a float for scalar input.
+    """
+    p = np.asarray(p, dtype=complex)
+    xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
+    fx, fe = np.isinf(xi), np.isinf(eta)
+    x, e = np.where(fx, 0.0, xi), np.where(fe, 0.0, eta)
+    num = (np.where(fx, 1.0, np.abs(p - x) ** 2)
+           * np.where(fe, 1.0, np.abs(p - e) ** 2))
+    gap = np.where(fx | fe, 1.0, (x - e) ** 2)
+    if np.any((gap == 0.0) | (fx & fe)):
+        raise ValueError("coincident boundary points")
+    out = np.log(num / (p.imag ** 2 * gap))
+    return float(out) if out.ndim == 0 else out
 
 
 def visual_half_angle(ball_radius, distance_to_center):

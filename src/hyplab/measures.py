@@ -21,6 +21,7 @@ from . import flat, halfplane, modular, words
 from .geometry import FLAT, PLANE, TREE, BackendMismatch
 
 PAIR_WEIGHT_CAP = 1e6  # e^{h beta} above this: diagonal band, excluded
+PLANE_BASE = 1j  # every plane partition's arcs are angles at i
 
 
 # ---------------------------------------------------------------------------
@@ -31,14 +32,13 @@ class BoundaryPartition:
     """Finite partition of the boundary at infinity into disjoint cells.
 
     Tree cells are cylinders below reduced prefixes of a fixed depth.
-    Plane cells are arcs of the visual circle at `base`, stored as angle
-    intervals; the angle coordinate is the initial direction at `base` of
-    the ray toward the boundary point.
+    Plane cells are arcs of the visual circle at PLANE_BASE = i, stored as
+    angle intervals; the angle coordinate is the initial direction at i
+    of the ray toward the boundary point.
     """
 
     backend: str
     cells: tuple
-    base: object = None
     rank: int = 2
 
     def __len__(self):
@@ -51,7 +51,7 @@ class BoundaryPartition:
             cont = _forward_letter(w, self.rank)
             return words.BoundaryWord(cont, prefix=w)
         lo, hi = self.cells[i]
-        return halfplane.forward_endpoint(self.base, 0.5 * (lo + hi))
+        return halfplane.forward_endpoint(PLANE_BASE, 0.5 * (lo + hi))
 
     @functools.cached_property
     def representatives(self):
@@ -82,17 +82,17 @@ def tree_partition(depth, rank=2):
         raise ValueError("depth must be >= 1")
     cells = tuple(sorted(w for w in words.ball_words(depth, rank)
                          if len(w) == depth))
-    return BoundaryPartition(TREE, cells, base="", rank=rank)
+    return BoundaryPartition(TREE, cells, rank=rank)
 
 
-def plane_partition(n_arcs, base=1j):
-    """Uniform visual arcs at `base`: n equal angle sectors."""
+def plane_partition(n_arcs):
+    """Uniform visual arcs at PLANE_BASE: n equal angle sectors."""
     if n_arcs < 2:
         raise ValueError("need at least 2 arcs")
     step = 2.0 * math.pi / n_arcs
     cells = tuple((-math.pi + i * step, -math.pi + (i + 1) * step)
                   for i in range(n_arcs))
-    return BoundaryPartition(PLANE, cells, base=complex(base))
+    return BoundaryPartition(PLANE, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +155,9 @@ def poincare_series(backend, s, p=None, cap=30.0, rank=2):
             raise ValueError("series diverges for s <= 1 (modular group)")
         p = 2j if p is None else complex(p)
         atoms = _plane_atoms(p, cap)
-        d = atoms.d
-        partial = float(np.exp(-s * d).sum()) + atoms.base_atom
-        # measured upper growth constant over the outer half of the ball
-        c2 = _measured_c2(d, cap)
-        tail = c2 * math.exp(-(s - 1.0) * cap) / (1.0 - math.exp(-(s - 1.0)))
+        partial = float(np.exp(-s * atoms.d).sum()) + len(atoms.base_z)
+        tail = (atoms.c2 * math.exp(-(s - 1.0) * cap)
+                / (1.0 - math.exp(-(s - 1.0))))
         return partial, tail
     if backend == FLAT:
         if s <= 0:
@@ -179,22 +177,16 @@ def _apply_many(mats, z):
     return (a * z + b) / (c * z + d)
 
 
-def _measured_c2(dists, cap):
-    grid = np.arange(max(1.0, cap / 2.0), cap + 0.5, 1.0)
-    counts = np.searchsorted(np.sort(dists), grid + 1e-12)
-    return float(max(counts * np.exp(-grid)))
-
-
 def ps_measure(backend, p, s, cap, rank=2):
     """The orbital measure nu_{p,s}: atoms e^{-s d(p, gamma p)} at the
     orbit points gamma p, normalized by the Poincare series at p."""
     if backend == TREE:
         p = p or ""
         norm = tree_series_closed_form(s, rank)
-        atoms = []
-        for u in words.ball_words(int(cap), rank):
-            v = words.mul(p, u)  # orbit point at distance |u| from p
-            atoms.append((v, math.exp(-s * len(u)) / norm))
+        weight = [math.exp(-s * n) / norm for n in range(int(cap) + 1)]
+        ball = words.ball_words(int(cap), rank)
+        # the orbit point p u lies at distance |u| from p
+        atoms = [(words.mul(p, u) if p else u, weight[len(u)]) for u in ball]
         _, tail_num = poincare_series(TREE, s, cap=cap, rank=rank)
         total = sum(w for _, w in atoms)
         return AtomicMeasure(TREE, tuple(atoms), total, tail_num / norm,
@@ -202,8 +194,12 @@ def ps_measure(backend, p, s, cap, rank=2):
     if backend == PLANE:
         p = complex(p)
         npart, ntail = poincare_series(PLANE, s, p=p, cap=cap)
-        z = _apply_many(modular.modular_ball(p, cap).elements, p)
-        d = halfplane.dist(p, z)
+        # the cached atoms with those at p put back at their places in
+        # the ball's order, so the total mass sums in that order
+        atoms = _plane_atoms(p, cap)
+        at = atoms.base_at - np.arange(len(atoms.base_at))
+        z = np.insert(atoms.z, at, atoms.base_z)
+        d = np.insert(atoms.d, at, halfplane.dist(p, atoms.base_z))
         w = np.exp(-s * d) / npart
         total = float(w.sum())
         tail = ntail / npart + total * ntail / npart
@@ -245,34 +241,53 @@ def _tree_cell_masses(p, s, partition, cap):
 
 
 class _PlaneAtoms:
-    """Cached orbit atoms around a base point: positions, distances and
-    boundary directions, reused across the s grid."""
+    """Cached orbit atoms around a base point, reused across the s grid:
+    positions and distances, the s-independent tail constant and, built
+    on first use, each atom's boundary angle at PLANE_BASE and their
+    circular sort order.  The atoms at p itself are kept apart, with
+    their positions in the ball's order."""
 
     def __init__(self, p, cap):
         self.p = complex(p)
         # the ball is dropped as soon as its orbit points are known
         z = _apply_many(modular.modular_ball(self.p, cap).elements, self.p)
-        keep = np.abs(z - self.p) > 1e-12  # drop the atom at p itself
-        self.z = z[keep]
+        base = np.abs(z - self.p) <= 1e-12
+        self.base_at = np.flatnonzero(base)
+        self.base_z = z[base]
+        self.z = z[~base]
         self.d = halfplane.dist(self.p, self.z)
-        self.xi = halfplane.geodesic_endpoints(self.p, self.z)[1]
-        self.base_atom = int((~keep).sum())
+        # measured upper growth constant C2 of the orbit counts over the
+        # outer half of the ball, for the tail C2 e^{R} of the series
+        grid = np.arange(max(1.0, cap / 2.0), cap + 0.5, 1.0)
+        counts = np.searchsorted(np.sort(self.d), grid + 1e-12)
+        self.c2 = float(max(counts * np.exp(-grid)))
+
+    @functools.cached_property
+    def theta(self):
+        """Angle at PLANE_BASE of the ray toward each atom's boundary
+        point, the endpoint of the geodesic from p through the atom."""
+        xi = halfplane.geodesic_endpoints(self.p, self.z)[1]
+        return halfplane.direction_toward(PLANE_BASE, xi)
+
+    @functools.cached_property
+    def _circular(self):
+        """(sort order, sorted angles) of theta taken in [0, 2 pi)."""
+        th = np.mod(self.theta, 2.0 * math.pi)
+        order = np.argsort(th)
+        return order, th[order]
 
     def cell_masses(self, s, partition, norm, floor=0.0):
         sel = self.d >= floor
-        idx = partition.locate_angle(
-            halfplane.direction_toward(partition.base, self.xi[sel]))
+        idx = partition.locate_angle(self.theta[sel])
         w = np.exp(-s * self.d[sel])
         w /= w.sum() if norm is None else norm
         return np.bincount(idx, weights=w, minlength=len(partition))
 
-    def interval_masses(self, s, intervals, partition, norm):
+    def interval_masses(self, s, intervals, norm):
         """Masses of arbitrary circular angle intervals (lo, hi) ccw."""
-        th = np.mod(halfplane.direction_toward(partition.base, self.xi),
-                    2.0 * math.pi)
+        order, th_s = self._circular
         w = np.exp(-s * self.d) / norm
-        order = np.argsort(th)
-        th_s, w_s = th[order], np.concatenate(([0.0], np.cumsum(w[order])))
+        w_s = np.concatenate(([0.0], np.cumsum(w[order])))
         out = []
         for lo, hi in intervals:
             lo, hi = lo % (2.0 * math.pi), hi % (2.0 * math.pi)
@@ -380,8 +395,7 @@ def _far_log_ratios(atoms, q, partition, h, cap):
     """
     n = len(partition)
     dq = halfplane.dist(q, atoms.z)
-    idx = partition.locate_angle(
-        halfplane.direction_toward(partition.base, atoms.xi))
+    idx = partition.locate_angle(atoms.theta)
     # near atoms go to an extra cell n that is dropped, so the atom arrays
     # are read in place, not copied through a mask (at cap 12 all but
     # about 0.25% of them are far); each cell still sums the same far
@@ -495,15 +509,14 @@ def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
     if backend == PLANE:
         p, x = complex(p), complex(x)
         lo, hi = halfplane.shadow_arc(p, x, rho)
-        part = plane_partition(256)
-        th = halfplane.direction_toward(part.base, [lo, hi])
+        th = halfplane.direction_toward(PLANE_BASE, [lo, hi])
         interval = (th[0], th[1])
         cap = 12.0 if cap is None else cap
         rows = []
         for s in DEFAULT_S_GRID_PLANE:
             norm, _ = poincare_series(PLANE, s, p=p, cap=cap)
             rows.append(_plane_atoms(p, cap)
-                        .interval_masses(s, [interval], part, norm))
+                        .interval_masses(s, [interval], norm))
         mass, _, _ = extrapolate_to_h(rows, DEFAULT_S_GRID_PLANE, 1.0)
         d = halfplane.dist(p, x)
         return float(mass[0]), float(mass[0] * math.exp(d))
@@ -556,18 +569,16 @@ def pair_measure(backend, p, partition, masses=None, cap=None):
         p = complex(p)
         if masses is None:
             masses, _ = _annulus_limit_masses(p, partition, cap=cap)
-        weights, excluded = {}, set()
-        reps = partition.representatives
-        for i in range(len(partition)):
-            for j in range(i + 1, len(partition)):
-                beta = halfplane.gromov_beta(p, reps[i], reps[j])
-                factor = math.exp(h * beta)
-                if factor > PAIR_WEIGHT_CAP:
-                    excluded.add((i, j))
-                    continue
-                weights[(i, j)] = factor * masses[i] * masses[j]
-        return PairMeasure(PLANE, p, partition, weights,
-                           frozenset(excluded), h)
+        masses = np.asarray(masses, dtype=float)
+        reps = np.array(partition.representatives)
+        i, j = np.triu_indices(len(partition), 1)
+        factor = np.exp(h * halfplane.gromov_beta(p, reps[i], reps[j]))
+        out = factor > PAIR_WEIGHT_CAP
+        i_in, j_in, f_in = i[~out], j[~out], factor[~out]
+        weights = dict(zip(zip(i_in.tolist(), j_in.tolist()),
+                           (f_in * masses[i_in] * masses[j_in]).tolist()))
+        excluded = frozenset(zip(i[out].tolist(), j[out].tolist()))
+        return PairMeasure(PLANE, p, partition, weights, excluded, h)
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
@@ -644,19 +655,20 @@ def pair_invariance_check(pm, gamma, cap=None):
     q = modular.apply(modular.mat_inv(gamma), p)
     log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q, part, h,
                                         cap)
-    reps = part.representatives
-    greps = [halfplane.mobius_apply_boundary(gamma, r) for r in reps]
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            # pm.excluded holds the pairs with e^{h beta} > PAIR_WEIGHT_CAP
-            if (i, j) in pm.excluded or not (usable[i] and usable[j]):
-                continue
-            beta = halfplane.gromov_beta(p, reps[i], reps[j])
-            dlog = (h * (halfplane.gromov_beta(p, greps[i], greps[j])
-                         - beta) + log_ratio[i] + log_ratio[j])
-            worst = max(worst, abs(math.exp(dlog) - 1.0))
-    return worst
+    reps = np.array(part.representatives)
+    greps = np.array([halfplane.mobius_apply_boundary(gamma, r)
+                      for r in reps])
+    # pm.excluded holds the pairs with e^{h beta} > PAIR_WEIGHT_CAP
+    keep = usable[:, None] & usable[None, :]
+    if pm.excluded:
+        keep[tuple(np.array(list(pm.excluded)).T)] = False
+    i, j = np.triu_indices(n, 1)
+    sel = keep[i, j]
+    i, j = i[sel], j[sel]
+    beta = halfplane.gromov_beta(p, reps[i], reps[j])
+    dlog = (h * (halfplane.gromov_beta(p, greps[i], greps[j]) - beta)
+            + log_ratio[i] + log_ratio[j])
+    return float(np.max(np.abs(np.exp(dlog) - 1.0), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,33 @@ def test_gromov_beta_vertical_line():
     assert hp.gromov_beta(4j, -1.0, 1.0) > 1.0
 
 
+def _composite_gromov_beta(p, xi, eta):
+    """Reference route: two Busemann values at the line's origin."""
+    q = hp.line(xi, eta).point(0.0)
+    return -(hp.busemann(q, p, xi) + hp.busemann(q, p, eta))
+
+
+def test_gromov_beta_arrays_match_the_busemann_route():
+    rng = np.random.default_rng(11)
+    n = 1200
+    p = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(0.1, 4.0, n)
+    xi, eta = rng.uniform(-10.0, 10.0, (2, n))
+    xi[::7] = hp.INF
+    eta[3::11] = hp.INF
+    eta[xi == hp.INF] = rng.uniform(-10.0, 10.0, (xi == hp.INF).sum())
+    want = [_composite_gromov_beta(*args) for args in zip(p, xi, eta)]
+    got = hp.gromov_beta(p, xi, eta)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for args in [(2j, -1.0, 1.0), (2j, hp.INF, 0.5), (0.3 + 1j, 0.2, hp.INF)]:
+        beta = hp.gromov_beta(*args)
+        assert type(beta) is float
+        assert beta == pytest.approx(_composite_gromov_beta(*args),
+                                     rel=0, abs=1e-12)
+    with pytest.raises(ValueError):
+        hp.gromov_beta(2j, 0.5, 0.5)
+
+
 def test_dist_to_segment_vanishes_on_the_segment():
     p = np.array([-1 + 1j, 1j])
     q = np.array([1 + 1j, 3j])

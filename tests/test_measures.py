@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyplab import counting, halfplane, measures, words
+from hyplab import counting, halfplane, measures, modular, words
 from hyplab.geometry import FLAT, PLANE, TREE, BackendMismatch
 
 
@@ -137,7 +137,9 @@ def _per_arc_plane_conformal(p, q, part, cap):
     h, svals = 1.0, np.asarray(measures.DEFAULT_S_GRID_PLANE)
     atoms = measures._plane_atoms(p, cap)
     dq = halfplane.dist(q, atoms.z)
-    idx = part.locate_angle(halfplane.direction_toward(part.base, atoms.xi))
+    xi = halfplane.geodesic_endpoints(p, atoms.z)[1]
+    idx = part.locate_angle(halfplane.direction_toward(measures.PLANE_BASE,
+                                                       xi))
     far = atoms.d >= 0.5 * cap
     worst = 0.0
     for i in range(len(part)):
@@ -238,6 +240,82 @@ def test_pair_invariance_plane_identity_is_zero():
     pm = measures.pair_measure(PLANE, 2j, part)
     assert measures.pair_invariance_check(pm, (1, 0, 0, 1)) \
         == pytest.approx(0.0, abs=1e-9)
+
+
+def _per_pair_plane_measure(p, part, masses):
+    """Reference route: one Gromov product and one weight per cell pair."""
+    reps = part.representatives
+    weights, excluded = {}, set()
+    for i in range(len(part)):
+        for j in range(i + 1, len(part)):
+            factor = math.exp(halfplane.gromov_beta(p, reps[i], reps[j]))
+            if factor > measures.PAIR_WEIGHT_CAP:
+                excluded.add((i, j))
+            else:
+                weights[(i, j)] = factor * masses[i] * masses[j]
+    return weights, excluded
+
+
+def _per_pair_plane_invariance(pm, gamma, cap):
+    """Reference route: one relative defect per usable, kept cell pair."""
+    p, part = pm.base, pm.partition
+    q = modular.apply(modular.mat_inv(gamma), p)
+    log_ratio, usable = measures._far_log_ratios(
+        measures._plane_atoms(p, cap), q, part, pm.h, cap)
+    reps = part.representatives
+    greps = [halfplane.mobius_apply_boundary(gamma, r) for r in reps]
+    worst = 0.0
+    for i in range(len(part)):
+        for j in range(i + 1, len(part)):
+            if (i, j) in pm.excluded or not (usable[i] and usable[j]):
+                continue
+            dlog = (pm.h * (halfplane.gromov_beta(p, greps[i], greps[j])
+                            - halfplane.gromov_beta(p, reps[i], reps[j]))
+                    + log_ratio[i] + log_ratio[j])
+            worst = max(worst, abs(math.exp(dlog) - 1.0))
+    return worst
+
+
+@pytest.mark.parametrize("weight_cap", [measures.PAIR_WEIGHT_CAP, 3.0])
+def test_plane_pair_routes_equal_per_pair_loops(weight_cap, monkeypatch):
+    # a low weight cap excludes 913 of the 2016 pairs, among them the
+    # pair of the largest defect under (2, 1, 1, 1)
+    monkeypatch.setattr(measures, "PAIR_WEIGHT_CAP", weight_cap)
+    cap, part = 10.0, measures.plane_partition(64)
+    masses, _, _ = measures.limit_cell_masses(PLANE, 2j, part, cap=cap)
+    pm = measures.pair_measure(PLANE, 2j, part, masses=masses)
+    weights, excluded = _per_pair_plane_measure(2j, part, masses)
+    assert pm.excluded == excluded
+    assert bool(excluded) == (weight_cap < 1e6)
+    assert pm.weights.keys() == weights.keys()
+    for key, w in weights.items():
+        assert pm.weights[key] == pytest.approx(w, rel=0, abs=1e-12)
+    for gamma in [(1, 1, 0, 1), (2, 1, 1, 1)]:
+        assert measures.pair_invariance_check(pm, gamma, cap=cap) \
+            == pytest.approx(_per_pair_plane_invariance(pm, gamma, cap),
+                             rel=0, abs=1e-12)
+
+
+def test_plane_checks_build_the_atom_angles_once(monkeypatch):
+    measures._cached_atoms.cache_clear()
+    sizes = []
+    toward = halfplane.direction_toward
+
+    def counted(p, xi):
+        sizes.append(np.size(xi))
+        return toward(p, xi)
+
+    monkeypatch.setattr(halfplane, "direction_toward", counted)
+    cap, part = 10.0, measures.plane_partition(64)
+    measures.conformal_check(PLANE, 2j, 1 + 1j, part, cap=cap)
+    for n in range(1, 6):
+        measures.shadow_mass_bounds(PLANE, 2j, 2j * math.exp(1.0 + 0.5 * n),
+                                    1.0, cap=cap)
+    pm = measures.pair_measure(PLANE, 2j, part, masses=np.ones(len(part)))
+    measures.pair_invariance_check(pm, (1, 1, 0, 1), cap=cap)
+    n_atoms = len(measures._plane_atoms(2j, cap).z)
+    # the shadow arcs' two endpoints are the only other angles taken
+    assert [n for n in sizes if n > 2] == [n_atoms]
 
 
 def test_locate_angle_array_matches_scalar_formula():
