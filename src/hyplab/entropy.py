@@ -46,10 +46,17 @@ class FlowPoint:
                     raise ValueError(f"window word {w!r} not reduced")
             if self.future[0] == self.past[0]:
                 raise ValueError("flow line backtracks at time 0")
+        elif self.backend == PLANE:
+            p = complex(self.pos)
+            object.__setattr__(self, "geodesic", halfplane.Geodesic(
+                halfplane.forward_endpoint(p, self.theta + math.pi),
+                halfplane.forward_endpoint(p, self.theta), p))
         elif self.backend == FLAT:
             object.__setattr__(self, "pos",
                                np.mod(np.asarray(self.pos, dtype=float),
                                       1.0))
+        else:
+            raise BackendMismatch(f"unknown backend {self.backend!r}")
 
     def point(self, t):
         """The base-space point c_v(t); on the continuous backends an
@@ -64,21 +71,9 @@ class FlowPoint:
                 return words.mul(self.origin, words.reduce_word(ext[:n]))
             return words.mul(self.origin, word[:n])
         if self.backend == PLANE:
-            return self._geodesic().point(self._t0 + t)
-        if self.backend == FLAT:
-            v = np.array([math.cos(self.theta), math.sin(self.theta)])
-            return self.pos + np.multiply.outer(t, v)
-        raise BackendMismatch(f"unknown backend {self.backend!r}")
-
-    def _geodesic(self):
-        if not hasattr(self, "_geo"):
-            p = complex(self.pos)
-            fwd = halfplane.forward_endpoint(p, self.theta)
-            bwd = halfplane.forward_endpoint(p, self.theta + math.pi)
-            g = halfplane.line(bwd, fwd)
-            object.__setattr__(self, "_geo", g)
-            object.__setattr__(self, "_t0", g.time_of(p))
-        return self._geo
+            return self.geodesic.point(t)
+        v = np.array([math.cos(self.theta), math.sin(self.theta)])
+        return self.pos + np.multiply.outer(t, v)
 
     def shift(self, t):
         """The time-shifted flow point phi_t(v) (integer t on the tree)."""
@@ -96,23 +91,10 @@ class FlowPoint:
             return FlowPoint(TREE, new_origin, word[n:],
                              words.reduce_word(back), window=self.window)
         if self.backend == PLANE:
-            g = self._geodesic()
-            z = g.point(self._t0 + t)
-            th = halfplane.direction_toward(z, g.v)
+            z = self.point(t)
+            th = halfplane.direction_toward(z, self.geodesic.v)
             return FlowPoint(PLANE, pos=z, theta=th)
-        if self.backend == FLAT:
-            return FlowPoint(FLAT, pos=self.point(t), theta=self.theta)
-        raise BackendMismatch(f"unknown backend {self.backend!r}")
-
-
-def _base_dist(backend, a, b):
-    if backend == TREE:
-        return float(words.distance(a, b))
-    if backend == PLANE:
-        return float(halfplane.dist(complex(a), complex(b)))
-    if backend == FLAT:
-        return flat.torus_dist(a, b)
-    raise BackendMismatch(f"unknown backend {backend!r}")
+        return FlowPoint(FLAT, pos=self.point(t), theta=self.theta)
 
 
 def dyn_metric(v, w, k):
@@ -131,7 +113,8 @@ def dyn_metric(v, w, k):
                                         words.mul(w.origin, w.future[:t])))
                    for t in range(int(k) + 1))
     ts = np.linspace(0.0, float(k), max(2, int(k * SAMPLES_PER_UNIT) + 1))
-    return max(_base_dist(v.backend, v.point(t), w.point(t)) for t in ts)
+    metric = flat.torus_dist if v.backend == FLAT else halfplane.dist
+    return max(metric(v.point(t), w.point(t)) for t in ts)
 
 
 @dataclass(frozen=True)
@@ -389,36 +372,34 @@ def z_set_probe(v, rho, horizon=20, sample_budget=400, seed=11):
         normal = v.theta + 0.5 * math.pi
         shift = offset * np.array([math.cos(normal), math.sin(normal)])
         witness = FlowPoint(FLAT, pos=v.pos + shift, theta=v.theta)
-        sep = max(_base_dist(FLAT, v.point(t), witness.point(t))
+        sep = max(flat.torus_dist(v.point(t), witness.point(t))
                   for t in np.linspace(-horizon, horizon, 4 * horizon + 1))
         return ProbeReport(
             "NON-EXPANSIVE-WITNESS", rho, witness=witness,
             detail=f"parallel line at offset {offset:g}, "
                    f"max separation {sep:.6f} <= rho over the horizon")
-    if v.backend == PLANE:
-        rng = np.random.default_rng(seed)
-        ts = np.linspace(-horizon, horizon, 4 * horizon + 1)
-        ref = [complex(v.point(t)) for t in ts]
-        for _ in range(sample_budget):
-            dz = complex(rng.normal(0, 0.3 * rho), rng.normal(0, 0.3 * rho))
-            dth = rng.normal(0, 0.5 * rho)
-            if abs(dz) < 1e-9 and abs(dth) < 1e-9:
-                continue
-            w = FlowPoint(PLANE, pos=complex(v.pos) + dz,
-                          theta=v.theta + dth)
-            # skip time shifts of v itself (same unoriented line)
-            gv, gw = v._geodesic(), w._geodesic()
-            if (abs(gv.u - gw.u) < 1e-9 and abs(gv.v - gw.v) < 1e-9):
-                continue
-            if all(_base_dist(PLANE, a, w.point(t)) <= rho
-                   for a, t in zip(ref, ts)):
-                return ProbeReport("NON-EXPANSIVE-WITNESS", rho, witness=w)
-        return ProbeReport(
-            "UNKNOWN", rho,
-            detail=f"no witness among {sample_budget} seeded perturbations "
-                   f"over |t| <= {horizon}; consistent with expansivity "
-                   "(evidence, not proof)")
-    raise BackendMismatch(f"unknown backend {v.backend!r}")
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(-horizon, horizon, 4 * horizon + 1)
+    ref = [complex(v.point(t)) for t in ts]
+    for _ in range(sample_budget):
+        dz = complex(rng.normal(0, 0.3 * rho), rng.normal(0, 0.3 * rho))
+        dth = rng.normal(0, 0.5 * rho)
+        if abs(dz) < 1e-9 and abs(dth) < 1e-9:
+            continue
+        w = FlowPoint(PLANE, pos=complex(v.pos) + dz,
+                      theta=v.theta + dth)
+        # skip time shifts of v itself (same unoriented line)
+        gv, gw = v.geodesic, w.geodesic
+        if (abs(gv.u - gw.u) < 1e-9 and abs(gv.v - gw.v) < 1e-9):
+            continue
+        if all(halfplane.dist(a, w.point(t)) <= rho
+               for a, t in zip(ref, ts)):
+            return ProbeReport("NON-EXPANSIVE-WITNESS", rho, witness=w)
+    return ProbeReport(
+        "UNKNOWN", rho,
+        detail=f"no witness among {sample_budget} seeded perturbations "
+               f"over |t| <= {horizon}; consistent with expansivity "
+               "(evidence, not proof)")
 
 
 def endpoint_fiber_probe(backend, xi, eta):
@@ -441,7 +422,7 @@ def endpoint_fiber_probe(backend, xi, eta):
         if xi == eta:
             raise ValueError("endpoints must differ")
         g = halfplane.line(xi, eta)
-        kind = "vertical line" if g.vertical else "semicircle"
+        kind = "vertical line" if g.vert else "semicircle"
         return 1, f"unique geodesic ({kind}) determined by its endpoints"
     if backend == FLAT:
         a = FlowPoint(FLAT, pos=(0.0, 0.0), theta=float(xi))

@@ -39,6 +39,9 @@ def estimate_delta(backend, sample_count=10000, radius=10.0, seed=0):
     if backend == PLANE:
         d = halfplane.estimate_delta_mc(sample_count, radius, seed)
         return HyperbolicityConstant(d, "estimated")
-    tri, defect = flat.witness_triangle(radius)
-    return HyperbolicityConstant(math.inf, "unbounded-witness",
-                                 witness={"triangle": tri, "defect": defect})
+    if backend == FLAT:
+        tri, defect = flat.witness_triangle(radius)
+        return HyperbolicityConstant(math.inf, "unbounded-witness",
+                                     witness={"triangle": tri,
+                                              "defect": defect})
+    raise BackendMismatch(f"unknown backend {backend!r}")

@@ -26,17 +26,11 @@ def dist(p, q):
 
 
 def mobius_apply(m, z):
-    """Apply a real Mobius matrix (a, b, c, d) to complex z (or inf)."""
+    """Apply a real Mobius matrix (a, b, c, d) to interior points z
+    (complex or arrays); boundary points go through
+    mobius_apply_boundary."""
     a, b, c, d = m
-    if np.isscalar(z) or getattr(z, "ndim", 1) == 0:
-        z = complex(z) if z != INF else INF
-        if z == INF:
-            return a / c if c != 0 else INF
-        den = c * z + d
-        if den == 0:
-            return INF
-        return (a * z + b) / den
-    z = np.asarray(z, dtype=complex)
+    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
     return (a * z + b) / (c * z + d)
 
 
@@ -49,14 +43,6 @@ def mobius_apply_boundary(m, x):
     if den == 0:
         return INF
     return (a * x + b) / den
-
-
-def mobius_to_infinity(xi):
-    """A determinant-one real Mobius matrix sending boundary point xi to inf."""
-    if xi == INF:
-        return (1.0, 0.0, 0.0, 1.0)
-    # z -> -1 / (z - xi)
-    return (0.0, -1.0, 1.0, -float(xi))
 
 
 def geodesic_endpoints(p, q):
@@ -95,13 +81,6 @@ def forward_endpoint(z, theta):
     return c + r if c_ > 0 else c - r
 
 
-def direction_to(p, q):
-    """Initial Euclidean tangent angle at p of the geodesic from p to q."""
-    p, q = complex(p), complex(q)
-    u, v = geodesic_endpoints(p, q)
-    return direction_toward(p, v)
-
-
 def direction_toward(p, xi):
     """Initial tangent angle in [-pi, pi) at interior point p of the
     geodesic ray toward boundary point xi (real or inf).
@@ -130,66 +109,79 @@ def direction_toward(p, xi):
     return float(out[0]) if scalar else out
 
 
-class Geodesic:
+class _AxisChart:
+    """The chart of geodesics with ideal endpoints u, v onto the imaginary
+    axis: w = (z - lo)/(hi - z) with lo < hi, or w = z - x0 on a vertical
+    line.  w is purely imaginary on the geodesic, log|w| is arclength
+    along it, and |w| / Im w is cosh of the distance to it.
+
+    The one home of the chart and its vertical patch.  u, v and x0 are
+    arrays for a family of geodesics; for one line they stay Python
+    floats, so a scalar point maps in Python complex arithmetic.
+    """
+
+    __slots__ = ("lo", "hi", "vert", "x0")
+
+    def __init__(self, u, v, x0):
+        self.x0 = x0
+        if np.ndim(u) == 0 and np.ndim(v) == 0:
+            self.lo, self.hi = min(u, v), max(u, v)
+            self.vert = True if INF in (u, v) else None
+            return
+        vert = np.isinf(u) | np.isinf(v)
+        # a vertical line gets the finite stand-in (-1, 1), so no inf
+        # reaches the circle chart whose values the vertical patch replaces
+        self.lo = np.where(vert, -1.0, np.minimum(u, v))
+        self.hi = np.where(vert, 1.0, np.maximum(u, v))
+        self.vert = vert if vert.any() else None
+
+    def to_w(self, z):
+        if self.vert is True:
+            return z - self.x0
+        w = z - self.lo
+        w /= self.hi - z
+        if self.vert is None:
+            return w
+        return np.where(self.vert, z - self.x0, w)
+
+    def from_w(self, w):
+        if self.vert is True:
+            return self.x0 + w
+        z = self.hi * w
+        z += self.lo
+        z /= w + 1.0
+        if self.vert is None:
+            return z
+        return np.where(self.vert, self.x0 + w, z)
+
+
+class Geodesic(_AxisChart):
     """Unit-speed geodesic in the half-plane, given by its ideal endpoints
     (u toward -inf-time, v toward +inf-time) and an anchor point at t=0.
 
-    Internally parameterized through the standard chart sending the
-    geodesic to the positive imaginary axis; `sign` flips when v is the
+    Parameterized through its axis chart: point(t) has log|w| = sigma0 +
+    sign * t, where sigma0 is the anchor's and `sign` flips when v is the
     smaller endpoint.  point(t) accepts scalars or arrays.
     """
 
-    __slots__ = ("u", "v", "sign", "sigma0", "vertical", "x0")
+    __slots__ = ("u", "v", "sign", "sigma0")
 
     def __init__(self, u, v, anchor):
         if u == v:
             raise ValueError("coincident ideal endpoints")
+        super().__init__(u, v, u if v == INF else v)
         self.u, self.v = u, v
-        self.vertical = u == INF or v == INF
-        anchor = complex(anchor)
-        if self.vertical:
-            self.x0 = u if v == INF else v
-            self.sign = 1.0 if v == INF else -1.0
-            self.sigma0 = math.log(anchor.imag)
-        else:
-            self.x0 = None
-            self.sign = 1.0 if v > u else -1.0
-            self.sigma0 = math.log(self._chart(anchor))
-        if abs(self._anchor_defect(anchor)) > 1e-6:
+        self.sign = 1.0 if v > u else -1.0
+        w = self.to_w(complex(anchor))
+        # |Re w| / |w| is tanh of the anchor's distance to the geodesic
+        if abs(w.real) > 1e-6 * abs(w):
             raise ValueError("anchor does not lie on the geodesic")
-
-    def _chart(self, z):
-        """|w| for w = (z - lo)/(hi - z); log of it is the axis parameter."""
-        lo, hi = min(self.u, self.v), max(self.u, self.v)
-        return abs((z - lo) / (hi - z))
-
-    def _anchor_defect(self, z):
-        if self.vertical:
-            return z.real - self.x0
-        lo, hi = min(self.u, self.v), max(self.u, self.v)
-        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return abs(z - c) - r
+        self.sigma0 = math.log(abs(w))
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        sigma = self.sigma0 + self.sign * t
-        if self.vertical:
-            out = self.x0 + 1j * np.exp(sigma)
-        else:
-            lo, hi = min(self.u, self.v), max(self.u, self.v)
-            w = 1j * np.exp(sigma)
-            out = (hi * w + lo) / (w + 1.0)
-        out = np.asarray(out)
+        sigma = self.sigma0 + self.sign * np.asarray(t, dtype=float)
+        out = np.asarray(self.from_w(1j * np.exp(sigma)))
         return complex(out) if out.ndim == 0 else out
-
-    def time_of(self, z):
-        """Parameter t of the foot of z on the geodesic (exact if z on it)."""
-        z = complex(z)
-        if self.vertical:
-            sigma = math.log(z.imag)
-        else:
-            sigma = math.log(self._chart(z))
-        return self.sign * (sigma - self.sigma0)
 
     def __repr__(self):
         return f"Geodesic(u={self.u}, v={self.v})"
@@ -207,8 +199,6 @@ def line(xi, eta):
     """Unit-speed line from xi (t=-inf) to eta (t=+inf).  Its origin
     (t=0) is the top of the semicircle, (xi+eta)/2 + i|eta-xi|/2, or the
     point at height 1 on a vertical line."""
-    if xi == eta:
-        raise ValueError("coincident boundary points")
     if xi == INF or eta == INF:
         x = eta if xi == INF else xi
         anchor = x + 1j
@@ -219,14 +209,22 @@ def line(xi, eta):
 
 
 def busemann(q, p, xi):
-    """b_p(q, xi) = lim_t d(q, c(t)) - t along the ray from p to xi.
+    """b_p(q, xi) = lim_t d(q, c(t)) - t along the ray from p to xi, in
+    closed form:
 
-    Closed form: conjugate xi to infinity, then b = ln Im(p') - ln Im(q').
+        b_p(q, xi) = log(Im(p) |q - xi|^2 / (Im(q) |p - xi|^2)),
+
+    and log(Im(p) / Im(q)) at xi = inf.  Broadcasts over arrays of q, p
+    and xi; returns a float for scalar input.
     """
-    m = mobius_to_infinity(xi)
-    pp = mobius_apply(m, complex(p))
-    qq = mobius_apply(m, complex(q))
-    return math.log(pp.imag) - math.log(qq.imag)
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
+    xi = np.asarray(xi, dtype=float)
+    inf = np.isinf(xi)
+    x = np.where(inf, 0.0, xi)
+    gq = np.where(inf, 1.0, np.square(np.abs(q - x)))
+    gp = np.where(inf, 1.0, np.square(np.abs(p - x)))
+    out = np.log(p.imag * gq / (q.imag * gp))
+    return float(out) if out.ndim == 0 else out
 
 
 def busemann_numeric(q, p, xi, horizon=30.0):
@@ -279,7 +277,7 @@ def shadow_arc(x, p, rho):
     if d <= rho:
         raise ValueError("viewpoint inside the ball")
     theta = visual_half_angle(rho, d)
-    t0 = direction_to(x, p)
+    t0 = direction_toward(x, geodesic_endpoints(x, p)[1])
     return (forward_endpoint(x, t0 - theta), forward_endpoint(x, t0 + theta))
 
 
@@ -296,46 +294,24 @@ def random_points(rng, n, radius, center=1j):
     return c.real + c.imag * z
 
 
-class _SegmentChart:
-    """The chart of the geodesic segments p[i] -> q[i] (arrays of shape
-    (m, 1)) onto the imaginary axis: w = (z - lo)/(hi - z) with lo < hi
-    the ideal endpoints, or w = z - Re p on a vertical line.  w is purely
-    imaginary on the geodesic and log|w| is arclength along it; sp and sq
-    are that arclength at p and q.
+class _SegmentChart(_AxisChart):
+    """The axis chart of the geodesic segments p[i] -> q[i] (arrays of
+    shape (m,), held as (m, 1)), with the vertical patch w = z - Re p; sp
+    and sq are the arclength log|w| at p and q.
 
-    The one home of the segment chart: sampling a side and measuring the
-    distance to it both read the endpoints built here once.
+    Sampling a side and measuring the distance to it both read the
+    endpoints built here once.
     """
 
-    __slots__ = ("p", "q", "lo", "hi", "vert", "x0", "sp", "sq")
+    __slots__ = ("p", "q", "sp", "sq")
 
     def __init__(self, p, q):
+        p = np.asarray(p, dtype=complex)[:, None]
+        q = np.asarray(q, dtype=complex)[:, None]
+        super().__init__(*geodesic_endpoints(p, q), p.real)
         self.p, self.q = p, q
-        u, v = geodesic_endpoints(p, q)
-        vert = np.isinf(u) | np.isinf(v)
-        # a vertical line gets the finite stand-in (-1, 1), so no inf
-        # reaches the circle chart whose values the vertical patch replaces
-        self.lo = np.where(vert, -1.0, np.minimum(u, v))
-        self.hi = np.where(vert, 1.0, np.maximum(u, v))
-        self.vert = vert if vert.any() else None
-        self.x0 = p.real
         self.sp = np.log(np.abs(self.to_w(p)))
         self.sq = np.log(np.abs(self.to_w(q)))
-
-    def to_w(self, z):
-        w = z - self.lo
-        w /= self.hi - z
-        if self.vert is None:
-            return w
-        return np.where(self.vert, z - self.x0, w)
-
-    def from_w(self, w):
-        z = self.hi * w
-        z += self.lo
-        z /= w + 1.0
-        if self.vert is None:
-            return z
-        return np.where(self.vert, self.x0 + w, z)
 
     def sample(self, n):
         """n points evenly spaced in arclength from p to q, shape (m, n)."""
@@ -362,24 +338,19 @@ class _SegmentChart:
         return out
 
 
-def _segments(p, q):
-    return _SegmentChart(np.asarray(p, dtype=complex)[:, None],
-                      np.asarray(q, dtype=complex)[:, None])
-
-
 def geodesic_sample(p, q, n):
     """n points evenly spaced (in arclength) along each segment p[i]->q[i].
 
     p, q: complex arrays of shape (m,).  Returns an (m, n) complex array.
     """
-    return _segments(p, q).sample(n)
+    return _SegmentChart(p, q).sample(n)
 
 
 def dist_to_segment(z, p, q):
     """Distance from points z (shape (m, n)) to the geodesic segments
     p[i] -> q[i] (shape (m,)): closed-form foot-of-perpendicular distance,
     clamped to the nearer endpoint when the foot falls outside."""
-    return _segments(p, q).dist(np.asarray(z, dtype=complex))
+    return _SegmentChart(p, q).dist(np.asarray(z, dtype=complex))
 
 
 def triangle_thinness(a, b, c, samples_per_side=24):
@@ -387,7 +358,7 @@ def triangle_thinness(a, b, c, samples_per_side=24):
     over sides of the max over sampled points on the side of the distance
     to the union of the other two sides.  Side points are sampled; the
     distance to each opposite side is exact."""
-    sides = [_segments(a, b), _segments(b, c), _segments(c, a)]
+    sides = [_SegmentChart(a, b), _SegmentChart(b, c), _SegmentChart(c, a)]
     defect = np.zeros(len(sides[0].p))
     for k, side in enumerate(sides):
         pts = side.sample(samples_per_side)

@@ -457,11 +457,9 @@ def conformal_check(backend, p, q, partition, cap=None):
         h = 1.0
         log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q,
                                             partition, h, cap)
-        worst = 0.0
-        for i in np.flatnonzero(usable):
-            b = halfplane.busemann(q, p, partition.representatives[i])
-            worst = max(worst, abs(log_ratio[i] + h * b))
-        return worst
+        b = halfplane.busemann(
+            q, p, np.asarray(partition.representatives)[usable])
+        return float(np.max(np.abs(log_ratio[usable] + h * b), initial=0.0))
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
@@ -652,7 +650,7 @@ def pair_invariance_check(pm, gamma, cap=None):
     n = len(part)
     h = pm.h
     cap = DEFAULT_PAIR_CAP if cap is None else float(cap)
-    q = modular.apply(modular.mat_inv(gamma), p)
+    q = halfplane.mobius_apply(modular.mat_inv(gamma), p)
     log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q, part, h,
                                         cap)
     reps = np.array(part.representatives)

@@ -58,11 +58,6 @@ def trace(m):
     return m[0] + m[3]
 
 
-def apply(m, z):
-    """Mobius action on the upper half-plane (complex z or arrays)."""
-    return halfplane.mobius_apply(m, z)
-
-
 PARABOLIC, ELLIPTIC, HYPERBOLIC = "parabolic", "elliptic", "hyperbolic"
 
 
@@ -228,7 +223,7 @@ def word_ball(p, R):
                 if m in seen:
                     continue
                 seen.add(m)
-                disp = halfplane.dist(p, apply(m, p))
+                disp = halfplane.dist(p, halfplane.mobius_apply(m, p))
                 if disp > R + WORD_BALL_BUFFER:
                     continue
                 nxt.append(m)

@@ -82,6 +82,15 @@ def test_entropy_tree(tmp_path):
     assert abs(data["h_top"] - math.log(3)) < 1e-6
 
 
+def test_entropy_modular_z_set_probe(tmp_path):
+    code, out = run(tmp_path, "entropy", "--backend", "modular",
+                    "--probe", "z-set")
+    assert code == cli.EXIT_OK
+    data = json.loads((out / "z_set_probe.json").read_text())
+    assert data["classification"] == "UNKNOWN"
+    assert "no witness among 400" in data["detail"]
+
+
 def test_validate_passes_and_reports(tmp_path, capsys):
     code, out = run(tmp_path, "validate")
     assert code == cli.EXIT_OK

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hyplab import entropy
-from hyplab.geometry import FLAT, PLANE, TREE
+from hyplab import entropy, flat, halfplane
+from hyplab.geometry import FLAT, PLANE, TREE, BackendMismatch
 
 
 def test_dyn_metric_symmetric_and_monotone_in_k():
@@ -125,7 +125,7 @@ def test_z_set_probe_flat_witness_stays_close():
     assert rep.classification == "NON-EXPANSIVE-WITNESS"
     w = rep.witness
     for t in (-5.0, 0.0, 5.0):
-        assert entropy._base_dist(FLAT, v.point(t), w.point(t)) <= 0.4
+        assert flat.torus_dist(v.point(t), w.point(t)) <= 0.4
 
 
 def test_z_set_probe_plane_inconclusive():
@@ -162,6 +162,26 @@ def test_plane_flow_point_shift_moves_along_the_orbit():
             w = v.shift(t)
             for s in (0.0, 0.7, 3.0):
                 assert abs(w.point(s) - v.point(t + s)) < 1e-9
+
+
+def test_plane_flow_point_is_anchored_at_its_position():
+    v = entropy.FlowPoint(PLANE, pos=0.1 + 1.3j, theta=0.7)
+    assert type(v.point(0.0)) is complex and type(v.point(2)) is complex
+    assert abs(v.point(0.0) - v.pos) < 1e-12
+    ts = np.linspace(-2.0, 2.0, 9)
+    z = v.point(ts)
+    assert z.shape == ts.shape
+    assert np.allclose(z, [v.point(t) for t in ts], rtol=1e-15, atol=0)
+    # the initial tangent direction is theta
+    assert halfplane.direction_toward(v.pos, v.geodesic.v) \
+        == pytest.approx(0.7, abs=1e-12)
+
+
+def test_flow_point_backend_is_checked_at_construction():
+    with pytest.raises(BackendMismatch):
+        entropy.FlowPoint("bogus")
+    with pytest.raises(BackendMismatch):
+        entropy.FlowPoint("modular", pos=0.1 + 1.3j)
 
 
 def test_rejects_unreduced_windows():

@@ -38,6 +38,9 @@ def test_estimate_delta_per_backend():
     assert 0.0 < plane.delta < 0.9
     flat = geo.estimate_delta(FLAT, radius=50.0)
     assert flat.delta == math.inf and flat.witness is not None
+    # the modular surface is a quotient of the plane, not a backend here
+    with pytest.raises(geo.BackendMismatch):
+        geo.estimate_delta("modular")
 
 
 def test_estimate_delta_deterministic_given_seed():

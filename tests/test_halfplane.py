@@ -112,6 +112,79 @@ def test_busemann_closed_form_matches_numeric_limit():
             hp.busemann_numeric(q, p, xi, horizon=40.0)[0], abs=1e-6)
 
 
+def test_busemann_arrays_match_scalar_calls_and_the_numeric_limit():
+    rng = np.random.default_rng(12)
+    n = 300
+    q = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(0.2, 4.0, n)
+    p = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(0.2, 4.0, n)
+    xi = rng.uniform(-5.0, 5.0, n)
+    xi[::9] = hp.INF
+    got = hp.busemann(q, p, xi)
+    assert got.shape == (n,)
+    want = [hp.busemann(*args) for args in zip(q, p, xi)]
+    assert all(type(b) is float for b in want)
+    assert np.array_equal(got, want)
+    # one base point against many directions, as in the conformal check
+    assert np.array_equal(hp.busemann(q[0], p[0], xi),
+                          [hp.busemann(q[0], p[0], x) for x in xi])
+    for k in range(0, n, 30):
+        limit, gap = hp.busemann_numeric(q[k], p[k], xi[k], horizon=40.0)
+        assert gap < 1e-6
+        assert got[k] == pytest.approx(limit, abs=1e-6)
+
+
+GEODESICS = {
+    "semicircle": lambda: hp.line(3.0, -1.0),
+    "vertical up": lambda: hp.line(0.5, hp.INF),
+    "vertical down": lambda: hp.line(hp.INF, -0.5),
+    "ray to a real point": lambda: hp.ray(0.3 + 2j, -4.0),
+    "ray straight down": lambda: hp.ray(0.3 + 2j, 0.3),
+    "ray up": lambda: hp.ray(1 + 1j, hp.INF),
+}
+
+
+@pytest.mark.parametrize("kind", GEODESICS)
+def test_geodesic_has_unit_speed(kind):
+    geo = GEODESICS[kind]()
+    ts = np.linspace(-4.0, 4.0, 17)
+    z = geo.point(ts)
+    assert z.shape == ts.shape
+    for s, zs in zip(ts, z):
+        assert np.allclose(hp.dist(zs, z), np.abs(ts - s), rtol=0, atol=1e-9)
+    assert type(geo.point(ts[3])) is complex
+    assert geo.point(ts[3]) == pytest.approx(z[3], rel=1e-15)
+    # t -> +inf heads toward v
+    far = geo.point(30.0)
+    if geo.v == hp.INF:
+        assert far.imag > 1e10
+    else:
+        assert abs(far - geo.v) < 1e-9 * max(1.0, abs(geo.v))
+
+
+def test_geodesic_origin_is_its_anchor():
+    for u, v, anchor in [(-1.0, 3.0, 1 + 2j), (3.0, -1.0, 2.6 + 1.2j),
+                         (0.5, hp.INF, 0.5 + 0.01j), (hp.INF, 0.5, 0.5 + 7j)]:
+        if np.isfinite(u) and np.isfinite(v):
+            # put the anchor on the circle, at the given real part
+            c, r = 0.5 * (u + v), 0.5 * abs(v - u)
+            anchor = complex(anchor.real, math.sqrt(r * r - (anchor.real - c)
+                                                    ** 2))
+        geo = hp.Geodesic(u, v, anchor)
+        assert abs(geo.point(0.0) - anchor) < 1e-12 * abs(anchor)
+    assert abs(hp.ray(0.3 + 2j, -4.0).point(0.0) - (0.3 + 2j)) < 1e-12
+    assert hp.line(-1.0, 1.0).point(0.0) == pytest.approx(1j, abs=1e-12)
+    assert hp.line(0.5, hp.INF).point(0.0) == 0.5 + 1j
+
+
+@pytest.mark.parametrize("u, v, anchor", [(-1.0, 1.0, 0.1 + 1j),
+                                          (-1.0, 1.0, 1.2j),
+                                          (0.0, hp.INF, 1e-3 + 1j),
+                                          (hp.INF, 2.0, 2.5 + 1j)])
+def test_geodesic_rejects_an_anchor_off_the_line(u, v, anchor):
+    with pytest.raises(ValueError):
+        hp.Geodesic(u, v, anchor)
+
+
 def test_gromov_beta_vertical_line():
     # p on the geodesic joining the endpoints: beta = 0
     assert hp.gromov_beta(1j, -1.0, 1.0) == pytest.approx(0.0, abs=1e-9)

@@ -259,7 +259,7 @@ def _per_pair_plane_measure(p, part, masses):
 def _per_pair_plane_invariance(pm, gamma, cap):
     """Reference route: one relative defect per usable, kept cell pair."""
     p, part = pm.base, pm.partition
-    q = modular.apply(modular.mat_inv(gamma), p)
+    q = halfplane.mobius_apply(modular.mat_inv(gamma), p)
     log_ratio, usable = measures._far_log_ratios(
         measures._plane_atoms(p, cap), q, part, pm.h, cap)
     reps = part.representatives
@@ -358,6 +358,22 @@ def test_equidistribution_gap_shrinks():
         _, _, g = measures.equidistribution_test(census, T)
         gaps[T] = max(g)
     assert gaps[10] < 0.08
+
+
+# the T = 10 cell masses as the chart-per-geodesic code computed them
+EQUIDIST_MASSES_T10 = [
+    0.06334167297842243, 0.06340122454864139, 0.06338746616546696,
+    0.06340465595454128, 0.06323932774335075, 0.06328059457084521,
+    0.06324852433294194, 0.06325651622751999, 0.06337907555332166,
+    0.06335157962369076, 0.06337221077594035, 0.0633676345833299,
+    0.060021601678825816, 0.059971199863333595, 0.05997230267597149,
+    0.06000441272385856]
+
+
+def test_equidistribution_masses_are_pinned():
+    mu, _, _ = measures.equidistribution_test(
+        counting.geodesic_census(PLANE, 10), 10)
+    np.testing.assert_allclose(mu, EQUIDIST_MASSES_T10, rtol=0, atol=1e-12)
 
 
 def test_validate_D_mass_exact_fractions():

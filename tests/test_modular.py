@@ -41,13 +41,14 @@ def test_translation_length_equals_axis_displacement():
     m = (5, 2, 2, 1)
     length, _ = modular.translation_length(m)
     z = modular.axis(m).point(0.7)
-    assert halfplane.dist(z, modular.apply(m, z)) == pytest.approx(length)
+    assert (halfplane.dist(z, halfplane.mobius_apply(m, z))
+            == pytest.approx(length))
 
 
 def test_fixed_points_are_fixed():
     m = (2, 1, 1, 1)
     for x in modular.fixed_points(m):
-        y = modular.apply(m, complex(x, 1e-12)).real
+        y = halfplane.mobius_apply(m, complex(x, 1e-12)).real
         assert y == pytest.approx(x, abs=1e-6)
 
 
@@ -70,7 +71,7 @@ def test_modular_ball_nested_and_displacements_within_radius():
            for m in modular.modular_ball(p, 5.0).elements}
     assert small <= big
     for m in big:
-        assert halfplane.dist(p, modular.apply(m, p)) <= 5.0 + 1e-6
+        assert halfplane.dist(p, halfplane.mobius_apply(m, p)) <= 5.0 + 1e-6
 
 
 def _brute_ball_2i(bound):
@@ -129,7 +130,8 @@ def test_modular_ball_two_base_points_word_crosscheck():
     p, q, R = 2j, 1 + 1j, 4.0
     wide = modular.word_ball(p, R + halfplane.dist(p, q))
     want = sorted(modular.normalize(m) for m in wide.elements
-                  if halfplane.dist(p, modular.apply(m, q)) <= R + 1e-9)
+                  if halfplane.dist(p, halfplane.mobius_apply(m, q))
+                  <= R + 1e-9)
     assert wide.complete
     assert _rows(modular.modular_ball(p, R, q=q)) == want
 

@@ -65,7 +65,8 @@ def test_modular_matrices_are_unimodular(letters):
 def test_mobius_action_is_isometric(letters, p, q):
     m = _word_to_matrix(letters)
     d0 = halfplane.dist(p, q)
-    d1 = halfplane.dist(modular.apply(m, p), modular.apply(m, q))
+    d1 = halfplane.dist(halfplane.mobius_apply(m, p),
+                        halfplane.mobius_apply(m, q))
     assert abs(d0 - d1) <= 1e-7 * (1.0 + d0)
 
 
