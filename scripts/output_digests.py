@@ -6,10 +6,12 @@ Runs, in a temporary directory and with this checkout's `src` first on
 the import path: the four demos, the seven `hyplab` commands of the
 README, `entropy --backend modular` (plain, with `--probe z-set` and
 with `--probe fiber`), `measure --backend modular --check
-shadow,pair-invariance` and `--seed 5 validate`.  It prints one line per
-output file and per standard output, `<sha256>  <label>`, sorted by
-label, plus each command's exit code.  Two checkouts whose printouts
-are equal produce byte-identical outputs on these runs.
+shadow,pair-invariance`, `--seed 5 validate`, `count --backend flat`
+and `entropy --backend flat` (plain, with `--probe z-set` and with
+`--probe fiber`).  It prints one line per output file and per standard
+output, `<sha256>  <label>`, sorted by label, plus each command's exit
+code.  Two checkouts whose printouts are equal produce byte-identical
+outputs on these runs.
 """
 
 import hashlib
@@ -36,6 +38,10 @@ COMMANDS = {
     "fiber-mod": "entropy --backend modular --probe fiber",
     "meas-pair": "measure --backend modular --check shadow,pair-invariance",
     "check-seed5": "--seed 5 validate",
+    "count-flat": "count --backend flat",
+    "ent-flat": "entropy --backend flat",
+    "probe-flat": "entropy --backend flat --probe z-set",
+    "fiber-flat": "entropy --backend flat --probe fiber",
 }
 
 CLI = "import sys; from hyplab.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -187,10 +187,9 @@ def cmd_measure(args):
             n_arcs = int(cells)
         partition = measures.plane_partition(n_arcs)
     else:
-        print("measure requires a hyperbolic backend (the Poincare "
-              "series diverges at no finite s on the flat plane only "
-              "for s <= 0; no boundary measure is defined)",
-              file=sys.stderr)
+        print("measure requires a hyperbolic backend (tree or modular); "
+              "the flat lattice grows polynomially, with critical "
+              "exponent 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         mu = measures.ps_measure(backend, "" if backend == TREE else 2j,

@@ -162,10 +162,8 @@ def geodesic_census(backend, T, rank=2):
         classes = modular.enumerate_conj_classes(T)
         entries = sorted((c.length, c.word) for c in classes if c.primitive)
         return GeodesicCensus(PLANE, tuple(entries), h=1.0)
-    if backend == FLAT:
-        raise BackendMismatch("flat backend has no closed-geodesic census "
-                              "(no hyperbolic elements)")
-    raise BackendMismatch(f"unknown backend {backend!r}")
+    raise BackendMismatch(f"no closed-geodesic census on backend "
+                          f"{backend!r} (no hyperbolic elements)")
 
 
 def margulis_ratio(census, h, t):

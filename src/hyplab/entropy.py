@@ -14,7 +14,6 @@ import numpy as np
 from . import counting, flat, halfplane, words
 from .geometry import FLAT, PLANE, TREE, BackendMismatch
 
-DEFAULT_WINDOW = 32
 SAMPLES_PER_UNIT = 4  # d_n grid points per unit time, continuous backends
 
 
@@ -22,11 +21,11 @@ SAMPLES_PER_UNIT = 4  # d_n grid points per unit time, continuous backends
 class FlowPoint:
     """A bi-infinite geodesic with marked time-0 point.
 
-    Tree: reduced word window of radius `window` around the origin
-    vertex, as a backward word `past` and a forward word `future` (both
-    read outward from the origin); continuation beyond the window
-    repeats the last letter.  Plane: (position, direction angle).
-    Flat: (position mod the unit lattice, direction angle).
+    Tree: the origin vertex with a backward word `past` and a forward
+    word `future`, both reduced and read outward from the origin; beyond
+    either word the line repeats it.  Plane: (position in the upper
+    half-plane, direction angle).  Flat: (position mod the unit lattice,
+    direction angle).
     """
 
     backend: str
@@ -35,7 +34,6 @@ class FlowPoint:
     past: str = ""
     pos: object = None
     theta: float = 0.0
-    window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
         if self.backend == TREE:
@@ -48,6 +46,9 @@ class FlowPoint:
                 raise ValueError("flow line backtracks at time 0")
         elif self.backend == PLANE:
             p = complex(self.pos)
+            if p.imag <= 0:
+                raise ValueError(f"{p} is not a point of the upper "
+                                 "half-plane")
             object.__setattr__(self, "geodesic", halfplane.Geodesic(
                 halfplane.forward_endpoint(p, self.theta + math.pi),
                 halfplane.forward_endpoint(p, self.theta), p))
@@ -66,7 +67,7 @@ class FlowPoint:
             word = self.future if n >= 0 else self.past
             n = abs(n)
             if n > len(word):
-                # periodic continuation: cycle the window word
+                # periodic continuation: repeat the word
                 ext = word * (n // len(word) + 1)
                 return words.mul(self.origin, words.reduce_word(ext[:n]))
             return words.mul(self.origin, word[:n])
@@ -74,27 +75,6 @@ class FlowPoint:
             return self.geodesic.point(t)
         v = np.array([math.cos(self.theta), math.sin(self.theta)])
         return self.pos + np.multiply.outer(t, v)
-
-    def shift(self, t):
-        """The time-shifted flow point phi_t(v) (integer t on the tree)."""
-        if self.backend == TREE:
-            n = int(round(t))
-            if abs(n) > min(len(self.future), len(self.past)) - 1:
-                raise ValueError("shift exceeds usable window")
-            if n == 0:
-                return self
-            word = self.future if n > 0 else self.past
-            other = self.past if n > 0 else self.future
-            n = abs(n)
-            new_origin = words.mul(self.origin, word[:n])
-            back = words.inverse(word[:n]) + other
-            return FlowPoint(TREE, new_origin, word[n:],
-                             words.reduce_word(back), window=self.window)
-        if self.backend == PLANE:
-            z = self.point(t)
-            th = halfplane.direction_toward(z, self.geodesic.v)
-            return FlowPoint(PLANE, pos=z, theta=th)
-        return FlowPoint(FLAT, pos=self.point(t), theta=self.theta)
 
 
 def dyn_metric(v, w, k):
@@ -119,15 +99,15 @@ def dyn_metric(v, w, k):
 
 @dataclass(frozen=True)
 class SpanningReport:
-    """Two-sided estimate of the minimal (n, delta)-span r_n."""
+    """Two-sided estimate of the minimal (n, delta)-span r_n: the size of
+    a maximal (n, 2 delta)-separated subset of the sample (`lower`) and
+    of a greedy (n, delta)-cover of it (`upper`)."""
 
     n: int
     delta: float
     lower: int
     upper: int
     method: str
-    universe: str
-    stable: bool = True
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -200,8 +180,7 @@ def spanning_counts(sample, n_grid, delta):
             prefixes = {tuple(v.point(t) for t in range(int(n) + 1))
                         for v in sample}
             out.append(SpanningReport(int(n), float(delta), len(prefixes),
-                                      len(prefixes), "exact-symbolic",
-                                      f"tree sample of {m} flow lines"))
+                                      len(prefixes), "exact-symbolic"))
         return out
     row = _dn_rows(sample, n_grid)
 
@@ -214,8 +193,7 @@ def spanning_counts(sample, n_grid, delta):
     upper = _greedy_separated(lambda i: apart(i)[0], m, g)
     lower = _greedy_separated(lambda i: apart(i)[1], m, g)
     return [SpanningReport(int(n), float(delta), int(lo), int(up),
-                           "greedy-cover/separated-lower",
-                           f"{backend} sample of {m} flow lines")
+                           "greedy-cover/separated-lower")
             for n, lo, up in zip(n_grid, lower, upper)]
 
 
@@ -237,8 +215,7 @@ def spanning_count(sample, n, delta):
 
 
 def tree_flow_sample(depth, rank=2):
-    """One flow line per reduced forward word of length `depth`, with a
-    window of radius `depth`.
+    """One flow line per reduced forward word of length `depth`.
 
     All lines share the origin vertex; the backward direction is any
     non-backtracking letter, which d_n over t >= 0 never sees.
@@ -249,8 +226,7 @@ def tree_flow_sample(depth, rank=2):
         if len(f) != depth:
             continue
         back = next(c for c in lets if c != f[0])
-        out.append(FlowPoint(TREE, "", f, back * max(1, depth),
-                             window=depth))
+        out.append(FlowPoint(TREE, "", f, back * max(1, depth)))
     return out
 
 
@@ -299,21 +275,19 @@ def estimate_htop(backend, n_grid=None, delta_grid=None, rank=2,
     lower bounds give the same slope when the sandwich is tight) and is
     compared against the volume entropy from the orbit-count fit.
     """
+    delta_grid = (0.5,) if delta_grid is None else tuple(delta_grid)
     if backend == TREE:
         n_grid = list(range(1, 7)) if n_grid is None else list(n_grid)
-        delta_grid = (0.5,) if delta_grid is None else tuple(delta_grid)
         sample = (tree_flow_sample(max(n_grid), rank)
                   if sample is None else sample)
         fit_grid = list(range(2, 11))
     elif backend == FLAT:
         n_grid = (list(range(12, 41, 4)) if n_grid is None
                   else list(n_grid))
-        delta_grid = (0.5,) if delta_grid is None else tuple(delta_grid)
         sample = flat_flow_sample() if sample is None else sample
         fit_grid = list(range(4, 81, 4))
     elif backend == PLANE:
         n_grid = list(range(1, 6)) if n_grid is None else list(n_grid)
-        delta_grid = (0.5,) if delta_grid is None else tuple(delta_grid)
         sample = plane_flow_sample() if sample is None else sample
         fit_grid = [float(r) for r in range(2, 9)]
     else:
@@ -354,7 +328,9 @@ def z_set_probe(v, rho, horizon=20, sample_budget=400, seed=11):
     distances are integers, so two flow lines within rho < 1 at every
     integer time occupy the same vertices and coincide.  Flat route
     returns the parallel-line witness.  Plane route runs a seeded
-    perturbation search and reports the (non-)finding as evidence.
+    perturbation search over `sample_budget` points of the plane (a
+    draw off the upper half-plane is redrawn, not counted) and reports
+    the (non-)finding as evidence.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -381,13 +357,17 @@ def z_set_probe(v, rho, horizon=20, sample_budget=400, seed=11):
     rng = np.random.default_rng(seed)
     ts = np.linspace(-horizon, horizon, 4 * horizon + 1)
     ref = [complex(v.point(t)) for t in ts]
-    for _ in range(sample_budget):
+    drawn = 0
+    while drawn < sample_budget:
         dz = complex(rng.normal(0, 0.3 * rho), rng.normal(0, 0.3 * rho))
         dth = rng.normal(0, 0.5 * rho)
+        pos = complex(v.pos) + dz
+        if pos.imag <= 0:
+            continue
+        drawn += 1
         if abs(dz) < 1e-9 and abs(dth) < 1e-9:
             continue
-        w = FlowPoint(PLANE, pos=complex(v.pos) + dz,
-                      theta=v.theta + dth)
+        w = FlowPoint(PLANE, pos=pos, theta=v.theta + dth)
         # skip time shifts of v itself (same unoriented line)
         gv, gw = v.geodesic, w.geodesic
         if (abs(gv.u - gw.u) < 1e-9 and abs(gv.v - gw.v) < 1e-9):

@@ -251,12 +251,12 @@ def gromov_beta(p, xi, eta):
     xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
     fx, fe = np.isinf(xi), np.isinf(eta)
     x, e = np.where(fx, 0.0, xi), np.where(fe, 0.0, eta)
-    num = (np.where(fx, 1.0, np.abs(p - x) ** 2)
-           * np.where(fe, 1.0, np.abs(p - e) ** 2))
-    gap = np.where(fx | fe, 1.0, (x - e) ** 2)
+    num = (np.where(fx, 1.0, np.square(np.abs(p - x)))
+           * np.where(fe, 1.0, np.square(np.abs(p - e))))
+    gap = np.where(fx | fe, 1.0, np.square(x - e))
     if np.any((gap == 0.0) | (fx & fe)):
         raise ValueError("coincident boundary points")
-    out = np.log(num / (p.imag ** 2 * gap))
+    out = np.log(num / (np.square(p.imag) * gap))
     return float(out) if out.ndim == 0 else out
 
 

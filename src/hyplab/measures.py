@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import flat, halfplane, modular, words
-from .geometry import FLAT, PLANE, TREE, BackendMismatch
+from . import halfplane, modular, words
+from .geometry import PLANE, TREE, BackendMismatch
 
 PAIR_WEIGHT_CAP = 1e6  # e^{h beta} above this: diagonal band, excluded
 PLANE_BASE = 1j  # every plane partition's arcs are angles at i
@@ -133,9 +133,9 @@ def tree_series_closed_form(s, rank=2):
 def poincare_series(backend, s, p=None, cap=30.0, rank=2):
     """Truncated Poincare series sum_gamma e^{-s d(p, gamma p)}.
 
-    Returns (partial sum over the enumerated ball, tail bound).  Tree and
-    flat tails are exact geometric/polynomial sums; the plane tail uses
-    the measured upper growth constant C2 e^{R} of the orbit counts.
+    Returns (partial sum over the enumerated ball, tail bound) on the two
+    hyperbolic backends.  The tree tail is an exact geometric sum; the
+    plane sum and tail are `_PlaneAtoms.series` of the orbit atoms at p.
     """
     if backend == TREE:
         h = math.log(2 * rank - 1)
@@ -151,25 +151,8 @@ def poincare_series(backend, s, p=None, cap=30.0, rank=2):
                 / (1.0 - ratio))
         return partial, tail
     if backend == PLANE:
-        if s <= 1.0:
-            raise ValueError("series diverges for s <= 1 (modular group)")
-        p = 2j if p is None else complex(p)
-        atoms = _plane_atoms(p, cap)
-        partial = float(np.exp(-s * atoms.d).sum()) + len(atoms.base_z)
-        tail = (atoms.c2 * math.exp(-(s - 1.0) * cap)
-                / (1.0 - math.exp(-(s - 1.0))))
-        return partial, tail
-    if backend == FLAT:
-        if s <= 0:
-            raise ValueError("series diverges for s <= 0")
-        n = int(math.floor(cap + 1e-9))
-        pts = flat.lattice_ball(cap)
-        partial = sum(math.exp(-s * math.hypot(a, b)) for a, b in pts)
-        # crude quadratic-growth tail: card sphere(m) <= 8m for m >= 1
-        tail = sum(8 * (m + 1) * math.exp(-s * m) for m in range(n, n + 200))
-        tail += 8 * (n + 201) * math.exp(-s * (n + 200)) / (1 - math.exp(-s))
-        return partial, tail
-    raise BackendMismatch(f"unknown backend {backend!r}")
+        return _plane_atoms(2j if p is None else p, cap).series(s)
+    raise BackendMismatch(f"no Poincare series on backend {backend!r}")
 
 
 def _apply_many(mats, z):
@@ -192,14 +175,13 @@ def ps_measure(backend, p, s, cap, rank=2):
         return AtomicMeasure(TREE, tuple(atoms), total, tail_num / norm,
                              (("s", s), ("cap", cap), ("d_px", 0.0)))
     if backend == PLANE:
-        p = complex(p)
-        npart, ntail = poincare_series(PLANE, s, p=p, cap=cap)
+        atoms = _plane_atoms(p, cap)
+        npart, ntail = atoms.series(s)
         # the cached atoms with those at p put back at their places in
         # the ball's order, so the total mass sums in that order
-        atoms = _plane_atoms(p, cap)
         at = atoms.base_at - np.arange(len(atoms.base_at))
         z = np.insert(atoms.z, at, atoms.base_z)
-        d = np.insert(atoms.d, at, halfplane.dist(p, atoms.base_z))
+        d = np.insert(atoms.d, at, halfplane.dist(atoms.p, atoms.base_z))
         w = np.exp(-s * d) / npart
         total = float(w.sum())
         tail = ntail / npart + total * ntail / npart
@@ -225,9 +207,7 @@ def _tree_cell_masses(p, s, partition, cap):
     rank = partition.rank
     x = math.exp(-s)
     q = (2 * rank - 1) * x
-    if q >= 1.0:
-        raise ValueError("s at or below the growth exponent")
-    norm = tree_series_closed_form(s, rank)
+    norm = tree_series_closed_form(s, rank)  # raises where q >= 1
     out = []
     for w in partition.cells:
         m = len(w)
@@ -242,13 +222,13 @@ def _tree_cell_masses(p, s, partition, cap):
 
 class _PlaneAtoms:
     """Cached orbit atoms around a base point, reused across the s grid:
-    positions and distances, the s-independent tail constant and, built
-    on first use, each atom's boundary angle at PLANE_BASE and their
-    circular sort order.  The atoms at p itself are kept apart, with
-    their positions in the ball's order."""
+    positions and distances, the Poincare series with its tail, and,
+    built on first use, each atom's boundary angle at PLANE_BASE and
+    their circular sort order.  The atoms at p itself are kept apart,
+    with their positions in the ball's order."""
 
     def __init__(self, p, cap):
-        self.p = complex(p)
+        self.p, self.cap = complex(p), cap
         # the ball is dropped as soon as its orbit points are known
         z = _apply_many(modular.modular_ball(self.p, cap).elements, self.p)
         base = np.abs(z - self.p) <= 1e-12
@@ -261,6 +241,16 @@ class _PlaneAtoms:
         grid = np.arange(max(1.0, cap / 2.0), cap + 0.5, 1.0)
         counts = np.searchsorted(np.sort(self.d), grid + 1e-12)
         self.c2 = float(max(counts * np.exp(-grid)))
+
+    def series(self, s):
+        """(partial sum over the ball, tail bound C2 e^{-(s-1) R} /
+        (1 - e^{-(s-1)})) of the Poincare series at p."""
+        if s <= 1.0:
+            raise ValueError("series diverges for s <= 1 (modular group)")
+        partial = float(np.exp(-s * self.d).sum()) + len(self.base_z)
+        tail = (self.c2 * math.exp(-(s - 1.0) * self.cap)
+                / (1.0 - math.exp(-(s - 1.0))))
+        return partial, tail
 
     @functools.cached_property
     def theta(self):
@@ -331,17 +321,6 @@ def _annulus_limit_masses(p, partition, cap=None):
     return masses, err
 
 
-def cell_masses(backend, p, s, partition, cap=None):
-    """Cell masses of nu_{p,s} pushed to the boundary partition."""
-    if backend == TREE:
-        return _tree_cell_masses(p, s, partition, cap)
-    if backend == PLANE:
-        cap = 12.0 if cap is None else cap
-        norm, _ = poincare_series(PLANE, s, p=p, cap=cap)
-        return _plane_atoms(p, cap).cell_masses(s, partition, norm)
-    raise BackendMismatch(f"unknown backend {backend!r}")
-
-
 def extrapolate_to_h(values_by_s, s_grid, h):
     """Richardson extrapolation of cell masses along a geometric s grid.
 
@@ -369,16 +348,26 @@ TREE_S_OFFSETS = (0.4, 0.2, 0.1, 0.05)  # tree s grid: h + offset
 DEFAULT_S_GRID_PLANE = (1.8, 1.4, 1.2, 1.1)
 
 
+def _check_partition(backend, partition):
+    if backend != partition.backend:
+        raise BackendMismatch(f"{backend!r} route on a "
+                              f"{partition.backend!r} partition")
+
+
 def limit_cell_masses(backend, p, partition, cap=None):
-    """Extrapolated s -> h boundary masses on all partition cells."""
+    """Extrapolated s -> h boundary masses on all partition cells, from
+    the cell masses of nu_{p,s} (plane atoms: radius `cap`, default 12)
+    along an s grid decreasing toward h."""
+    _check_partition(backend, partition)
     if backend == TREE:
         h = math.log(2 * partition.rank - 1)
         s_grid = tuple(h + e for e in TREE_S_OFFSETS)
-    elif backend == PLANE:
-        s_grid, h = DEFAULT_S_GRID_PLANE, 1.0
+        rows = [_tree_cell_masses(p, s, partition, cap) for s in s_grid]
     else:
-        raise BackendMismatch(f"unknown backend {backend!r}")
-    rows = [cell_masses(backend, p, s, partition, cap=cap) for s in s_grid]
+        s_grid, h = DEFAULT_S_GRID_PLANE, 1.0
+        atoms = _plane_atoms(p, 12.0 if cap is None else cap)
+        rows = [atoms.cell_masses(s, partition, atoms.series(s)[0])
+                for s in s_grid]
     return extrapolate_to_h(rows, s_grid, h)
 
 
@@ -433,6 +422,7 @@ def conformal_check(backend, p, q, partition, cap=None):
     Plane route uses extrapolated arc masses and the closed-form Busemann
     function at each arc's representative direction.
     """
+    _check_partition(backend, partition)
     if backend == TREE:
         rank = partition.rank
         worst = 0.0
@@ -451,47 +441,42 @@ def conformal_check(backend, p, q, partition, cap=None):
                          + math.log(2 * rank - 1) * b)
             worst = max(worst, defect)
         return worst
-    if backend == PLANE:
-        p, q = complex(p), complex(q)
-        cap = 12.0 if cap is None else float(cap)
-        h = 1.0
-        log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q,
-                                            partition, h, cap)
-        b = halfplane.busemann(
-            q, p, np.asarray(partition.representatives)[usable])
-        return float(np.max(np.abs(log_ratio[usable] + h * b), initial=0.0))
-    raise BackendMismatch(f"unknown backend {backend!r}")
+    p, q = complex(p), complex(q)
+    cap = 12.0 if cap is None else float(cap)
+    h = 1.0
+    log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q,
+                                        partition, h, cap)
+    b = halfplane.busemann(
+        q, p, np.asarray(partition.representatives)[usable])
+    return float(np.max(np.abs(log_ratio[usable] + h * b), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # shadows and the shadow lemma
 
 def shadow(backend, x, p, rho):
-    """The shadow pr_x B(p, rho): boundary points whose ray from x meets
-    the ball around p.
+    """The tree shadow pr_x B(p, rho): boundary words whose ray from x
+    meets the ball around p.
 
-    Tree route (rho < 1, so the ball is the single vertex p) returns an
+    With rho < 1 the ball is the single vertex p, and the shadow is an
     exact cylinder description: ("cyl", w) is the set of boundary words
-    with prefix w, ("co-cyl", w) its complement.  Plane route returns
-    ("arc", (lo, hi)) with the closed-form visual arc endpoints.
+    with prefix w, ("co-cyl", w) its complement.  The plane shadow is
+    the visual arc `halfplane.shadow_arc`.
     """
-    if backend == TREE:
-        if not 0 < rho < 1:
-            raise ValueError("tree route needs 0 < rho < 1 (vertex ball)")
-        if x == p:
-            raise ValueError("viewpoint inside the ball")
-        path = words.geodesic_vertices(x, p)
-        if len(p) > len(path[-2]):
-            # the ray continues away from x into the subtree below p
-            return ("cyl", p)
-        # p is above x: rays through p are those leaving the subtree at n,
-        # the neighbor of p on the path toward x
-        return ("co-cyl", path[-2])
-    if backend == PLANE:
-        x, p = complex(x), complex(p)
-        lo, hi = halfplane.shadow_arc(x, p, rho)
-        return ("arc", (lo, hi))
-    raise BackendMismatch(f"unknown backend {backend!r}")
+    if backend != TREE:
+        raise BackendMismatch("shadow cylinders live on the tree; the "
+                              "plane shadow is halfplane.shadow_arc")
+    if not 0 < rho < 1:
+        raise ValueError("tree route needs 0 < rho < 1 (vertex ball)")
+    if x == p:
+        raise ValueError("viewpoint inside the ball")
+    path = words.geodesic_vertices(x, p)
+    if len(p) > len(path[-2]):
+        # the ray continues away from x into the subtree below p
+        return ("cyl", p)
+    # p is above x: rays through p are those leaving the subtree at n,
+    # the neighbor of p on the path toward x
+    return ("co-cyl", path[-2])
 
 
 def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
@@ -506,15 +491,11 @@ def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
         return float(mass), ratio
     if backend == PLANE:
         p, x = complex(p), complex(x)
-        lo, hi = halfplane.shadow_arc(p, x, rho)
-        th = halfplane.direction_toward(PLANE_BASE, [lo, hi])
-        interval = (th[0], th[1])
-        cap = 12.0 if cap is None else cap
-        rows = []
-        for s in DEFAULT_S_GRID_PLANE:
-            norm, _ = poincare_series(PLANE, s, p=p, cap=cap)
-            rows.append(_plane_atoms(p, cap)
-                        .interval_masses(s, [interval], norm))
+        interval = halfplane.direction_toward(
+            PLANE_BASE, halfplane.shadow_arc(p, x, rho))
+        atoms = _plane_atoms(p, 12.0 if cap is None else cap)
+        rows = [atoms.interval_masses(s, [interval], atoms.series(s)[0])
+                for s in DEFAULT_S_GRID_PLANE]
         mass, _, _ = extrapolate_to_h(rows, DEFAULT_S_GRID_PLANE, 1.0)
         d = halfplane.dist(p, x)
         return float(mass[0]), float(mass[0] * math.exp(d))
@@ -544,6 +525,7 @@ def pair_measure(backend, p, partition, masses=None, cap=None):
     read from the partition.  Plane masses, when not given, are
     extrapolated from the orbit atoms of radius `cap` (default
     DEFAULT_PAIR_CAP)."""
+    _check_partition(backend, partition)
     if backend == TREE:
         rank = partition.rank
         h = math.log(2 * rank - 1)
@@ -562,22 +544,20 @@ def pair_measure(backend, p, partition, masses=None, cap=None):
                 weights[(i, j)] = factor * masses[i] * masses[j]
         return PairMeasure(TREE, p or "", partition, weights,
                            frozenset(excluded), h)
-    if backend == PLANE:
-        h = 1.0
-        p = complex(p)
-        if masses is None:
-            masses, _ = _annulus_limit_masses(p, partition, cap=cap)
-        masses = np.asarray(masses, dtype=float)
-        reps = np.array(partition.representatives)
-        i, j = np.triu_indices(len(partition), 1)
-        factor = np.exp(h * halfplane.gromov_beta(p, reps[i], reps[j]))
-        out = factor > PAIR_WEIGHT_CAP
-        i_in, j_in, f_in = i[~out], j[~out], factor[~out]
-        weights = dict(zip(zip(i_in.tolist(), j_in.tolist()),
-                           (f_in * masses[i_in] * masses[j_in]).tolist()))
-        excluded = frozenset(zip(i[out].tolist(), j[out].tolist()))
-        return PairMeasure(PLANE, p, partition, weights, excluded, h)
-    raise BackendMismatch(f"unknown backend {backend!r}")
+    h = 1.0
+    p = complex(p)
+    if masses is None:
+        masses, _ = _annulus_limit_masses(p, partition, cap=cap)
+    masses = np.asarray(masses, dtype=float)
+    reps = np.array(partition.representatives)
+    i, j = np.triu_indices(len(partition), 1)
+    factor = np.exp(h * halfplane.gromov_beta(p, reps[i], reps[j]))
+    out = factor > PAIR_WEIGHT_CAP
+    i_in, j_in, f_in = i[~out], j[~out], factor[~out]
+    weights = dict(zip(zip(i_in.tolist(), j_in.tolist()),
+                       (f_in * masses[i_in] * masses[j_in]).tolist()))
+    excluded = frozenset(zip(i[out].tolist(), j[out].tolist()))
+    return PairMeasure(PLANE, p, partition, weights, excluded, h)
 
 
 def cylinder_pushforward(g, w, rank=2):

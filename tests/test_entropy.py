@@ -135,6 +135,31 @@ def test_z_set_probe_plane_inconclusive():
     assert "witness" in rep.detail
 
 
+def test_z_set_probe_spends_its_budget_on_points_of_the_plane(monkeypatch):
+    # at rho = 5 about a fifth of the raw perturbations fall off the
+    # upper half-plane; they are redrawn, and each of the 400 counted
+    # candidates is a point of the plane
+    built = []
+    flow_point = entropy.FlowPoint
+
+    def recording(*args, **kwargs):
+        built.append(complex(kwargs["pos"]))
+        return flow_point(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "FlowPoint", recording)
+    v = flow_point(PLANE, pos=0.1 + 1.3j, theta=0.7)
+    rep = entropy.z_set_probe(v, 5.0)
+    assert rep.classification == "UNKNOWN"
+    assert len(built) == 400
+    assert all(z.imag > 0 for z in built)
+
+
+def test_plane_flow_point_must_lie_in_the_upper_half_plane():
+    for pos in (0.3 + 0.0j, 0.3 - 0.2j):
+        with pytest.raises(ValueError):
+            entropy.FlowPoint(PLANE, pos=pos, theta=0.1)
+
+
 def test_endpoint_fiber_probe_counts():
     n, _ = entropy.endpoint_fiber_probe(TREE, "a", "b")
     assert n == 1
@@ -145,23 +170,6 @@ def test_endpoint_fiber_probe_counts():
     a, b = wits[0], wits[1]
     assert a.theta == b.theta
     assert not np.array_equal(a.pos, b.pos)
-
-
-def test_flow_point_shift_moves_along_the_orbit():
-    v = entropy.tree_flow_sample(5)[0]
-    w = v.shift(2)
-    assert w.point(0) == v.point(2)
-
-
-def test_plane_flow_point_shift_moves_along_the_orbit():
-    # n_dirs=4 includes the vertical up and down directions
-    sample = entropy.plane_flow_sample(n_dirs=4, n_pos=2)
-    sample += entropy.plane_flow_sample(n_dirs=5, n_pos=1, seed=9)
-    for v in sample:
-        for t in (-3.0, 0.5, 2.0):
-            w = v.shift(t)
-            for s in (0.0, 0.7, 3.0):
-                assert abs(w.point(s) - v.point(t + s)) < 1e-9
 
 
 def test_plane_flow_point_is_anchored_at_its_position():

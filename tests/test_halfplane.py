@@ -219,6 +219,18 @@ def test_gromov_beta_arrays_match_the_busemann_route():
         hp.gromov_beta(2j, 0.5, 0.5)
 
 
+def test_gromov_beta_scalar_calls_equal_their_array_entries():
+    rng = np.random.default_rng(5)
+    n = 2000
+    p = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(0.05, 4.0, n)
+    xi, eta = rng.uniform(-5.0, 5.0, (2, n))
+    xi[::9] = hp.INF
+    got = hp.gromov_beta(p, xi, eta)
+    scalar = [hp.gromov_beta(complex(a), float(b), float(c))
+              for a, b, c in zip(p, xi, eta)]
+    assert np.array_equal(got, scalar)
+
+
 def test_dist_to_segment_vanishes_on_the_segment():
     p = np.array([-1 + 1j, 1j])
     q = np.array([1 + 1j, 3j])

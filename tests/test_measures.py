@@ -38,10 +38,24 @@ def test_plane_series_partial_sums_increase_in_cap():
     assert p10 - p8 <= t8 + 1e-9
 
 
-def test_flat_series_converges_for_positive_s():
-    partial, tail = measures.poincare_series(FLAT, 1.0, cap=25.0)
-    assert tail < 1e-6
-    assert partial > 1.0
+@pytest.mark.parametrize("call", [
+    lambda: measures.limit_cell_masses(TREE, "", measures.plane_partition(4)),
+    lambda: measures.limit_cell_masses(PLANE, 2j, measures.tree_partition(2)),
+    lambda: measures.conformal_check(TREE, "", "a",
+                                     measures.plane_partition(4)),
+    lambda: measures.conformal_check(PLANE, 2j, 1 + 1j,
+                                     measures.tree_partition(2)),
+    lambda: measures.pair_measure(TREE, "", measures.plane_partition(4)),
+    lambda: measures.pair_measure(PLANE, 2j, measures.tree_partition(2)),
+    lambda: measures.poincare_series(FLAT, 1.0, cap=25.0),
+    lambda: measures.shadow(PLANE, 2j, 1 + 1j, 0.5),
+], ids=["limit-tree-on-plane", "limit-plane-on-tree",
+        "conformal-tree-on-plane", "conformal-plane-on-tree",
+        "pair-tree-on-plane", "pair-plane-on-tree", "flat-series",
+        "plane-shadow"])
+def test_routes_refuse_the_wrong_backend(call):
+    with pytest.raises(BackendMismatch):
+        call()
 
 
 def test_ps_measure_tree_masses_are_geometric():
