@@ -6,12 +6,15 @@ Runs, in a temporary directory and with this checkout's `src` first on
 the import path: the four demos, the seven `hyplab` commands of the
 README, `entropy --backend modular` (plain, with `--probe z-set` and
 with `--probe fiber`), `measure --backend modular --check
-shadow,pair-invariance`, `--seed 5 validate`, `count --backend flat`
-and `entropy --backend flat` (plain, with `--probe z-set` and with
-`--probe fiber`).  It prints one line per output file and per standard
-output, `<sha256>  <label>`, sorted by label, plus each command's exit
-code.  Two checkouts whose printouts are equal produce byte-identical
-outputs on these runs.
+shadow,pair-invariance`, `--seed 5 validate`, `count --backend flat`,
+`entropy --backend flat` (plain, with `--probe z-set` and with
+`--probe fiber`), tree `measure` with every check but equidist and
+with `--cells depth=3 --gamma ab`, modular `measure` with `--cells`,
+`--cap` and `--gamma` set, `count --backend modular --Rmax 6 --T 6`
+and `entropy --backend tree --probe fiber`.  It prints one line per
+output file and per standard output, `<sha256>  <label>`, sorted by
+label, plus each command's exit code.  Two checkouts whose printouts
+are equal produce byte-identical outputs on these runs.
 """
 
 import hashlib
@@ -42,6 +45,15 @@ COMMANDS = {
     "ent-flat": "entropy --backend flat",
     "probe-flat": "entropy --backend flat --probe z-set",
     "fiber-flat": "entropy --backend flat --probe fiber",
+    "meas-tree": "measure --backend tree "
+                 "--check conformal,shadow,pair-invariance,validators",
+    "meas-tree-d3": "measure --backend tree --cells depth=3 "
+                    "--check conformal,pair-invariance --gamma ab",
+    "meas-mod-64": "measure --backend modular --cells 64 --cap 8 "
+                   "--check conformal,shadow,pair-invariance "
+                   "--gamma 2,1,1,1",
+    "count-mod-6": "count --backend modular --Rmax 6 --T 6",
+    "fiber-tree": "entropy --backend tree --probe fiber",
 }
 
 CLI = "import sys; from hyplab.cli import main; sys.exit(main(sys.argv[1:]))"

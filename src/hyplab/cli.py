@@ -27,7 +27,7 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_INCOMPLETE = 3
 
-_BACKENDS = {"tree": TREE, "modular": PLANE, "plane": PLANE, "flat": FLAT}
+_BACKENDS = {"tree": TREE, "modular": PLANE, "flat": FLAT}
 
 
 def fmt(x):
@@ -117,17 +117,18 @@ def cmd_count(args):
     rank = int(cfg.get("rank", 2))
     out = args.out
     if backend == TREE:
-        rmax = int(cfg.get("Rmax", 12))
-        grid = list(range(2, rmax + 1))
         base = ""
+        grid = list(range(2, int(cfg.get("Rmax", 12)) + 1))
+        T = float(cfg.get("T", 12))
     elif backend == FLAT:
-        rmax = int(cfg.get("Rmax", 80))
-        grid = list(range(4, rmax + 1, 4))
         base = (0.0, 0.0)
+        grid = list(range(4, int(cfg.get("Rmax", 80)) + 1, 4))
+        T = None
     else:
-        rmax = float(cfg.get("Rmax", 8))
-        grid = [float(r) for r in range(2, int(rmax) + 1)]
         base = 2j
+        grid = [float(r)
+                for r in range(2, int(float(cfg.get("Rmax", 8))) + 1)]
+        T = float(cfg.get("T", 10))
     census = counting.orbit_count(backend, base, grid, rank=rank)
     write_csv(os.path.join(out, "orbit_census.csv"),
               ("R", "count", "complete"),
@@ -139,9 +140,7 @@ def cmd_count(args):
                {"h_fit": fit.h, "C1": fit.C1, "C2": fit.C2,
                 "window": list(fit.window), "residual": fit.residual},
                cfg, "eq-co93")
-    incomplete = not all(census.complete)
-    if backend in (TREE, PLANE):
-        T = float(cfg.get("T", 10 if backend == PLANE else 12))
+    if T is not None:
         gc = counting.geodesic_census(backend, T, rank=rank)
         write_csv(os.path.join(out, "geodesic_census.csv"),
                   ("length", "word"),
@@ -151,52 +150,50 @@ def cmd_count(args):
             gc, gc.h, [t for t in range(4, int(T) + 1)])
         write_csv(os.path.join(out, "margulis.csv"),
                   ("T", "P", "ratio"), table, cfg, "eqn-margulis")
-    return EXIT_INCOMPLETE if incomplete else EXIT_OK
+    return EXIT_OK if all(census.complete) else EXIT_INCOMPLETE
 
 
 # ---------------------------------------------------------------------------
 # measure
-
-def _tree_partition_from(cfg):
-    depth = 4
-    cells = cfg.get("cells", "depth=4")
-    if str(cells).startswith("depth="):
-        depth = int(str(cells).split("=", 1)[1])
-    return measures.tree_partition(depth)
-
 
 def cmd_measure(args):
     cfg = effective_config(args, ("backend", "cells", "check", "s", "cap",
                                   "gamma", "T"))
     backend = _BACKENDS[args.backend]
     out = args.out
-    checks = [c for c in str(cfg.get("check", "")).split(",") if c]
-    if not checks:
-        checks = ["conformal"]
+    checks = ([c for c in str(cfg.get("check", "")).split(",") if c]
+              or ["conformal"])
     code = EXIT_OK
-    s = float(cfg.get("s", math.log(3) + 0.2 if backend == TREE else 1.2))
     cap = float(cfg.get("cap", 12))
     # plane checks default to their own caps unless --cap is given
     check_cap = float(cfg["cap"]) if "cap" in cfg else None
     if backend == TREE:
-        partition = _tree_partition_from(cfg)
+        base, s, gamma, parse_gamma = "", math.log(3) + 0.2, "a", str
+        cells = str(cfg.get("cells", "depth=4"))
+        if not cells.startswith("depth="):
+            raise ValueError(f"tree --cells takes depth=<n>, not {cells!r}")
+        partition = measures.tree_partition(int(cells.split("=", 1)[1]))
+        pairs = [(p, q) for p in ("", "a", "ab") for q in "abB" if p != q]
+        shadows = [(n, "a" * n, 0.5) for n in range(2, 9)]
     elif backend == PLANE:
-        n_arcs = 256
+        base, s, gamma = 2j, 1.2, "1,1,0,1"
         cells = str(cfg.get("cells", "256"))
-        if cells.isdigit():
-            n_arcs = int(cells)
-        partition = measures.plane_partition(n_arcs)
+        if not cells.isdigit():
+            raise ValueError(f"modular --cells is an arc count, not {cells!r}")
+        partition = measures.plane_partition(int(cells))
+        pairs = [(2j, 1 + 1j)]
+        shadows = [(n, 2j * math.exp(1.0 + 0.5 * n), 1.0)
+                   for n in range(1, 6)]
+
+        def parse_gamma(text):
+            return tuple(int(v) for v in text.split(","))
     else:
-        print("measure requires a hyperbolic backend (tree or modular); "
-              "the flat lattice grows polynomially, with critical "
-              "exponent 0", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        mu = measures.ps_measure(backend, "" if backend == TREE else 2j,
-                                 s, cap=min(cap, 10.0))
-    except ValueError as exc:
-        print(f"measure refused: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("measure requires a hyperbolic backend (tree or "
+                         "modular); the flat lattice grows polynomially, "
+                         "with critical exponent 0")
+    s = float(cfg.get("s", s))
+    gamma = cfg.get("gamma", gamma)
+    mu = measures.ps_measure(backend, base, s, cap=min(cap, 10.0))
     write_json(os.path.join(out, "measure.json"),
                {"backend": args.backend, "s": s,
                 "total_mass": float(mu.total_mass),
@@ -205,11 +202,6 @@ def cmd_measure(args):
                cfg, "eq-nupxs eq-nu-weight")
     for check in checks:
         if check == "conformal":
-            if backend == TREE:
-                pairs = [(p, q) for p in ("", "a", "ab")
-                         for q in ("a", "b", "B") if p != q]
-            else:
-                pairs = [(2j, 1 + 1j)]
             rows = [(str(p), str(q),
                      measures.conformal_check(backend, p, q, partition,
                                               cap=check_cap))
@@ -219,31 +211,16 @@ def cmd_measure(args):
             if any(r[2] > 0.1 for r in rows):
                 code = max(code, EXIT_VIOLATION)
         elif check == "shadow":
-            rows = []
-            if backend == TREE:
-                for n in range(2, 9):
-                    mass, ratio = measures.shadow_mass_bounds(
-                        TREE, "", "a" * n, 0.5)
-                    rows.append((n, mass, ratio))
-            else:
-                for n in range(1, 6):
-                    x = 2j * math.exp(1.0 + 0.5 * n)
-                    mass, ratio = measures.shadow_mass_bounds(
-                        PLANE, 2j, x, 1.0, cap=check_cap)
-                    rows.append((n, mass, ratio))
+            rows = [(n, *measures.shadow_mass_bounds(backend, base, x, rho,
+                                                     cap=check_cap))
+                    for n, x, rho in shadows]
             write_csv(os.path.join(out, "shadow_bounds.csv"),
                       ("n", "mass", "ratio"), rows, cfg, "prop-3.3")
         elif check == "pair-invariance":
-            gamma = cfg.get("gamma", "a" if backend == TREE else "1,1,0,1")
-            if backend == TREE:
-                pm = measures.pair_measure(TREE, "", partition)
-                defect = measures.pair_invariance_check(pm, str(gamma))
-            else:
-                mat = tuple(int(v) for v in str(gamma).split(","))
-                pm = measures.pair_measure(PLANE, 2j, partition,
-                                           cap=check_cap)
-                defect = measures.pair_invariance_check(pm, mat,
-                                                        cap=check_cap)
+            pm = measures.pair_measure(backend, base, partition,
+                                       cap=check_cap)
+            defect = measures.pair_invariance_check(pm, parse_gamma(gamma),
+                                                    cap=check_cap)
             write_csv(os.path.join(out, "pair_invariance.csv"),
                       ("gamma", "defect"), [(gamma, defect)],
                       cfg, "prop-3.4")
@@ -272,8 +249,7 @@ def cmd_measure(args):
                         "lemma_5_3_method": method},
                        cfg, "lem-5.2 lem-5.3")
         else:
-            print(f"unknown check {check!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown check {check!r}")
     return code
 
 
@@ -285,15 +261,19 @@ def cmd_entropy(args):
                                   "xi", "eta", "rank"))
     backend = _BACKENDS[args.backend]
     out = args.out
+    # a flat fiber's eta (None here) defaults to xi + pi, the backward end
+    if backend == TREE:
+        v = entropy.FlowPoint(TREE, "", "ab" * 12, "BA" * 12)
+        xi, eta, parse_end = "a", "b", str
+    elif backend == FLAT:
+        v = entropy.FlowPoint(FLAT, pos=(0.2, 0.5), theta=0.0)
+        xi, eta, parse_end = 0.0, None, float
+    else:
+        v = entropy.FlowPoint(PLANE, pos=0.1 + 1.3j, theta=0.7)
+        xi, eta, parse_end = 0.0, math.inf, float
     probe = cfg.get("probe")
     if probe == "z-set":
         rho = float(cfg.get("rho", 0.4))
-        if backend == TREE:
-            v = entropy.FlowPoint(TREE, "", "ab" * 12, "BA" * 12)
-        elif backend == FLAT:
-            v = entropy.FlowPoint(FLAT, pos=(0.2, 0.5), theta=0.0)
-        else:
-            v = entropy.FlowPoint(PLANE, pos=0.1 + 1.3j, theta=0.7)
         rep = entropy.z_set_probe(v, rho, seed=args.seed or 11)
         write_json(os.path.join(out, "z_set_probe.json"),
                    {"classification": rep.classification, "rho": rep.rho,
@@ -302,10 +282,8 @@ def cmd_entropy(args):
                    cfg, "def-4.1")
         return EXIT_OK
     if probe == "fiber":
-        xi = cfg.get("xi", "a" if backend == TREE else "0")
-        eta = cfg.get("eta", "b" if backend == TREE else "inf")
-        if backend != TREE:
-            xi, eta = float(xi), float(eta)
+        xi = parse_end(cfg.get("xi", xi))
+        eta = parse_end(cfg.get("eta", xi + math.pi if eta is None else eta))
         count, detail = entropy.endpoint_fiber_probe(backend, xi, eta)
         write_json(os.path.join(out, "fiber_probe.json"),
                    {"count": count, "detail": repr(detail)},
@@ -333,7 +311,6 @@ def cmd_entropy(args):
 # validate
 
 def _validate_records(args):
-    corrupt = bool(getattr(args, "corrupt_delta", False))
     records = []
 
     def rec(name, backend, measured, bound, ok):
@@ -354,7 +331,7 @@ def _validate_records(args):
         worst <= 3 * rho)
 
     # lemma 2.5 on the plane: thin triangles against 4 delta-hat + 3 rho
-    delta = (0.0 if corrupt
+    delta = (0.0 if args.corrupt_delta
              else geometry.estimate_delta(PLANE, 20000, 4.0, args.seed).delta)
     rho = 0.05
     rng = np.random.default_rng(args.seed + 1)

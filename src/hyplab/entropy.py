@@ -386,9 +386,9 @@ def endpoint_fiber_probe(backend, xi, eta):
     """Number of distinct flow lines found with the given endpoints.
 
     Tree and plane geodesics are determined by their endpoint pair
-    (count 1, exact/closed-form certificate); on the flat torus a
-    direction pair (theta, -theta) carries a continuum of parallels, of
-    which two distinct representatives are returned.
+    (count 1, exact/closed-form certificate).  A flat line heading xi
+    has eta = xi + pi (mod 2 pi) as its backward direction, and that
+    pair carries a continuum of parallels, of which two are returned.
     """
     if backend == TREE:
         xi = xi if isinstance(xi, words.BoundaryWord) else \
@@ -405,6 +405,9 @@ def endpoint_fiber_probe(backend, xi, eta):
         kind = "vertical line" if g.vert else "semicircle"
         return 1, f"unique geodesic ({kind}) determined by its endpoints"
     if backend == FLAT:
+        gap = (float(eta) - float(xi) - math.pi) % (2 * math.pi)
+        if not min(gap, 2 * math.pi - gap) <= 1e-9:
+            raise ValueError("flat endpoints must be opposite directions")
         a = FlowPoint(FLAT, pos=(0.0, 0.0), theta=float(xi))
         b = FlowPoint(FLAT, pos=(0.37, 0.41), theta=float(xi))
         return 2, [a, b]

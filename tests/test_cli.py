@@ -7,7 +7,7 @@ import os
 import pytest
 
 from hyplab import cli, measures
-from hyplab.geometry import PLANE
+from hyplab.geometry import PLANE, TREE
 
 
 def run(tmp_path, *argv):
@@ -75,6 +75,49 @@ def test_measure_cap_reaches_the_plane_checks(tmp_path):
     assert row == f"1,1,0,1,{cli.fmt(defect)}"
 
 
+def test_measure_tree_rows_match_the_library(tmp_path):
+    code, out = run(tmp_path, "measure", "--backend", "tree",
+                    "--check", "shadow,pair-invariance")
+    assert code == cli.EXIT_OK
+    rows = (out / "shadow_bounds.csv").read_text().splitlines()[2:]
+    assert rows == [
+        ",".join(cli.fmt(v) for v in
+                 (n, *measures.shadow_mass_bounds(TREE, "", "a" * n, 0.5)))
+        for n in range(2, 9)]
+    row = (out / "pair_invariance.csv").read_text().splitlines()[2]
+    pm = measures.pair_measure(TREE, "", measures.tree_partition(4))
+    defect = measures.pair_invariance_check(pm, "a")
+    assert row == f"a,{cli.fmt(defect)}"
+
+
+@pytest.mark.parametrize("backend, cells", [("tree", "64"),
+                                            ("modular", "depth=3")])
+def test_measure_refuses_cells_of_the_other_backend(tmp_path, capsys,
+                                                   backend, cells):
+    code, out = run(tmp_path, "measure", "--backend", backend,
+                    "--cells", cells)
+    assert code == cli.EXIT_USAGE
+    assert "--cells" in capsys.readouterr().err
+    assert not (out / "measure.json").exists()
+
+
+def test_count_flat_writes_no_geodesic_census(tmp_path):
+    code, out = run(tmp_path, "count", "--backend", "flat")
+    assert code == cli.EXIT_OK
+    assert sorted(os.listdir(out)) == ["entropy_fit.json",
+                                       "orbit_census.csv"]
+
+
+def test_flat_fiber_eta_defaults_to_the_backward_direction(tmp_path):
+    code, out = run(tmp_path, "entropy", "--backend", "flat",
+                    "--probe", "fiber", "--xi", "0.3")
+    assert code == cli.EXIT_OK
+    assert json.loads((out / "fiber_probe.json").read_text())["count"] == 2
+    code, _ = run(tmp_path, "entropy", "--backend", "flat",
+                  "--probe", "fiber", "--xi", "0.3", "--eta", "1.0")
+    assert code == cli.EXIT_USAGE
+
+
 def test_entropy_tree(tmp_path):
     code, out = run(tmp_path, "entropy", "--backend", "tree")
     assert code == cli.EXIT_OK
@@ -108,8 +151,9 @@ def test_validate_corruption_is_caught(tmp_path, capsys):
 
 
 def test_unknown_backend_is_usage_error(tmp_path):
-    code, _ = run(tmp_path, "count", "--backend", "moebius")
-    assert code == cli.EXIT_USAGE
+    for backend in ("moebius", "plane"):
+        code, _ = run(tmp_path, "count", "--backend", backend)
+        assert code == cli.EXIT_USAGE
 
 
 def test_measure_flat_refused(tmp_path):

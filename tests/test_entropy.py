@@ -172,6 +172,14 @@ def test_endpoint_fiber_probe_counts():
     assert not np.array_equal(a.pos, b.pos)
 
 
+def test_flat_fiber_endpoints_must_be_opposite_directions():
+    n, _ = entropy.endpoint_fiber_probe(FLAT, 0.3, 0.3 - math.pi)
+    assert n == 2
+    for eta in (1.0, 0.3, math.inf):
+        with pytest.raises(ValueError):
+            entropy.endpoint_fiber_probe(FLAT, 0.3, eta)
+
+
 def test_plane_flow_point_is_anchored_at_its_position():
     v = entropy.FlowPoint(PLANE, pos=0.1 + 1.3j, theta=0.7)
     assert type(v.point(0.0)) is complex and type(v.point(2)) is complex
