@@ -123,6 +123,8 @@ def fit_entropy(census, window=None):
     extreme values of count * e^{-hR} over the window.
     """
     pts = [(r, c) for (r, c) in census.entries if c > 0]
+    if len(pts) < 4:
+        raise ValueError("need at least 4 census points in the fit window")
     if window is None:
         lo = pts[len(pts) // 2][0] if len(pts) >= 8 else pts[0][0]
         window = (lo, pts[-1][0])

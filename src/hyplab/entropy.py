@@ -23,7 +23,8 @@ class FlowPoint:
 
     Tree: the origin vertex with a backward word `past` and a forward
     word `future`, both reduced and read outward from the origin; beyond
-    either word the line repeats it.  Plane: (position in the upper
+    either word the line repeats it, and a time there raises ValueError
+    when the repetition would cancel.  Plane: (position in the upper
     half-plane, direction angle).  Flat: (position mod the unit lattice,
     direction angle).
     """
@@ -67,9 +68,12 @@ class FlowPoint:
             word = self.future if n >= 0 else self.past
             n = abs(n)
             if n > len(word):
-                # periodic continuation: repeat the word
-                ext = word * (n // len(word) + 1)
-                return words.mul(self.origin, words.reduce_word(ext[:n]))
+                # periodic continuation: repeat the word, which must not
+                # cancel against itself
+                if not words.is_reduced(word + word):
+                    raise ValueError(f"window word {word!r} does not "
+                                     "repeat as a reduced word")
+                word = word * (n // len(word) + 1)
             return words.mul(self.origin, word[:n])
         if self.backend == PLANE:
             return self.geodesic.point(t)

@@ -353,7 +353,7 @@ def dist_to_segment(z, p, q):
     return _SegmentChart(p, q).dist(np.asarray(z, dtype=complex))
 
 
-def triangle_thinness(a, b, c, samples_per_side=24):
+def triangle_thinness(a, b, c):
     """Slim-triangle defect of the triangles (a[i], b[i], c[i]): the max
     over sides of the max over sampled points on the side of the distance
     to the union of the other two sides.  Side points are sampled; the
@@ -361,7 +361,7 @@ def triangle_thinness(a, b, c, samples_per_side=24):
     sides = [_SegmentChart(a, b), _SegmentChart(b, c), _SegmentChart(c, a)]
     defect = np.zeros(len(sides[0].p))
     for k, side in enumerate(sides):
-        pts = side.sample(samples_per_side)
+        pts = side.sample(SAMPLES_PER_SIDE)
         dmin = np.minimum(sides[(k + 1) % 3].dist(pts),
                           sides[(k + 2) % 3].dist(pts))
         defect = np.maximum(defect, dmin.max(axis=1))
@@ -369,6 +369,7 @@ def triangle_thinness(a, b, c, samples_per_side=24):
 
 
 MC_BATCH = 4096  # triangles per vectorised batch
+SAMPLES_PER_SIDE = 24  # sampled points per side in triangle_thinness
 
 
 def estimate_delta_mc(sample_count, radius, seed):

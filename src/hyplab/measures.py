@@ -155,11 +155,6 @@ def poincare_series(backend, s, p=None, cap=30.0, rank=2):
     raise BackendMismatch(f"no Poincare series on backend {backend!r}")
 
 
-def _apply_many(mats, z):
-    a, b, c, d = mats[:, 0], mats[:, 1], mats[:, 2], mats[:, 3]
-    return (a * z + b) / (c * z + d)
-
-
 def ps_measure(backend, p, s, cap, rank=2):
     """The orbital measure nu_{p,s}: atoms e^{-s d(p, gamma p)} at the
     orbit points gamma p, normalized by the Poincare series at p."""
@@ -177,11 +172,9 @@ def ps_measure(backend, p, s, cap, rank=2):
     if backend == PLANE:
         atoms = _plane_atoms(p, cap)
         npart, ntail = atoms.series(s)
-        # the cached atoms with those at p put back at their places in
-        # the ball's order, so the total mass sums in that order
-        at = atoms.base_at - np.arange(len(atoms.base_at))
-        z = np.insert(atoms.z, at, atoms.base_z)
-        d = np.insert(atoms.d, at, halfplane.dist(atoms.p, atoms.base_z))
+        # the atoms at p, kept apart by the cache, come first
+        z = np.concatenate((atoms.base_z, atoms.z))
+        d = np.concatenate((halfplane.dist(atoms.p, atoms.base_z), atoms.d))
         w = np.exp(-s * d) / npart
         total = float(w.sum())
         tail = ntail / npart + total * ntail / npart
@@ -223,16 +216,15 @@ def _tree_cell_masses(p, s, partition, cap):
 class _PlaneAtoms:
     """Cached orbit atoms around a base point, reused across the s grid:
     positions and distances, the Poincare series with its tail, and,
-    built on first use, each atom's boundary angle at PLANE_BASE and
-    their circular sort order.  The atoms at p itself are kept apart,
-    with their positions in the ball's order."""
+    built on first use, each atom's boundary angle at PLANE_BASE.  The
+    atoms at p itself are kept apart: they have no boundary angle."""
 
     def __init__(self, p, cap):
         self.p, self.cap = complex(p), cap
         # the ball is dropped as soon as its orbit points are known
-        z = _apply_many(modular.modular_ball(self.p, cap).elements, self.p)
+        z = halfplane.mobius_apply(
+            modular.modular_ball(self.p, cap).elements.T, self.p)
         base = np.abs(z - self.p) <= 1e-12
-        self.base_at = np.flatnonzero(base)
         self.base_z = z[base]
         self.z = z[~base]
         self.d = halfplane.dist(self.p, self.z)
@@ -259,36 +251,12 @@ class _PlaneAtoms:
         xi = halfplane.geodesic_endpoints(self.p, self.z)[1]
         return halfplane.direction_toward(PLANE_BASE, xi)
 
-    @functools.cached_property
-    def _circular(self):
-        """(sort order, sorted angles) of theta taken in [0, 2 pi)."""
-        th = np.mod(self.theta, 2.0 * math.pi)
-        order = np.argsort(th)
-        return order, th[order]
-
     def cell_masses(self, s, partition, norm, floor=0.0):
         sel = self.d >= floor
         idx = partition.locate_angle(self.theta[sel])
         w = np.exp(-s * self.d[sel])
         w /= w.sum() if norm is None else norm
         return np.bincount(idx, weights=w, minlength=len(partition))
-
-    def interval_masses(self, s, intervals, norm):
-        """Masses of arbitrary circular angle intervals (lo, hi) ccw."""
-        order, th_s = self._circular
-        w = np.exp(-s * self.d) / norm
-        w_s = np.concatenate(([0.0], np.cumsum(w[order])))
-        out = []
-        for lo, hi in intervals:
-            lo, hi = lo % (2.0 * math.pi), hi % (2.0 * math.pi)
-            if lo <= hi:
-                a, b = np.searchsorted(th_s, [lo, hi])
-                out.append(w_s[b] - w_s[a])
-            else:
-                a = np.searchsorted(th_s, lo)
-                b = np.searchsorted(th_s, hi)
-                out.append((w_s[-1] - w_s[a]) + w_s[b])
-        return np.array(out)
 
 
 def _plane_atoms(p, cap):
@@ -491,10 +459,12 @@ def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
         return float(mass), ratio
     if backend == PLANE:
         p, x = complex(p), complex(x)
-        interval = halfplane.direction_toward(
+        lo, hi = halfplane.direction_toward(
             PLANE_BASE, halfplane.shadow_arc(p, x, rho))
         atoms = _plane_atoms(p, 12.0 if cap is None else cap)
-        rows = [atoms.interval_masses(s, [interval], atoms.series(s)[0])
+        on_arc = atoms.d[np.mod(atoms.theta - lo, 2.0 * math.pi)
+                         < np.mod(hi - lo, 2.0 * math.pi)]
+        rows = [[np.exp(-s * on_arc).sum() / atoms.series(s)[0]]
                 for s in DEFAULT_S_GRID_PLANE]
         mass, _, _ = extrapolate_to_h(rows, DEFAULT_S_GRID_PLANE, 1.0)
         d = halfplane.dist(p, x)
@@ -766,14 +736,6 @@ def validate_D_mass(p, x, r_prime, r, rank=2):
     return mass, c_prime
 
 
-def _extended_path(u, x, horizon, rank=2):
-    """Vertices along the line through u and x, continued past x."""
-    path = words.geodesic_vertices(u, x)
-    while len(path) < horizon + 1:
-        path.append(path[-1] + _forward_letter(path[-1], rank))
-    return path
-
-
 def validate_separated_bound(x, n, rho, r_prime, r, rank=2):
     """Cardinality of a maximal (d_n, 2 r0)-separated subset of D(x,R',R).
 
@@ -787,9 +749,9 @@ def validate_separated_bound(x, n, rho, r_prime, r, rank=2):
     if words.distance("", x) < n + r + r_prime:
         raise ValueError("need d(x, p) >= n + R + R'")
     r0 = 3 * rho
-    horizon = n + int(math.ceil(r_prime)) + 2
     bases = sorted(words.ball_words(int(math.floor(r_prime)), rank))
-    lines = [_extended_path(u, x, horizon + len(x), rank) for u in bases]
+    # d(u, x) >= n keeps times 0..n on the segment from u to x
+    lines = [words.geodesic_vertices(u, x) for u in bases]
     kept = []
     for path in lines:
         ok = True

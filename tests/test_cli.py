@@ -156,6 +156,15 @@ def test_unknown_backend_is_usage_error(tmp_path):
         assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [("tree", "--Rmax", "1"),
+                                  ("flat", "--Rmax", "3")])
+def test_count_too_few_census_points_is_usage_error(tmp_path, capsys, argv):
+    code, _ = run(tmp_path, "count", "--backend", *argv)
+    assert code == cli.EXIT_USAGE
+    assert ("error: need at least 4 census points"
+            in capsys.readouterr().err)
+
+
 def test_measure_flat_refused(tmp_path):
     code, _ = run(tmp_path, "measure", "--backend", "flat")
     assert code == cli.EXIT_USAGE

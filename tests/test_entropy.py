@@ -200,6 +200,18 @@ def test_flow_point_backend_is_checked_at_construction():
         entropy.FlowPoint("modular", pos=0.1 + 1.3j)
 
 
+def test_tree_flow_point_repeats_only_a_reduced_window():
+    v = entropy.FlowPoint(TREE, "", "abA", "B")
+    assert [v.point(t) for t in range(4)] == ["", "a", "ab", "abA"]
+    assert v.point(-3) == "BBB"
+    # abA abA cancels at the junction: no time past the window exists
+    for t in (4, 6):
+        with pytest.raises(ValueError):
+            v.point(t)
+    w = entropy.FlowPoint(TREE, "", "ab", "B")
+    assert w.point(5) == "ababa"
+
+
 def test_rejects_unreduced_windows():
     with pytest.raises(ValueError):
         entropy.FlowPoint(TREE, "", "aA", "b")

@@ -199,6 +199,65 @@ def test_shadow_mass_bounds_tree_family():
     assert max(ratios) / min(ratios) <= 2.0
 
 
+@pytest.mark.parametrize("cap", [10.0, 12.0])
+def test_plane_shadow_masses_equal_fsum_reference(cap):
+    # the CLI's shadow rows; the reference sums the same on-arc atoms
+    # with math.fsum and extrapolates them the same way
+    atoms = measures._plane_atoms(2j, cap)
+    grid = measures.DEFAULT_S_GRID_PLANE
+    norms = [math.fsum(np.exp(-s * atoms.d)) + len(atoms.base_z)
+             for s in grid]
+    for n in range(1, 6):
+        x = 2j * math.exp(1.0 + 0.5 * n)
+        lo, hi = halfplane.direction_toward(
+            measures.PLANE_BASE, halfplane.shadow_arc(2j, x, 1.0))
+        d = atoms.d[np.mod(atoms.theta - lo, 2.0 * math.pi)
+                    < np.mod(hi - lo, 2.0 * math.pi)]
+        rows = [[math.fsum(np.exp(-s * d)) / norm]
+                for s, norm in zip(grid, norms)]
+        want = measures.extrapolate_to_h(rows, grid, 1.0)[0][0]
+        mass, ratio = measures.shadow_mass_bounds(PLANE, 2j, x, 1.0, cap=cap)
+        assert mass == pytest.approx(want, rel=1e-14, abs=0)
+        assert ratio == mass * math.exp(halfplane.dist(2j, x))
+
+
+def _psl2z_forms_at_2i(radius):
+    """Sorted 8 cosh d(2i, gamma 2i) = 4a^2 + b^2 + 16c^2 + 4d^2 over the
+    elements (a, b, c, d) of PSL(2, Z) in the ball, by integer brute force."""
+    bound = 8.0 * math.cosh(radius)
+    amax, cmax = math.isqrt(int(bound // 4)), math.isqrt(int(bound // 16))
+    side = range(-amax, amax + 1)
+    forms = []
+    for c in range(-cmax, cmax + 1):
+        for a in side:
+            for d in side:
+                if c == 0:
+                    if a * d != 1:
+                        continue
+                    bmax = math.isqrt(int(bound - 8))
+                    bs = range(-bmax, bmax + 1)
+                elif (a * d - 1) % c:
+                    continue
+                else:
+                    bs = [(a * d - 1) // c]
+                forms += [4 * a * a + b * b + 16 * c * c + 4 * d * d
+                          for b in bs]
+    forms = sorted(f for f in forms if f <= bound)
+    return np.array(forms[::2], dtype=float)  # gamma and -gamma
+
+
+def test_ps_measure_plane_weights_match_the_integer_ball():
+    s, cap = 1.2, 8.0
+    mu = measures.ps_measure(PLANE, 2j, s, cap=cap)
+    w = np.exp(-s * np.arccosh(np.maximum(_psl2z_forms_at_2i(cap) / 8.0,
+                                          1.0)))
+    got = np.sort([weight for _, weight in mu.atoms])
+    assert got == pytest.approx(np.sort(w / w.sum()), rel=1e-12, abs=0)
+    at_base = [z for z, _ in mu.atoms if abs(z - 2j) <= 1e-12]
+    assert len(at_base) == 1 and mu.atoms[0][0] == at_base[0]
+    assert mu.total_mass == pytest.approx(1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("rank", [2, 3])
 def test_pair_measure_tree_invariance_exact(rank):
     part = measures.tree_partition(3, rank=rank)
