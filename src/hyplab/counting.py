@@ -182,53 +182,3 @@ def margulis_table(census, h, t_grid):
     return [(t, census.count(t), margulis_ratio(census, h, t))
             for t in t_grid]
 
-
-def _matrix_root_test(m, k):
-    """Integer k-th root of a hyperbolic matrix in PSL(2, Z), if any.
-
-    Cayley-Hamilton gives m0^k = U_{k-1}(s) m0 - U_{k-2}(s) I where s is
-    the trace of m0 and U_j the trace-recurrence coefficients, so a root
-    exists iff (m + U_{k-2} I) / U_{k-1} is integral with determinant 1.
-    """
-    t = modular.trace(m)
-    for s in range(3, t + 1):
-        u_prev, u = 0, 1  # U_{-1}, U_0
-        for _ in range(k - 1):
-            u_prev, u = u, s * u - u_prev
-        # trace of the k-th power of a trace-s matrix
-        t_prev, t_cur = 2, s
-        for _ in range(k - 1):
-            t_prev, t_cur = t_cur, s * t_cur - t_prev
-        if t_cur != t:
-            continue
-        a, b, c, d = m
-        num = (a + u_prev, b, c, d + u_prev)
-        if all(x % u == 0 for x in num):
-            root = tuple(x // u for x in num)
-            if modular.det(root) == 1 and modular.mat_pow(root, k) == m:
-                return root
-    return None
-
-
-def primitive_test(element):
-    """Whether the element is not a proper power of another element.
-
-    Accepts a tree word (string) or an integer matrix 4-tuple.  Both
-    routes are exact.
-    """
-    if isinstance(element, str):
-        w, _ = words.cyclic_reduce(element)
-        if not w:
-            raise ValueError("identity element has no primitivity class")
-        return words.is_primitive(w)
-    m = modular.normalize(tuple(int(x) for x in element))
-    length, kind = modular.translation_length(m)
-    if kind != "hyperbolic":
-        raise ValueError(f"{kind} element has no primitivity class")
-    t = modular.trace(m)
-    k = 2
-    while 2 * math.cosh(math.acosh(t / 2.0) / k) >= 3 - 1e-9:
-        if _matrix_root_test(m, k) is not None:
-            return False
-        k += 1
-    return True

@@ -27,6 +27,11 @@ class FlowPoint:
     when the repetition would cancel.  Plane: (position in the upper
     half-plane, direction angle).  Flat: (position mod the unit lattice,
     direction angle).
+
+    The backend is decided once, here: the point carries `steps`, its
+    d_n grid points per unit time (1 on the tree, SAMPLES_PER_UNIT on
+    the continuous backends), and `metric`, its base-space distance
+    broadcast over arrays of points.
     """
 
     backend: str
@@ -45,6 +50,7 @@ class FlowPoint:
                     raise ValueError(f"window word {w!r} not reduced")
             if self.future[0] == self.past[0]:
                 raise ValueError("flow line backtracks at time 0")
+            steps, metric = 1, _tree_metric
         elif self.backend == PLANE:
             p = complex(self.pos)
             if p.imag <= 0:
@@ -53,17 +59,23 @@ class FlowPoint:
             object.__setattr__(self, "geodesic", halfplane.Geodesic(
                 halfplane.forward_endpoint(p, self.theta + math.pi),
                 halfplane.forward_endpoint(p, self.theta), p))
+            steps, metric = SAMPLES_PER_UNIT, halfplane.dist
         elif self.backend == FLAT:
             object.__setattr__(self, "pos",
                                np.mod(np.asarray(self.pos, dtype=float),
                                       1.0))
+            steps, metric = SAMPLES_PER_UNIT, flat.torus_dist
         else:
             raise BackendMismatch(f"unknown backend {self.backend!r}")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "metric", metric)
 
     def point(self, t):
-        """The base-space point c_v(t); on the continuous backends an
-        array of times gives the array of points."""
+        """The base-space point c_v(t); an array of times gives the array
+        of points (an object array of words on the tree)."""
         if self.backend == TREE:
+            if np.ndim(t):
+                return np.array([self.point(s) for s in t], dtype=object)
             n = int(round(t))
             word = self.future if n >= 0 else self.past
             n = abs(n)
@@ -81,24 +93,9 @@ class FlowPoint:
         return self.pos + np.multiply.outer(t, v)
 
 
-def dyn_metric(v, w, k):
-    """d_k(v, w) = max over t in [0, k] of d(c_v(t), c_w(t)).
-
-    Tree flow lines are evaluated at the exact integer times; the
-    continuous backends sample a uniform t grid including both ends,
-    SAMPLES_PER_UNIT points per unit time.
-    """
-    if v.backend != w.backend:
-        raise BackendMismatch("flow points live on different backends")
-    if v.backend == TREE:
-        if k > min(len(v.future), len(w.future)):
-            raise ValueError("k exceeds usable window")
-        return max(float(words.distance(words.mul(v.origin, v.future[:t]),
-                                        words.mul(w.origin, w.future[:t])))
-                   for t in range(int(k) + 1))
-    ts = np.linspace(0.0, float(k), max(2, int(k * SAMPLES_PER_UNIT) + 1))
-    metric = flat.torus_dist if v.backend == FLAT else halfplane.dist
-    return max(metric(v.point(t), w.point(t)) for t in ts)
+def _tree_metric(p, q):
+    """words.distance over arrays of words, as floats."""
+    return np.frompyfunc(words.distance, 2, 1)(p, q).astype(float)
 
 
 @dataclass(frozen=True)
@@ -121,29 +118,18 @@ class SpanningReport:
 def _dn_rows(sample, n_grid):
     """d_n from one sample line to every sample line, for all n in n_grid.
 
-    Each line is evaluated once, on the time grid of the largest n:
-    integer times on the tree, multiples of 1/SAMPLES_PER_UNIT otherwise.
-    For integer n that grid starts with the grid of every smaller n, so a
-    running max along t reads off every d_n in one pass.  Returns row(i),
-    an array of shape (len(n_grid), len(sample)).
+    Each line is evaluated once, on the time grid of the largest n, with
+    the lines' own `steps` points per unit time.  For integer n that
+    grid starts with the grid of every smaller n, so a running max along
+    t reads off every d_n in one pass.  Returns row(i), an array of
+    shape (len(n_grid), len(sample)).
     """
-    backend = sample[0].backend
-    steps = 1 if backend == TREE else SAMPLES_PER_UNIT
-    cols = [steps * int(n) for n in n_grid]
-    ts = np.arange(max(cols) + 1) / steps
-    if backend == TREE:
-        pts = [[v.point(t) for t in ts] for v in sample]
-
-        def along(i):
-            return np.array([[float(words.distance(a, b))
-                              for a, b in zip(r, pts[i])] for r in pts])
-    else:
-        pts = np.array([v.point(ts) for v in sample])
-        metric = flat.torus_dist if backend == FLAT else halfplane.dist
-
-        def along(i):
-            return metric(pts, pts[i])
-    return lambda i: np.maximum.accumulate(along(i), axis=1)[:, cols].T
+    v = sample[0]
+    cols = [v.steps * int(n) for n in n_grid]
+    ts = np.arange(max(cols) + 1) / v.steps
+    pts = np.array([w.point(ts) for w in sample])
+    return lambda i: np.maximum.accumulate(
+        v.metric(pts, pts[i]), axis=1)[:, cols].T
 
 
 def _greedy_separated(apart, m, g):
@@ -165,7 +151,8 @@ def spanning_counts(sample, n_grid, delta):
     """`spanning_count` for every n in n_grid, in one pass over the sample.
 
     The n must be integers: the one-pass d_n grid nests only then, so a
-    non-integer n raises ValueError.  Each line's distance row is built
+    non-integer n raises ValueError, as does a delta that is not a
+    finite positive number.  Each line's distance row is built
     at most once, the first time the greedy cover or the separated scan
     needs it, and lives only for this call.
     """
@@ -174,8 +161,9 @@ def spanning_counts(sample, n_grid, delta):
     n_grid = list(n_grid)
     if not n_grid or any(n != int(n) or n < 0 for n in n_grid):
         raise ValueError(f"n grid {n_grid} is not non-negative integers")
-    backend, m = sample[0].backend, len(sample)
-    if backend == TREE and 0 < delta < 1.0:
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta {delta} is not a finite positive number")
+    if sample[0].backend == TREE and delta < 1.0:
         # exact symbolic route: vertex distances are integers, so a
         # delta-ball (delta < 1) holds exactly the lines sharing the
         # forward prefix, and distinct prefixes are d_n >= 2 separated
@@ -193,7 +181,7 @@ def spanning_counts(sample, n_grid, delta):
         d = row(i)
         return d > delta, d > 2.0 * delta
 
-    g = len(n_grid)
+    m, g = len(sample), len(n_grid)
     upper = _greedy_separated(lambda i: apart(i)[0], m, g)
     lower = _greedy_separated(lambda i: apart(i)[1], m, g)
     return [SpanningReport(int(n), float(delta), int(lo), int(up),
@@ -284,16 +272,16 @@ def estimate_htop(backend, n_grid=None, delta_grid=None, rank=2,
         n_grid = list(range(1, 7)) if n_grid is None else list(n_grid)
         sample = (tree_flow_sample(max(n_grid), rank)
                   if sample is None else sample)
-        fit_grid = list(range(2, 11))
+        fit_grid, base = list(range(2, 11)), None
     elif backend == FLAT:
         n_grid = (list(range(12, 41, 4)) if n_grid is None
                   else list(n_grid))
         sample = flat_flow_sample() if sample is None else sample
-        fit_grid = list(range(4, 81, 4))
+        fit_grid, base = list(range(4, 81, 4)), None
     elif backend == PLANE:
         n_grid = list(range(1, 6)) if n_grid is None else list(n_grid)
         sample = plane_flow_sample() if sample is None else sample
-        fit_grid = [float(r) for r in range(2, 9)]
+        fit_grid, base = [float(r) for r in range(2, 9)], 2j
     else:
         raise BackendMismatch(f"unknown backend {backend!r}")
     slopes, all_reports = {}, []
@@ -306,8 +294,7 @@ def estimate_htop(backend, n_grid=None, delta_grid=None, rank=2,
     h = vals[0]  # finest delta
     spread = max(vals) - min(vals) if len(vals) > 1 else 0.0
     stable = spread <= 0.1 * max(abs(h), 1e-9) + 1e-9
-    census = counting.orbit_count(backend, 2j if backend == PLANE else None,
-                                  fit_grid, rank=rank)
+    census = counting.orbit_count(backend, base, fit_grid, rank=rank)
     fit = counting.fit_entropy(census)
     return HtopEstimate(h, slopes, all_reports, fit.h,
                         abs(h - fit.h), stable)
@@ -336,8 +323,8 @@ def z_set_probe(v, rho, horizon=20, sample_budget=400, seed=11):
     draw off the upper half-plane is redrawn, not counted) and reports
     the (non-)finding as evidence.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho {rho} is not a finite positive number")
     if v.backend == TREE:
         if rho < 1.0:
             return ProbeReport(

@@ -187,14 +187,6 @@ class Geodesic(_AxisChart):
         return f"Geodesic(u={self.u}, v={self.v})"
 
 
-def ray(p, xi):
-    """Unit-speed ray with point(0)=p heading to boundary point xi; its
-    backward endpoint is where the opposite tangent direction leads."""
-    p = complex(p)
-    return Geodesic(forward_endpoint(p, direction_toward(p, xi) + math.pi),
-                    xi, p)
-
-
 def line(xi, eta):
     """Unit-speed line from xi (t=-inf) to eta (t=+inf).  Its origin
     (t=0) is the top of the semicircle, (xi+eta)/2 + i|eta-xi|/2, or the
@@ -225,16 +217,6 @@ def busemann(q, p, xi):
     gp = np.where(inf, 1.0, np.square(np.abs(p - x)))
     out = np.log(p.imag * gq / (q.imag * gp))
     return float(out) if out.ndim == 0 else out
-
-
-def busemann_numeric(q, p, xi, horizon=30.0):
-    """Oracle route: evaluate d(q, ray(t)) - t at large t, with the
-    convergence gap between the last two probes reported."""
-    r = ray(complex(p), xi)
-    t1, t2 = horizon - 1.0, horizon
-    v1 = dist(q, r.point(t1)) - t1
-    v2 = dist(q, r.point(t2)) - t2
-    return v2, abs(v2 - v1)
 
 
 def gromov_beta(p, xi, eta):
@@ -336,21 +318,6 @@ class _SegmentChart(_AxisChart):
             q = np.broadcast_to(self.q, z.shape)[outside]
             out[outside] = np.minimum(dist(zo, p), dist(zo, q))
         return out
-
-
-def geodesic_sample(p, q, n):
-    """n points evenly spaced (in arclength) along each segment p[i]->q[i].
-
-    p, q: complex arrays of shape (m,).  Returns an (m, n) complex array.
-    """
-    return _SegmentChart(p, q).sample(n)
-
-
-def dist_to_segment(z, p, q):
-    """Distance from points z (shape (m, n)) to the geodesic segments
-    p[i] -> q[i] (shape (m,)): closed-form foot-of-perpendicular distance,
-    clamped to the nearer endpoint when the foot falls outside."""
-    return _SegmentChart(p, q).dist(np.asarray(z, dtype=complex))
 
 
 def triangle_thinness(a, b, c):

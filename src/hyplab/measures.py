@@ -157,14 +157,16 @@ def poincare_series(backend, s, p=None, cap=30.0, rank=2):
 
 def ps_measure(backend, p, s, cap, rank=2):
     """The orbital measure nu_{p,s}: atoms e^{-s d(p, gamma p)} at the
-    orbit points gamma p, normalized by the Poincare series at p."""
+    orbit points gamma p, normalized by the Poincare series at p.  The
+    tree route is rooted at the identity vertex."""
     if backend == TREE:
-        p = p or ""
+        if p not in ("", None):
+            raise BackendMismatch("tree orbital measures are rooted at the "
+                                  "identity vertex")
         norm = tree_series_closed_form(s, rank)
         weight = [math.exp(-s * n) / norm for n in range(int(cap) + 1)]
-        ball = words.ball_words(int(cap), rank)
-        # the orbit point p u lies at distance |u| from p
-        atoms = [(words.mul(p, u) if p else u, weight[len(u)]) for u in ball]
+        # the orbit point u lies at distance |u| from the root
+        atoms = [(u, weight[len(u)]) for u in words.ball_words(int(cap), rank)]
         _, tail_num = poincare_series(TREE, s, cap=cap, rank=rank)
         total = sum(w for _, w in atoms)
         return AtomicMeasure(TREE, tuple(atoms), total, tail_num / norm,

@@ -30,11 +30,6 @@ def normalize(m):
     raise ValueError("zero matrix")
 
 
-def det(m):
-    a, b, c, d = m
-    return a * d - b * c
-
-
 def mat_mul(m1, m2):
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
@@ -45,13 +40,6 @@ def mat_mul(m1, m2):
 def mat_inv(m):
     a, b, c, d = m
     return (d, -b, -c, a)  # valid for det 1
-
-
-def mat_pow(m, n):
-    out = IDENT
-    for _ in range(n):
-        out = mat_mul(out, m)
-    return out
 
 
 def trace(m):
@@ -85,8 +73,8 @@ def translation_length(m):
 
 @dataclass
 class BallResult:
-    # matrices gamma with d(p, gamma q) <= R: an int64 (n, 4) array from
-    # modular_ball, a sorted list of tuples from word_ball
+    # matrices gamma with d(p, gamma q) <= R: an int64 (n, 4) array of
+    # rows (a, b, c, d)
     elements: object
     radius: float
     base: complex
@@ -96,7 +84,6 @@ class BallResult:
 
 BALL_BLOCK_ROWS = 16  # rows c of the (c, d) enumeration handled per block
 BALL_SLACK = 1e-9  # float64 tolerance of the sphere d = R
-WORD_BALL_BUFFER = 4.0  # word_ball extends words up to displacement R + this
 
 
 def modular_ball(p, R, q=None):
@@ -197,43 +184,6 @@ def _ext_gcd_rows(a, b):
         old_t[live], t[live] = t[live], old_t[live] - quo * t[live]
         live = live[r[live] != 0]
     return old_r, old_s, old_t
-
-
-def word_ball(p, R):
-    """Breadth-first enumeration of PSL(2, Z) by word length in R, L and
-    their inverses, keeping the elements with displacement <= R: the
-    reference route that modular_ball is tested against.
-
-    The search is pruned at displacement R + WORD_BALL_BUFFER: a word is
-    extended only while it stays that close to the base point.  This is
-    a heuristic route (a large enough buffer recovers the full ball
-    because word geodesics fellow-travel the hyperbolic ones); it ends
-    when the pruned frontier exhausts itself.
-    """
-    p = complex(p)
-    gens = [normalize(g) for m in (R_MAT, L_MAT) for g in (m, mat_inv(m))]
-    seen = {IDENT}
-    frontier = [IDENT]
-    hits = [IDENT]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                m = normalize(mat_mul(w, g))
-                if m in seen:
-                    continue
-                seen.add(m)
-                disp = halfplane.dist(p, halfplane.mobius_apply(m, p))
-                if disp > R + WORD_BALL_BUFFER:
-                    continue
-                nxt.append(m)
-                if disp <= R + BALL_SLACK:
-                    hits.append(m)
-        frontier = nxt
-    cert = (f"displacement-pruned BFS, buffer={WORD_BALL_BUFFER}, "
-            "frontier exhausted")
-    return BallResult(sorted(set(hits)), R, p, complete=True,
-                      certificate=cert)
 
 
 @dataclass(frozen=True)

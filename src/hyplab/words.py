@@ -106,17 +106,6 @@ def canonical_rotation(w):
     return min(w[i:] + w[:i] for i in range(len(w)))
 
 
-def is_primitive(w):
-    """True iff the cyclic word is not a proper power of a shorter block."""
-    n = len(w)
-    if n == 0:
-        return False
-    for d in range(1, n):
-        if n % d == 0 and w[:d] * (n // d) == w:
-            return False
-    return True
-
-
 def ball_words(radius, rank=2):
     """Yield all reduced words of length <= radius, in
     length-then-lexicographic order.  Deterministic.
@@ -262,37 +251,6 @@ def tree_busemann(q, p, xi):
             - len(p) + 2 * common_prefix_len(p, target))
 
 
-def fellow_travel_deviation(v, rho):
-    """Exact max of d(x, [1, v]) over the vertices x of every geodesic
-    [u, v w] with |u|, |w| <= rho, in the rank-2 free group.
-
-    d(x, [1, v]) = |x| - lcp(x, v): the nearest point of [1, v] is x's
-    longest prefix on it.  Every vertex of [u, v'] is a prefix of u or of
-    v', and along a chain of prefixes |x| grows by one per step while
-    lcp(x, v) grows by at most one, so the worst vertex of each geodesic
-    is an endpoint and the max runs over y in B(rho) and v B(rho) only.
-    Each half alone gives exactly rho: d(y, [1, v]) <= |y| on B(rho) and
-    <= |w| at y = v w, with equality at a y of length rho leaving v.
-    """
-    ball = list(ball_words(rho))
-    return max(len(y) - common_prefix_len(y, v)
-               for y in ball + [mul(v, w) for w in ball])
-
-
-def tree_ray_vertices(p, xi, horizon):
-    """Vertices of the geodesic ray from p toward xi, times 0..horizon."""
-    target = xi.word(len(p) + len(xi.prefix) + 2 * len(xi.cycle) + horizon + 4)
-    k = common_prefix_len(p, target)
-    verts = [p[:i] for i in range(len(p), k, -1)]
-    i = k
-    while len(verts) <= horizon + 1:
-        verts.append(target[:i])
-        i += 1
-        if i > len(target):
-            target = xi.word(2 * len(target) + 8)
-    return verts[: horizon + 1]
-
-
 def necklace_words(alphabet, max_len, step, start, close,
                    primitive_only=False):
     """Yield (word, state, primitive) for each necklace of length
@@ -339,15 +297,3 @@ def necklaces(max_len, rank=2, primitive_only=True):
         None, lambda w, last: last != inv[w[0]], primitive_only)),
         key=lambda w: (len(w), w))
 
-
-def brute_force_translation_length(w, search_radius):
-    """min over tree vertices x with |x| <= search_radius of d(x, w x)."""
-    best = len(w)
-    for x in ball_words(search_radius, rank=_infer_rank(w)):
-        best = min(best, len(mul(mul(inverse(x), w), x)))
-    return best
-
-
-def _infer_rank(w):
-    hi = max((ALPHABET.index(c.lower()) for c in w), default=0)
-    return max(2, hi + 1)

@@ -1,0 +1,60 @@
+"""Reference routes that more than one test file checks the library
+against.  The library itself calls none of them.
+
+Import as `import reference` from a test module: pytest puts the tests
+directory on the import path.
+"""
+
+import math
+
+from hyplab import halfplane as hp
+from hyplab import modular, words
+
+
+def ray(p, xi):
+    """Unit-speed half-plane ray with point(0)=p heading to boundary point
+    xi; its backward endpoint is where the opposite tangent direction
+    leads."""
+    p = complex(p)
+    return hp.Geodesic(
+        hp.forward_endpoint(p, hp.direction_toward(p, xi) + math.pi), xi, p)
+
+
+def det(m):
+    a, b, c, d = m
+    return a * d - b * c
+
+
+def mat_pow(m, n):
+    out = modular.IDENT
+    for _ in range(n):
+        out = modular.mat_mul(out, m)
+    return out
+
+
+def is_primitive(w):
+    """True iff the cyclic word is not a proper power of a shorter block."""
+    n = len(w)
+    if n == 0:
+        return False
+    for d in range(1, n):
+        if n % d == 0 and w[:d] * (n // d) == w:
+            return False
+    return True
+
+
+def fellow_travel_deviation(v, rho):
+    """Exact max of d(x, [1, v]) over the vertices x of every geodesic
+    [u, v w] with |u|, |w| <= rho, in the rank-2 free group.
+
+    d(x, [1, v]) = |x| - lcp(x, v): the nearest point of [1, v] is x's
+    longest prefix on it.  Every vertex of [u, v'] is a prefix of u or of
+    v', and along a chain of prefixes |x| grows by one per step while
+    lcp(x, v) grows by at most one, so the worst vertex of each geodesic
+    is an endpoint and the max runs over y in B(rho) and v B(rho) only.
+    Each half alone gives exactly rho: d(y, [1, v]) <= |y| on B(rho) and
+    <= |w| at y = v w, with equality at a y of length rho leaving v.
+    """
+    ball = list(words.ball_words(rho))
+    return max(len(y) - words.common_prefix_len(y, v)
+               for y in ball + [words.mul(v, w) for w in ball])

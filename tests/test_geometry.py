@@ -9,6 +9,8 @@ from hyplab import geometry as geo
 from hyplab import halfplane, words
 from hyplab.geometry import FLAT, PLANE, TREE
 
+import reference
+
 
 def test_busemann_cocycle_identity():
     # b_q(z, xi) - b_p(z, xi) + b_p(q, xi) = 0
@@ -25,8 +27,8 @@ def test_gromov_beta_matches_distance_limit():
     p, xi, eta = 2j, -1.0, 1.0
     beta = halfplane.gromov_beta(p, xi, eta)
     t = 18.0
-    x = halfplane.ray(p, xi).point(t)
-    y = halfplane.ray(p, eta).point(t)
+    x = reference.ray(p, xi).point(t)
+    y = reference.ray(p, eta).point(t)
     limit = 2 * t - halfplane.dist(x, y)
     assert beta == pytest.approx(limit, abs=1e-5)
 

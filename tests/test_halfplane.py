@@ -8,6 +8,8 @@ import pytest
 from hyplab import halfplane as hp
 from hyplab import modular
 
+import reference
+
 
 def test_dist_vertical_axis():
     for y in (2.0, 5.0, 0.25):
@@ -89,7 +91,8 @@ def test_geodesic_endpoints_vertical_pairs():
 def test_vertical_segments_sample_and_distance():
     p = np.array([0.3 + 0.5j, 0.3 + 4j, -2 + 1j, -2 + 1e-10 + 2j])
     q = np.array([0.3 + 4j, 0.3 + 0.5j, -2 + 5j, -2 + 0.1j])
-    pts = hp.geodesic_sample(p, q, 11)
+    seg = hp._SegmentChart(p, q)
+    pts = seg.sample(11)
     assert np.max(np.abs(pts.real - p.real[:, None])) < 1e-9
     lo = np.minimum(p.imag, q.imag)[:, None] * (1 - 1e-12)
     hi = np.maximum(p.imag, q.imag)[:, None] * (1 + 1e-12)
@@ -98,18 +101,28 @@ def test_vertical_segments_sample_and_distance():
     # evenly spaced in arclength
     steps = hp.dist(pts[:, 1:], pts[:, :-1])
     assert np.allclose(steps, hp.dist(p, q)[:, None] / 10, atol=1e-9)
-    assert float(np.abs(hp.dist_to_segment(pts, p, q)).max()) < 1e-7
+    assert float(np.abs(seg.dist(pts)).max()) < 1e-7
     # off the line: the perpendicular distance, and clamping beyond q
-    d = hp.dist_to_segment(np.array([[1.3 + 1j, 0.3 + 8j]]), p[:1], q[:1])
+    d = hp._SegmentChart(p[:1], q[:1]).dist(np.array([[1.3 + 1j, 0.3 + 8j]]))
     assert d[0, 0] == pytest.approx(math.asinh(1.0))
     assert d[0, 1] == pytest.approx(hp.dist(0.3 + 8j, 0.3 + 4j))
+
+
+def busemann_numeric(q, p, xi, horizon=30.0):
+    """Reference route: evaluate d(q, ray(t)) - t at large t, with the
+    convergence gap between the last two probes reported."""
+    r = reference.ray(complex(p), xi)
+    t1, t2 = horizon - 1.0, horizon
+    v1 = hp.dist(q, r.point(t1)) - t1
+    v2 = hp.dist(q, r.point(t2)) - t2
+    return v2, abs(v2 - v1)
 
 
 def test_busemann_closed_form_matches_numeric_limit():
     cases = [(1 + 2j, 1j, 0.0), (0.3 + 0.4j, 2j, -1.0), (5j, 1j, hp.INF)]
     for q, p, xi in cases:
         assert hp.busemann(q, p, xi) == pytest.approx(
-            hp.busemann_numeric(q, p, xi, horizon=40.0)[0], abs=1e-6)
+            busemann_numeric(q, p, xi, horizon=40.0)[0], abs=1e-6)
 
 
 def test_busemann_arrays_match_scalar_calls_and_the_numeric_limit():
@@ -128,7 +141,7 @@ def test_busemann_arrays_match_scalar_calls_and_the_numeric_limit():
     assert np.array_equal(hp.busemann(q[0], p[0], xi),
                           [hp.busemann(q[0], p[0], x) for x in xi])
     for k in range(0, n, 30):
-        limit, gap = hp.busemann_numeric(q[k], p[k], xi[k], horizon=40.0)
+        limit, gap = busemann_numeric(q[k], p[k], xi[k], horizon=40.0)
         assert gap < 1e-6
         assert got[k] == pytest.approx(limit, abs=1e-6)
 
@@ -137,9 +150,9 @@ GEODESICS = {
     "semicircle": lambda: hp.line(3.0, -1.0),
     "vertical up": lambda: hp.line(0.5, hp.INF),
     "vertical down": lambda: hp.line(hp.INF, -0.5),
-    "ray to a real point": lambda: hp.ray(0.3 + 2j, -4.0),
-    "ray straight down": lambda: hp.ray(0.3 + 2j, 0.3),
-    "ray up": lambda: hp.ray(1 + 1j, hp.INF),
+    "ray to a real point": lambda: reference.ray(0.3 + 2j, -4.0),
+    "ray straight down": lambda: reference.ray(0.3 + 2j, 0.3),
+    "ray up": lambda: reference.ray(1 + 1j, hp.INF),
 }
 
 
@@ -171,7 +184,7 @@ def test_geodesic_origin_is_its_anchor():
                                                     ** 2))
         geo = hp.Geodesic(u, v, anchor)
         assert abs(geo.point(0.0) - anchor) < 1e-12 * abs(anchor)
-    assert abs(hp.ray(0.3 + 2j, -4.0).point(0.0) - (0.3 + 2j)) < 1e-12
+    assert abs(reference.ray(0.3 + 2j, -4.0).point(0.0) - (0.3 + 2j)) < 1e-12
     assert hp.line(-1.0, 1.0).point(0.0) == pytest.approx(1j, abs=1e-12)
     assert hp.line(0.5, hp.INF).point(0.0) == 0.5 + 1j
 
@@ -234,8 +247,8 @@ def test_gromov_beta_scalar_calls_equal_their_array_entries():
 def test_dist_to_segment_vanishes_on_the_segment():
     p = np.array([-1 + 1j, 1j])
     q = np.array([1 + 1j, 3j])
-    pts = hp.geodesic_sample(p, q, 9)
-    d = hp.dist_to_segment(pts, p, q)
+    seg = hp._SegmentChart(p, q)
+    d = seg.dist(seg.sample(9))
     assert float(np.abs(d).max()) < 1e-7
 
 
@@ -243,7 +256,7 @@ def test_dist_to_segment_clamps_to_endpoints():
     p = np.array([1j])
     q = np.array([2j])
     z = np.array([[8j]])
-    d = hp.dist_to_segment(z, p, q)
+    d = hp._SegmentChart(p, q).dist(z)
     assert d[0, 0] == pytest.approx(hp.dist(8j, 2j))
 
 
@@ -263,7 +276,7 @@ def _slim_batch():
     b[:8] = a[:8].real + 4j * a[:8].imag  # side ab vertical, going up
     c[8:16] = a[8:16].real + 0.3j * a[8:16].imag  # side ca vertical
     # obtuse at c: c just off the midpoint of side ab
-    mid = hp.geodesic_sample(a[16:32], b[16:32], 3)[:, 1]
+    mid = hp._SegmentChart(a[16:32], b[16:32]).sample(3)[:, 1]
     c[16:32] = mid.real + 1.05j * mid.imag
     return a, b, c
 
@@ -275,9 +288,9 @@ def test_triangle_thinness_matches_per_segment_route():
     for (s1, s2), (o1, o2), (o3, o4) in (((a, b), (b, c), (c, a)),
                                          ((b, c), (c, a), (a, b)),
                                          ((c, a), (a, b), (b, c))):
-        pts = hp.geodesic_sample(s1, s2, 24)
-        d = np.minimum(hp.dist_to_segment(pts, o1, o2),
-                       hp.dist_to_segment(pts, o3, o4))
+        pts = hp._SegmentChart(s1, s2).sample(24)
+        d = np.minimum(hp._SegmentChart(o1, o2).dist(pts),
+                       hp._SegmentChart(o3, o4).dist(pts))
         want = np.maximum(want, d.max(axis=1))
     assert np.array_equal(hp.triangle_thinness(a, b, c), want)
 
@@ -286,10 +299,11 @@ def test_dist_to_segment_matches_dense_sampling():
     # the nearest of 4001 evenly spaced segment points is within half a
     # spacing of the closed form, vertical sides and clamped feet included
     a, b, c = _slim_batch()
-    z = hp.geodesic_sample(a, b, 24)
+    z = hp._SegmentChart(a, b).sample(24)
     for p, q in ((b, c), (c, a)):
-        exact = hp.dist_to_segment(z, p, q)
-        dense = hp.geodesic_sample(p, q, 4001)
+        seg = hp._SegmentChart(p, q)
+        exact = seg.dist(z)
+        dense = seg.sample(4001)
         d = hp.dist(z[:, :, None], dense[:, None, :])
         brute = d.min(axis=2)
         slack = hp.dist(p, q)[:, None] / 8000.0 + 1e-9

