@@ -23,14 +23,12 @@ def torus_dist(p, q):
 
 
 def lattice_ball(radius):
-    """All lattice vectors v in Z^2 with |v| <= radius."""
+    """All lattice vectors v in Z^2 with |v| <= radius, as an (n, 2) int
+    array of rows (i, j) in lexicographic order."""
     r = int(math.floor(radius))
-    out = []
-    for i in range(-r, r + 1):
-        for j in range(-r, r + 1):
-            if i * i + j * j <= radius * radius:
-                out.append((i, j))
-    return out
+    k = np.arange(-r, r + 1)
+    i, j = np.meshgrid(k, k, indexing="ij")
+    return np.stack([i, j], axis=-1)[i * i + j * j <= radius * radius]
 
 
 def witness_triangle(radius):

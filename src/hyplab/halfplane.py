@@ -16,12 +16,18 @@ INF = math.inf
 EPS_PT = 1e-9
 
 
-def dist(p, q):
-    """Hyperbolic distance, cosh d = 1 + |p-q|^2 / (2 Im p Im q)."""
+def cosh_dist(p, q):
+    """cosh of the hyperbolic distance, 1 + |p-q|^2 / (2 Im p Im q),
+    rounded up to 1 where it falls below.  Broadcasts over arrays."""
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
-    arg = 1.0 + np.abs(p - q) ** 2 / (2.0 * p.imag * q.imag)
-    out = np.arccosh(np.maximum(arg, 1.0))
+    return np.maximum(1.0 + np.abs(p - q) ** 2 / (2.0 * p.imag * q.imag),
+                      1.0)
+
+
+def dist(p, q):
+    """Hyperbolic distance, arccosh of cosh_dist."""
+    out = np.arccosh(cosh_dist(p, q))
     return float(out) if out.ndim == 0 else out
 
 
@@ -278,61 +284,67 @@ def random_points(rng, n, radius, center=1j):
 
 class _SegmentChart(_AxisChart):
     """The axis chart of the geodesic segments p[i] -> q[i] (arrays of
-    shape (m,), held as (m, 1)), with the vertical patch w = z - Re p; sp
-    and sq are the arclength log|w| at p and q.
+    shape (m,), held as (m, 1)), with the vertical patch w = z - Re p; ap
+    and aq are |w| at p and q, whose logs are their arclengths.
 
     Sampling a side and measuring the distance to it both read the
     endpoints built here once.
     """
 
-    __slots__ = ("p", "q", "sp", "sq")
+    __slots__ = ("p", "q", "ap", "aq")
 
     def __init__(self, p, q):
         p = np.asarray(p, dtype=complex)[:, None]
         q = np.asarray(q, dtype=complex)[:, None]
         super().__init__(*geodesic_endpoints(p, q), p.real)
         self.p, self.q = p, q
-        self.sp = np.log(np.abs(self.to_w(p)))
-        self.sq = np.log(np.abs(self.to_w(q)))
+        self.ap = np.abs(self.to_w(p))
+        self.aq = np.abs(self.to_w(q))
 
     def sample(self, n):
         """n points evenly spaced in arclength from p to q, shape (m, n)."""
         frac = np.linspace(0.0, 1.0, n)
-        s = self.sp * (1 - frac) + self.sq * frac
+        s = np.log(self.ap) * (1 - frac) + np.log(self.aq) * frac
         return self.from_w(1j * np.exp(s, out=s))
 
-    def dist(self, z):
-        """Distance from z (shape (m, n)) to the segments: the closed-form
-        foot-of-perpendicular distance, clamped to the nearer endpoint
-        where the foot falls outside the segment."""
+    def cosh_dist(self, z):
+        """cosh of the distance from z (shape (m, n)) to the segments: the
+        closed-form foot-of-perpendicular value |w| / Im w, clamped to the
+        nearer endpoint where the foot falls outside the segment."""
         w = self.to_w(z)
         aw = np.abs(w)
         out = aw / w.imag
-        np.arccosh(np.maximum(out, 1.0, out=out), out=out)
-        sig = np.log(aw, out=aw)
-        outside = ~((sig >= np.minimum(self.sp, self.sq))
-                    & (sig <= np.maximum(self.sp, self.sq)))
+        np.maximum(out, 1.0, out=out)
+        # the foot's arclength log|w| lies between the ends' iff |w| does
+        outside = ~((aw >= np.minimum(self.ap, self.aq))
+                    & (aw <= np.maximum(self.ap, self.aq)))
         if outside.any():
             zo = z[outside]
             p = np.broadcast_to(self.p, z.shape)[outside]
             q = np.broadcast_to(self.q, z.shape)[outside]
-            out[outside] = np.minimum(dist(zo, p), dist(zo, q))
+            out[outside] = np.minimum(cosh_dist(zo, p), cosh_dist(zo, q))
         return out
+
+    def dist(self, z):
+        """Distance from z (shape (m, n)) to the segments."""
+        out = self.cosh_dist(z)
+        return np.arccosh(out, out=out)
 
 
 def triangle_thinness(a, b, c):
     """Slim-triangle defect of the triangles (a[i], b[i], c[i]): the max
     over sides of the max over sampled points on the side of the distance
     to the union of the other two sides.  Side points are sampled; the
-    distance to each opposite side is exact."""
+    distance to each opposite side is exact.  arccosh is monotone, so the
+    min and max run over cosh values and arccosh is taken once."""
     sides = [_SegmentChart(a, b), _SegmentChart(b, c), _SegmentChart(c, a)]
-    defect = np.zeros(len(sides[0].p))
+    defect = np.ones(len(sides[0].p))
     for k, side in enumerate(sides):
         pts = side.sample(SAMPLES_PER_SIDE)
-        dmin = np.minimum(sides[(k + 1) % 3].dist(pts),
-                          sides[(k + 2) % 3].dist(pts))
+        dmin = np.minimum(sides[(k + 1) % 3].cosh_dist(pts),
+                          sides[(k + 2) % 3].cosh_dist(pts))
         defect = np.maximum(defect, dmin.max(axis=1))
-    return defect
+    return np.arccosh(defect, out=defect)
 
 
 MC_BATCH = 4096  # triangles per vectorised batch
@@ -341,7 +353,13 @@ SAMPLES_PER_SIDE = 24  # sampled points per side in triangle_thinness
 
 def estimate_delta_mc(sample_count, radius, seed):
     """Monte-Carlo maximum slim-triangle defect over random triangles in
-    B(i, radius).  Deterministic given the seed."""
+    B(i, radius).  Deterministic given the seed.  Raises ValueError for
+    a sample_count below 1 or a radius that is not finite and positive,
+    which would otherwise certify delta = 0."""
+    if not sample_count >= 1:
+        raise ValueError(f"sample count {sample_count} is below 1")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius {radius} is not a finite positive number")
     rng = np.random.default_rng(seed)
     best = 0.0
     left = int(sample_count)

@@ -629,6 +629,10 @@ def pair_invariance_check(pm, gamma, cap=None):
 _Y_CUTS = (4.0 / math.pi, 6.0 / math.pi, 12.0 / math.pi)
 _N_THETA = 4  # direction bins per height band
 _SAMPLES_PER_UNIT = 40  # samples per unit length along a closed geodesic
+# sample points per equidistribution pass: enough to amortise the numpy
+# calls over many classes, small enough that the pass's temporaries stay
+# a few hundred KB (2**16 points was slower and raised the peak RSS)
+_EQUIDIST_CHUNK = 4096
 
 
 def _cell_index(z, theta):
@@ -670,31 +674,58 @@ def equidistribution_test(census, T):
     whose origin t = 0 is the top of the semicircle (height 1 on a
     vertical axis).  The samples are folded into the fundamental domain
     with their tangent directions and binned into 16 position x
-    direction cells.
+    direction cells.  Whole classes are sampled, folded and binned
+    together, in passes of at most _EQUIDIST_CHUNK points.
 
-    Returns (mu_masses, liouville_masses, per-cell gaps).
+    Returns (mu_masses, liouville_masses, per-cell gaps).  Raises
+    ValueError when no class has length <= T.
     """
     if census.backend != PLANE:
         raise BackendMismatch("equidistribution runs on the modular census")
-    hist = np.zeros(4 * _N_THETA)
+    classes = []  # k, ell / k, and the axis's lo, hi, sigma0, sign and v
     total = 0.0
     for length, word in census.entries:
         if length > T + 1e-12:
             continue
-        m = modular._word_matrix(word)
-        geo, ell = modular.closed_geodesic_path(m)
+        geo, ell = modular.closed_geodesic_path(modular._word_matrix(word))
         k = max(32, int(math.ceil(ell * _SAMPLES_PER_UNIT)))
-        z = geo.point((np.arange(k) + 0.5) * (ell / k))
-        # fold from [0, 2 pi): an angle on a cell edge keeps its bin
-        theta = np.mod(halfplane.direction_toward(z, geo.v), 2.0 * math.pi)
-        zf, tf = modular.fold_points(z, theta)
-        idx = _cell_index(zf, tf)
-        hist += np.bincount(idx, minlength=4 * _N_THETA) * (ell / k)
+        classes.append((k, ell / k, geo.lo, geo.hi, geo.sigma0, geo.sign,
+                        geo.v))
         total += ell
+    if not classes:
+        raise ValueError(f"no closed geodesic of length <= {T}")
+    ks, steps, los, his, sigma0s, signs, ends = map(np.array, zip(*classes))
+    rows = []  # per class: cell counts x (ell / k), in census order
+    for a, b in _class_chunks(ks):
+        at = np.repeat(np.arange(a, b), ks[a:b])  # each point's class
+        t = (modular._ramp(ks[a:b]) + 0.5) * steps[at]
+        lo = los[at]  # also a vertical axis's finite endpoint
+        z = halfplane._AxisChart(lo, his[at], lo).from_w(
+            1j * np.exp(sigma0s[at] + signs[at] * t))
+        # fold from [0, 2 pi): an angle on a cell edge keeps its bin
+        theta = np.mod(halfplane.direction_toward(z, ends[at]),
+                       2.0 * math.pi)
+        zf, tf = modular.fold_points(z, theta)
+        idx = (at - a) * (4 * _N_THETA) + _cell_index(zf, tf)
+        counts = np.bincount(idx, minlength=(b - a) * 4 * _N_THETA)
+        rows.append(counts.reshape(b - a, 4 * _N_THETA) * steps[a:b, None])
+    # accumulate adds row after row, as a running per-class sum would
+    hist = np.add.accumulate(np.concatenate(rows))[-1]
     mu = hist / total
     ref = liouville_cell_masses()
     return mu, ref, mu - ref
 
+
+def _class_chunks(ks):
+    """(start, stop) runs of consecutive classes with at most
+    _EQUIDIST_CHUNK sample points in all; a larger class runs alone."""
+    start, filled = 0, 0
+    for i, k in enumerate(ks.tolist()):
+        if filled and filled + k > _EQUIDIST_CHUNK:
+            yield start, i
+            start, filled = i, 0
+        filled += k
+    yield start, len(ks)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,9 @@ def modular_ball(p, R, q=None):
     With c >= 0, and d = 1 when c = 0, each element of PSL(2, Z) is
     enumerated exactly once.  Returns the elements as an int64 (n, 4)
     array of rows (a, b, c, d), first nonzero entry positive, in
-    lexicographic order (stored column by column).  The work runs in
-    blocks of BALL_BLOCK_ROWS values of c.
+    lexicographic order (stored column by column), sorted by one packed
+    int64 key; a ball whose column spans overflow that key raises
+    ValueError.  The work runs in blocks of BALL_BLOCK_ROWS values of c.
     """
     p = complex(p)
     q = p if q is None else complex(q)
@@ -140,9 +141,21 @@ def modular_ball(p, R, q=None):
         blocks.append(np.where(lead < 0, -m, m))
     cols = np.concatenate(blocks, axis=1)
     del blocks
-    order = np.lexsort(cols[::-1])
-    for col in cols:  # one column at a time bounds the peak memory
-        col[:] = col[order]
+    # rows are distinct, so sorting one mixed-radix key over the four
+    # column offsets gives their lexicographic order; lo <= 0 < span
+    lo = cols.min(axis=1, initial=0)
+    span = cols.max(axis=1, initial=0) - lo + 1
+    if math.prod(int(s) for s in span) >= 2 ** 63:
+        raise ValueError(f"ball of radius {R} overflows the int64 sort key")
+    key = cols[0] - lo[0]
+    for col, low, base in zip(cols[1:], lo[1:], span[1:]):
+        key *= base
+        key -= low  # before col, so no partial sum leaves [0, 2**63)
+        key += col
+    key.sort()
+    for i in range(3, -1, -1):  # decode the key back into the columns
+        np.divmod(key, span[i], out=(key, cols[i]))
+        cols[i] += lo[i]
     return BallResult(cols.T, R, p, complete=True,
                       certificate="integer matrix enumeration; sphere "
                                   f"decided in float64 with slack "

@@ -7,6 +7,8 @@ directory on the import path.
 
 import math
 
+import numpy as np
+
 from hyplab import halfplane as hp
 from hyplab import modular, words
 
@@ -18,6 +20,23 @@ def ray(p, xi):
     p = complex(p)
     return hp.Geodesic(
         hp.forward_endpoint(p, hp.direction_toward(p, xi) + math.pi), xi, p)
+
+
+def segment_dist(seg, z):
+    """Distance from z (shape (m, n)) to the segments of the chart seg in
+    the log domain: arccosh at every point, and the foot's arclength
+    log|w| compared against the ends' log seg.ap and log seg.aq before
+    the clamp to the nearer endpoint."""
+    w = seg.to_w(z)
+    aw = np.abs(w)
+    out = np.arccosh(np.maximum(aw / w.imag, 1.0))
+    sig, sp, sq = np.log(aw), np.log(seg.ap), np.log(seg.aq)
+    outside = ~((sig >= np.minimum(sp, sq)) & (sig <= np.maximum(sp, sq)))
+    zo = z[outside]
+    p = np.broadcast_to(seg.p, z.shape)[outside]
+    q = np.broadcast_to(seg.q, z.shape)[outside]
+    out[outside] = np.minimum(hp.dist(zo, p), hp.dist(zo, q))
+    return out
 
 
 def det(m):

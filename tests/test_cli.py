@@ -182,6 +182,16 @@ def test_measure_flat_refused(tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+def test_measure_equidist_of_an_empty_census_is_usage_error(tmp_path, capsys):
+    # the shortest modular closed geodesic has length 2 arccosh(3/2) > 1
+    code, out = run(tmp_path, "measure", "--backend", "modular",
+                    "--check", "equidist", "--T", "1")
+    assert code == cli.EXIT_USAGE
+    assert ("error: no closed geodesic of length <= 1.0"
+            in capsys.readouterr().err)
+    assert not (out / "equidistribution.csv").exists()
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("backend=tree\nRmax=8\n")

@@ -45,6 +45,14 @@ def test_estimate_delta_per_backend():
         geo.estimate_delta("modular")
 
 
+@pytest.mark.parametrize("count, radius", [
+    (0, 3.0), (-5, 3.0), (10, 0.0), (10, -1.0), (10, math.nan),
+    (10, math.inf)])
+def test_estimate_delta_plane_refuses_bad_input(count, radius):
+    with pytest.raises(ValueError, match="below 1|finite positive"):
+        geo.estimate_delta(PLANE, sample_count=count, radius=radius)
+
+
 def test_estimate_delta_deterministic_given_seed():
     a = geo.estimate_delta(PLANE, sample_count=2000, radius=3.0, seed=5)
     b = geo.estimate_delta(PLANE, sample_count=2000, radius=3.0, seed=5)

@@ -281,18 +281,35 @@ def _slim_batch():
     return a, b, c
 
 
-def test_triangle_thinness_matches_per_segment_route():
-    # one chart per side gives bit for bit what a chart per call gives
-    a, b, c = _slim_batch()
+def _per_segment_thinness(a, b, c, dist):
+    """triangle_thinness with a chart per call and dist(chart, z) as the
+    distance to a side."""
     want = np.zeros(len(a))
     for (s1, s2), (o1, o2), (o3, o4) in (((a, b), (b, c), (c, a)),
                                          ((b, c), (c, a), (a, b)),
                                          ((c, a), (a, b), (b, c))):
         pts = hp._SegmentChart(s1, s2).sample(24)
-        d = np.minimum(hp._SegmentChart(o1, o2).dist(pts),
-                       hp._SegmentChart(o3, o4).dist(pts))
+        d = np.minimum(dist(hp._SegmentChart(o1, o2), pts),
+                       dist(hp._SegmentChart(o3, o4), pts))
         want = np.maximum(want, d.max(axis=1))
+    return want
+
+
+def test_triangle_thinness_matches_per_segment_route():
+    # one chart per side gives bit for bit what a chart per call gives
+    a, b, c = _slim_batch()
+    want = _per_segment_thinness(a, b, c, hp._SegmentChart.dist)
     assert np.array_equal(hp.triangle_thinness(a, b, c), want)
+
+
+def test_triangle_thinness_matches_the_log_domain_route():
+    # min and max over cosh values with one arccosh per triangle give bit
+    # for bit what arccosh at every point gives
+    rng = np.random.default_rng(11)
+    seeded = hp.random_points(rng, 3 * 4096, 4.0).reshape(3, 4096)
+    for a, b, c in (_slim_batch(), seeded):
+        want = _per_segment_thinness(a, b, c, reference.segment_dist)
+        assert np.array_equal(hp.triangle_thinness(a, b, c), want)
 
 
 def test_dist_to_segment_matches_dense_sampling():

@@ -447,7 +447,17 @@ EQUIDIST_MASSES_T10 = [
 def test_equidistribution_masses_are_pinned():
     mu, _, _ = measures.equidistribution_test(
         counting.geodesic_census(PLANE, 10), 10)
-    np.testing.assert_allclose(mu, EQUIDIST_MASSES_T10, rtol=0, atol=1e-12)
+    assert mu.tolist() == EQUIDIST_MASSES_T10
+
+
+@pytest.mark.parametrize("chunk", [1, 10 ** 7])
+def test_equidistribution_masses_do_not_depend_on_the_pass_size(
+        monkeypatch, chunk):
+    # one class per pass, or the whole census in one pass
+    monkeypatch.setattr(measures, "_EQUIDIST_CHUNK", chunk)
+    mu, _, _ = measures.equidistribution_test(
+        counting.geodesic_census(PLANE, 10), 10)
+    assert mu.tolist() == EQUIDIST_MASSES_T10
 
 
 def test_validate_D_mass_exact_fractions():
