@@ -9,7 +9,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-from . import flat, modular, words
+from . import flat, halfplane, modular, words
 from .geometry import FLAT, PLANE, TREE, BackendMismatch
 
 
@@ -92,8 +92,8 @@ def orbit_count(backend, base, r_grid, rank=2):
     """Census of card{gamma : d(x, gamma x) <= R} over an R grid.
 
     Tree and flat counts are exact closed-form/lattice enumerations; the
-    hyperbolic-plane route uses the certified integer-matrix ball of the
-    modular group.
+    hyperbolic-plane route builds the certified integer-matrix ball of
+    the modular group once, at the largest R, and counts each R in it.
     """
     r_grid = [float(r) for r in r_grid]
     if backend == TREE:
@@ -105,13 +105,13 @@ def orbit_count(backend, base, r_grid, rank=2):
         return OrbitCensus(FLAT, base, entries, (True,) * len(entries))
     if backend == PLANE:
         p = complex(base)
-        entries = []
-        flags = []
-        for r in r_grid:
-            ball = modular.modular_ball(p, r)
-            entries.append((r, len(ball.elements)))
-            flags.append(ball.complete)
-        return OrbitCensus(PLANE, base, tuple(entries), tuple(flags))
+        ball = modular.modular_ball(p, max(r_grid, default=0.0))
+        # modular_ball's own test: each count is the radius-r ball's size
+        d = halfplane.dist(p, halfplane.mobius_apply(ball.elements.T, p))
+        entries = tuple((r, int((d <= r + modular.BALL_SLACK).sum()))
+                        for r in r_grid)
+        flags = (ball.complete,) * len(entries)
+        return OrbitCensus(PLANE, base, entries, flags)
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 

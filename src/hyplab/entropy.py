@@ -30,8 +30,10 @@ class FlowPoint:
 
     The backend is decided once, here: the point carries `steps`, its
     d_n grid points per unit time (1 on the tree, SAMPLES_PER_UNIT on
-    the continuous backends), and `metric`, its base-space distance
-    broadcast over arrays of points.
+    the continuous backends), `metric`, its base-space distance
+    broadcast over arrays of points, and `point(t)`, the base-space
+    point c_v(t); an array of times gives the array of points (an object
+    array of words on the tree).
     """
 
     backend: str
@@ -50,7 +52,7 @@ class FlowPoint:
                     raise ValueError(f"window word {w!r} not reduced")
             if self.future[0] == self.past[0]:
                 raise ValueError("flow line backtracks at time 0")
-            steps, metric = 1, _tree_metric
+            steps, metric, path = 1, _tree_metric, self._tree_point
         elif self.backend == PLANE:
             p = complex(self.pos)
             if p.imag <= 0:
@@ -60,35 +62,33 @@ class FlowPoint:
                 halfplane.forward_endpoint(p, self.theta + math.pi),
                 halfplane.forward_endpoint(p, self.theta), p))
             steps, metric = SAMPLES_PER_UNIT, halfplane.dist
+            path = self.geodesic.point
         elif self.backend == FLAT:
             object.__setattr__(self, "pos",
                                np.mod(np.asarray(self.pos, dtype=float),
                                       1.0))
             steps, metric = SAMPLES_PER_UNIT, flat.torus_dist
+            path = self._flat_point
         else:
             raise BackendMismatch(f"unknown backend {self.backend!r}")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "metric", metric)
+        vars(self).update(steps=steps, metric=metric, point=path)
 
-    def point(self, t):
-        """The base-space point c_v(t); an array of times gives the array
-        of points (an object array of words on the tree)."""
-        if self.backend == TREE:
-            if np.ndim(t):
-                return np.array([self.point(s) for s in t], dtype=object)
-            n = int(round(t))
-            word = self.future if n >= 0 else self.past
-            n = abs(n)
-            if n > len(word):
-                # periodic continuation: repeat the word, which must not
-                # cancel against itself
-                if not words.is_reduced(word + word):
-                    raise ValueError(f"window word {word!r} does not "
-                                     "repeat as a reduced word")
-                word = word * (n // len(word) + 1)
-            return words.mul(self.origin, word[:n])
-        if self.backend == PLANE:
-            return self.geodesic.point(t)
+    def _tree_point(self, t):
+        if np.ndim(t):
+            return np.array([self._tree_point(s) for s in t], dtype=object)
+        n = int(round(t))
+        word = self.future if n >= 0 else self.past
+        n = abs(n)
+        if n > len(word):
+            # periodic continuation: repeat the word, which must not
+            # cancel against itself
+            if not words.is_reduced(word + word):
+                raise ValueError(f"window word {word!r} does not "
+                                 "repeat as a reduced word")
+            word = word * (n // len(word) + 1)
+        return words.mul(self.origin, word[:n])
+
+    def _flat_point(self, t):
         v = np.array([math.cos(self.theta), math.sin(self.theta)])
         return self.pos + np.multiply.outer(t, v)
 

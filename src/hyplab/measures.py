@@ -219,9 +219,15 @@ class _PlaneAtoms:
     """Cached orbit atoms around a base point, reused across the s grid:
     positions and distances, the Poincare series with its tail, and,
     built on first use, each atom's boundary angle at PLANE_BASE.  The
-    atoms at p itself are kept apart: they have no boundary angle."""
+    atoms at p itself are kept apart: they have no boundary angle.  The
+    s -> h routes read only the `far` atoms, d(p, y) >= cap/2: the limit
+    gives any bounded region no mass, but at finite cap the heavy atoms
+    near p would dominate small cells."""
 
     def __init__(self, p, cap):
+        if not (math.isfinite(cap) and cap >= 1.0):
+            raise ValueError(f"plane orbit-atom cap must be finite and "
+                             f">= 1, not {cap}")
         self.p, self.cap = complex(p), cap
         # the ball is dropped as soon as its orbit points are known
         z = halfplane.mobius_apply(
@@ -235,6 +241,7 @@ class _PlaneAtoms:
         grid = np.arange(max(1.0, cap / 2.0), cap + 0.5, 1.0)
         counts = np.searchsorted(np.sort(self.d), grid + 1e-12)
         self.c2 = float(max(counts * np.exp(-grid)))
+        self.far = self.d >= 0.5 * cap
 
     def series(self, s):
         """(partial sum over the ball, tail bound C2 e^{-(s-1) R} /
@@ -253,15 +260,27 @@ class _PlaneAtoms:
         xi = halfplane.geodesic_endpoints(self.p, self.z)[1]
         return halfplane.direction_toward(PLANE_BASE, xi)
 
-    def cell_masses(self, s, partition, norm, floor=0.0):
-        sel = self.d >= floor
-        idx = partition.locate_angle(self.theta[sel])
-        w = np.exp(-s * self.d[sel])
-        w /= w.sum() if norm is None else norm
-        return np.bincount(idx, weights=w, minlength=len(partition))
+    def far_cells(self, partition):
+        """Each atom's cell; near atoms go to an extra last cell."""
+        idx = partition.locate_angle(self.theta)
+        idx[~self.far] = len(partition)
+        return idx
+
+    @functools.cached_property
+    def far_totals(self):
+        d = self.d[self.far]
+        return [float(np.exp(-s * d).sum()) for s in DEFAULT_S_GRID_PLANE]
+
+    def limit_masses(self, sums):
+        """Extrapolated s -> 1 masses of parts of the annulus, from their
+        e^{-s d} sums at each s of DEFAULT_S_GRID_PLANE over far_totals."""
+        return extrapolate_to_h([np.asarray(v) / t for v, t in
+                                 zip(sums, self.far_totals)],
+                                DEFAULT_S_GRID_PLANE, 1.0)
 
 
-def _plane_atoms(p, cap):
+def _plane_atoms(p, cap=None):
+    cap = DEFAULT_PLANE_CAP if cap is None else cap
     return _cached_atoms(complex(p), round(float(cap), 9))
 
 
@@ -273,22 +292,8 @@ def _cached_atoms(p, cap):
     return _PlaneAtoms(p, cap)
 
 
-DEFAULT_PAIR_CAP = 14.0
-
-
-def _annulus_limit_masses(p, partition, cap=None):
-    """Extrapolated limit cell masses from the outer atom annulus only.
-
-    Heavy atoms near p carry no limit mass (the diverging normalizer
-    kills every bounded region as s -> h) but dominate small cells at
-    finite cap; dropping the inner half of the ball removes that bias.
-    """
-    cap = DEFAULT_PAIR_CAP if cap is None else float(cap)
-    atoms = _plane_atoms(p, cap)
-    rows = [atoms.cell_masses(s, partition, None, 0.5 * cap)
-            for s in DEFAULT_S_GRID_PLANE]
-    masses, err, _ = extrapolate_to_h(rows, DEFAULT_S_GRID_PLANE, 1.0)
-    return masses, err
+DEFAULT_PLANE_CAP = 12.0  # plane atom radius of the checks and cell masses
+DEFAULT_PAIR_CAP = 14.0  # plane atom radius of the pair measure
 
 
 def extrapolate_to_h(values_by_s, s_grid, h):
@@ -297,6 +302,8 @@ def extrapolate_to_h(values_by_s, s_grid, h):
     s_grid must decrease toward h with (s-h) in a fixed ratio; assuming
     first-order behavior m(s) = m(h) + c (s-h) + O((s-h)^2), successive
     pairs give extrapolants whose last difference is the error estimate.
+    That estimate is a Richardson spread, not a bound: it misses the
+    plane's finite-ball error (1.0e-4 against 2.3e-3 at 256 arcs, cap 12).
     Returns (extrapolated array, error estimate, cauchy flag).
     """
     eps = np.array([s - h for s in s_grid])
@@ -326,40 +333,34 @@ def _check_partition(backend, partition):
 
 def limit_cell_masses(backend, p, partition, cap=None):
     """Extrapolated s -> h boundary masses on all partition cells, from
-    the cell masses of nu_{p,s} (plane atoms: radius `cap`, default 12)
-    along an s grid decreasing toward h."""
+    the cell masses of nu_{p,s} (plane: the far atoms of radius `cap`)
+    along an s grid decreasing toward h; the error is a Richardson
+    spread, not a bound."""
     _check_partition(backend, partition)
     if backend == TREE:
         h = math.log(2 * partition.rank - 1)
         s_grid = tuple(h + e for e in TREE_S_OFFSETS)
         rows = [_tree_cell_masses(p, s, partition, cap) for s in s_grid]
-    else:
-        s_grid, h = DEFAULT_S_GRID_PLANE, 1.0
-        atoms = _plane_atoms(p, 12.0 if cap is None else cap)
-        rows = [atoms.cell_masses(s, partition, atoms.series(s)[0])
-                for s in s_grid]
-    return extrapolate_to_h(rows, s_grid, h)
+        return extrapolate_to_h(rows, s_grid, h)
+    atoms = _plane_atoms(p, cap)
+    idx, n = atoms.far_cells(partition), len(partition)
+    return atoms.limit_masses(
+        [np.bincount(idx, weights=np.exp(-s * atoms.d), minlength=n + 1)[:n]
+         for s in DEFAULT_S_GRID_PLANE])
 
 
-def _far_log_ratios(atoms, q, partition, h, cap):
+def _far_log_ratios(atoms, q, partition, h):
     """Per-cell log(nu_q / nu_p) read off at s = h, and the usable cells.
 
     nu_p and nu_q weigh the same orbit atoms by e^{-s d(p, y)} and
-    e^{-s d(q, y)}.  Only the outer annulus d(p, y) >= cap/2 carries the
-    limit measure: as s -> h the diverging normalizer kills the relative
-    weight of every bounded region, and on far atoms d(q,y) - d(p,y) has
-    already converged to the Busemann cocycle.  Each cell's log ratio is
-    fitted to first order in (s - h) over DEFAULT_S_GRID_PLANE; cells
-    with no far atom are excluded with a warning.
+    e^{-s d(q, y)}; on the far atoms d(q,y) - d(p,y) has already
+    converged to the Busemann cocycle.  Each cell's log ratio is fitted
+    to first order in (s - h) over DEFAULT_S_GRID_PLANE; cells with no
+    far atom are excluded with a warning.
     """
     n = len(partition)
     dq = halfplane.dist(q, atoms.z)
-    idx = partition.locate_angle(atoms.theta)
-    # near atoms go to an extra cell n that is dropped, so the atom arrays
-    # are read in place, not copied through a mask (at cap 12 all but
-    # about 0.25% of them are far); each cell still sums the same far
-    # atoms in the same order
-    idx[atoms.d < 0.5 * cap] = n
+    idx = atoms.far_cells(partition)
     svals = np.asarray(DEFAULT_S_GRID_PLANE, dtype=float)
     rows = []
     for s in svals:
@@ -412,10 +413,9 @@ def conformal_check(backend, p, q, partition, cap=None):
             worst = max(worst, defect)
         return worst
     p, q = complex(p), complex(q)
-    cap = 12.0 if cap is None else float(cap)
     h = 1.0
     log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q,
-                                        partition, h, cap)
+                                        partition, h)
     b = halfplane.busemann(
         q, p, np.asarray(partition.representatives)[usable])
     return float(np.max(np.abs(log_ratio[usable] + h * b), initial=0.0))
@@ -450,7 +450,8 @@ def shadow(backend, x, p, rho):
 
 
 def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
-    """(nu_p(shadow of B(x, rho)), ratio to e^{-h d(p,x)})."""
+    """(nu_p(shadow of B(x, rho)), ratio to e^{-h d(p,x)}); the plane
+    mass is the limit mass of the far atoms on the shadow arc."""
     if backend == TREE:
         desc = shadow(TREE, p, x, rho)  # shadow of B(x,.) seen from p
         if desc[0] != "cyl":
@@ -463,14 +464,12 @@ def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
         p, x = complex(p), complex(x)
         lo, hi = halfplane.direction_toward(
             PLANE_BASE, halfplane.shadow_arc(p, x, rho))
-        atoms = _plane_atoms(p, 12.0 if cap is None else cap)
-        on_arc = atoms.d[np.mod(atoms.theta - lo, 2.0 * math.pi)
-                         < np.mod(hi - lo, 2.0 * math.pi)]
-        rows = [[np.exp(-s * on_arc).sum() / atoms.series(s)[0]]
-                for s in DEFAULT_S_GRID_PLANE]
-        mass, _, _ = extrapolate_to_h(rows, DEFAULT_S_GRID_PLANE, 1.0)
-        d = halfplane.dist(p, x)
-        return float(mass[0]), float(mass[0] * math.exp(d))
+        atoms = _plane_atoms(p, cap)
+        on_arc = atoms.d[atoms.far & (np.mod(atoms.theta - lo, 2.0 * math.pi)
+                                      < np.mod(hi - lo, 2.0 * math.pi))]
+        mass, _, _ = atoms.limit_masses([[np.exp(-s * on_arc).sum()]
+                                         for s in DEFAULT_S_GRID_PLANE])
+        return float(mass[0]), float(mass[0] * math.exp(halfplane.dist(p, x)))
     raise BackendMismatch(f"unknown backend {backend!r}")
 
 
@@ -495,7 +494,7 @@ def pair_measure(backend, p, partition, masses=None, cap=None):
 
     Tree masses default to the exact visual measure at p, with the rank
     read from the partition.  Plane masses, when not given, are
-    extrapolated from the orbit atoms of radius `cap` (default
+    `limit_cell_masses` of the orbit atoms of radius `cap` (default
     DEFAULT_PAIR_CAP)."""
     _check_partition(backend, partition)
     if backend == TREE:
@@ -519,7 +518,8 @@ def pair_measure(backend, p, partition, masses=None, cap=None):
     h = 1.0
     p = complex(p)
     if masses is None:
-        masses, _ = _annulus_limit_masses(p, partition, cap=cap)
+        masses = limit_cell_masses(PLANE, p, partition, DEFAULT_PAIR_CAP
+                                   if cap is None else cap)[0]
     masses = np.asarray(masses, dtype=float)
     reps = np.array(partition.representatives)
     i, j = np.triu_indices(len(partition), 1)
@@ -601,10 +601,9 @@ def pair_invariance_check(pm, gamma, cap=None):
     p = complex(pm.base)
     n = len(part)
     h = pm.h
-    cap = DEFAULT_PAIR_CAP if cap is None else float(cap)
     q = halfplane.mobius_apply(modular.mat_inv(gamma), p)
-    log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q, part, h,
-                                        cap)
+    log_ratio, usable = _far_log_ratios(
+        _plane_atoms(p, DEFAULT_PAIR_CAP if cap is None else cap), q, part, h)
     reps = np.array(part.representatives)
     greps = np.array([halfplane.mobius_apply_boundary(gamma, r)
                       for r in reps])

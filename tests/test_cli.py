@@ -165,6 +165,15 @@ def test_count_too_few_census_points_is_usage_error(tmp_path, capsys, argv):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("cap", ["0.5", "-3", "nan"])
+def test_measure_bad_plane_cap_is_usage_error(tmp_path, capsys, cap):
+    code, _ = run(tmp_path, "measure", "--backend", "modular", "--check",
+                  "shadow", "--cap", cap)
+    assert code == cli.EXIT_USAGE
+    assert (f"error: plane orbit-atom cap must be finite and >= 1, not "
+            f"{float(cap)}" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv", [
     ("--backend", "modular", "--delta", "-0.5"),
     ("--backend", "tree", "--delta", "nan"),

@@ -37,6 +37,15 @@ def test_plane_orbit_counts_grow_exponentially():
     assert 2.0 < c / b < 25.0
 
 
+@pytest.mark.parametrize("base, grid", [
+    (2j, [float(r) for r in range(2, 11)]),
+    (0.5 + 0.9j, [2.0, 3.5, 5.0, 7.25, 8.0])])
+def test_plane_orbit_counts_equal_one_ball_per_radius(base, grid):
+    census = counting.orbit_count(PLANE, base, grid)
+    assert census.counts == [len(modular.modular_ball(base, r).elements)
+                             for r in grid]
+
+
 def test_fit_entropy_recovers_log3_on_the_tree():
     census = counting.orbit_count(TREE, None, range(2, 13))
     fit = counting.fit_entropy(census)

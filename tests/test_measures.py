@@ -202,24 +202,43 @@ def test_shadow_mass_bounds_tree_family():
 
 @pytest.mark.parametrize("cap", [10.0, 12.0])
 def test_plane_shadow_masses_equal_fsum_reference(cap):
-    # the CLI's shadow rows; the reference sums the same on-arc atoms
-    # with math.fsum and extrapolates them the same way
+    # the CLI's shadow rows; the reference sums the far on-arc atoms over
+    # the far total with math.fsum and extrapolates them the same way
     atoms = measures._plane_atoms(2j, cap)
     grid = measures.DEFAULT_S_GRID_PLANE
-    norms = [math.fsum(np.exp(-s * atoms.d)) + len(atoms.base_z)
-             for s in grid]
+    far = atoms.d >= 0.5 * cap
+    norms = [math.fsum(np.exp(-s * atoms.d[far])) for s in grid]
     for n in range(1, 6):
         x = 2j * math.exp(1.0 + 0.5 * n)
         lo, hi = halfplane.direction_toward(
             measures.PLANE_BASE, halfplane.shadow_arc(2j, x, 1.0))
-        d = atoms.d[np.mod(atoms.theta - lo, 2.0 * math.pi)
-                    < np.mod(hi - lo, 2.0 * math.pi)]
+        d = atoms.d[far & (np.mod(atoms.theta - lo, 2.0 * math.pi)
+                           < np.mod(hi - lo, 2.0 * math.pi))]
         rows = [[math.fsum(np.exp(-s * d)) / norm]
                 for s, norm in zip(grid, norms)]
         want = measures.extrapolate_to_h(rows, grid, 1.0)[0][0]
         mass, ratio = measures.shadow_mass_bounds(PLANE, 2j, x, 1.0, cap=cap)
         assert mass == pytest.approx(want, rel=1e-14, abs=0)
         assert ratio == mass * math.exp(halfplane.dist(2j, x))
+
+
+def test_plane_limit_masses_match_the_exact_density():
+    # PSL(2, Z) is a lattice: its Patterson-Sullivan density is the
+    # visual density.  An arc's mass at 2i is its angle there over 2 pi;
+    # a shadow's is arcsin(sinh rho / sinh d) / pi.
+    part = measures.plane_partition(64)
+    masses, _, _ = measures.limit_cell_masses(PLANE, 2j, part, cap=12.0)
+    ends = np.array([[halfplane.forward_endpoint(measures.PLANE_BASE, t)
+                      for t in cell] for cell in part.cells])
+    angle = halfplane.direction_toward(2j, ends.real.ravel()).reshape(-1, 2)
+    exact = np.mod(angle[:, 1] - angle[:, 0], 2.0 * math.pi) / (2.0 * math.pi)
+    assert abs(masses.sum() - 1.0) <= 1e-12
+    assert np.all(np.abs(masses / exact - 1.0) <= 0.10)
+    for n in range(1, 6):
+        x = 2j * math.exp(1.0 + 0.5 * n)
+        mass, _ = measures.shadow_mass_bounds(PLANE, 2j, x, 1.0, cap=12.0)
+        want = math.asin(math.sinh(1.0) / math.sinh(halfplane.dist(2j, x)))
+        assert abs(mass / (want / math.pi) - 1.0) <= (0.07 if n < 5 else 0.20)
 
 
 def _psl2z_forms_at_2i(radius):
@@ -335,7 +354,7 @@ def _per_pair_plane_invariance(pm, gamma, cap):
     p, part = pm.base, pm.partition
     q = halfplane.mobius_apply(modular.mat_inv(gamma), p)
     log_ratio, usable = measures._far_log_ratios(
-        measures._plane_atoms(p, cap), q, part, pm.h, cap)
+        measures._plane_atoms(p, cap), q, part, pm.h)
     reps = part.representatives
     greps = [halfplane.mobius_apply_boundary(gamma, r) for r in reps]
     worst = 0.0
