@@ -158,11 +158,15 @@ def poincare_series(backend, s, p=None, cap=30.0, rank=2):
 def ps_measure(backend, p, s, cap, rank=2):
     """The orbital measure nu_{p,s}: atoms e^{-s d(p, gamma p)} at the
     orbit points gamma p, normalized by the Poincare series at p.  The
-    tree route is rooted at the identity vertex."""
+    tree route is rooted at the identity vertex; its cap must be finite
+    and >= 1, as the plane atoms' cap."""
     if backend == TREE:
         if p not in ("", None):
             raise BackendMismatch("tree orbital measures are rooted at the "
                                   "identity vertex")
+        if not (math.isfinite(cap) and cap >= 1.0):
+            raise ValueError(f"tree orbital-measure cap must be finite and "
+                             f">= 1, not {cap}")
         norm = tree_series_closed_form(s, rank)
         weight = [math.exp(-s * n) / norm for n in range(int(cap) + 1)]
         # the orbit point u lies at distance |u| from the root
@@ -325,6 +329,13 @@ TREE_S_OFFSETS = (0.4, 0.2, 0.1, 0.05)  # tree s grid: h + offset
 DEFAULT_S_GRID_PLANE = (1.8, 1.4, 1.2, 1.1)
 
 
+def _check_tree_word(name, w, rank):
+    """Refuse a word that is not a reduced word over the rank's letters."""
+    if not (set(w) <= set(words.letters(rank)) and words.is_reduced(w)):
+        raise ValueError(f"{name} must be a reduced word over the "
+                         f"rank-{rank} letters, not {w!r}")
+
+
 def _check_partition(backend, partition):
     if backend != partition.backend:
         raise BackendMismatch(f"{backend!r} route on a "
@@ -388,28 +399,31 @@ def conformal_check(backend, p, q, partition, cap=None):
     Tree route is exact: where neither base lies below a cell w, its
     masses are (1/2k)(2k-1)^-e with integer e = d(base, w) - 1, so
     nu_q/nu_p = (2k-1)^-b reads e_q - e_p == b, with b the integer
-    Busemann value at the cell's representative.  Complement cells and
+    Busemann value at the cell's representative; both closed forms run
+    once over all cells as int64 arrays.  Complement cells and
     mismatches are measured in Fractions, which give the float defect.
+    p and q must be reduced words over the partition's letters.
     Plane route uses extrapolated arc masses and the closed-form Busemann
     function at each arc's representative direction.
     """
     _check_partition(backend, partition)
     if backend == TREE:
         rank = partition.rank
+        _check_tree_word("p", p, rank)
+        _check_tree_word("q", q, rank)
+        e_p, inside_p = words.visual_exponent(p, partition.cells)
+        e_q, inside_q = words.visual_exponent(q, partition.cells)
+        b = words.tree_busemann(q, p, partition.representatives)
         worst = 0.0
-        for w, xi in zip(partition.cells, partition.representatives):
-            e_p, inside_p = words.visual_exponent(p, w)
-            e_q, inside_q = words.visual_exponent(q, w)
-            b = words.tree_busemann(q, p, xi)
-            if not (inside_p or inside_q) and e_q - e_p == b:
-                continue
+        for i in np.flatnonzero(inside_p | inside_q | (e_q - e_p != b)):
+            w, b_i = partition.cells[i], int(b[i])
             nu_p = words.visual_measure(p, w, rank)
             nu_q = words.visual_measure(q, w, rank)
             # exact check: nu_q/nu_p must equal (2k-1)^{-b}
-            if nu_q / nu_p == Fraction(2 * rank - 1) ** (-b):
+            if nu_q / nu_p == Fraction(2 * rank - 1) ** (-b_i):
                 continue
             defect = abs(math.log(float(nu_q / nu_p))
-                         + math.log(2 * rank - 1) * b)
+                         + math.log(2 * rank - 1) * b_i)
             worst = max(worst, defect)
         return worst
     p, q = complex(p), complex(q)
@@ -554,45 +568,65 @@ def cylinder_pushforward(g, w, rank=2):
     return [words.mul(g, w)]
 
 
-def _exact_pair_mass(cells_a, cells_b, rank):
-    """Exact pair-measure mass of (union of cylinders) x (union), as
-    (n, E) with mass n / ((2k)^2 (2k-1)^E) in integers.
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _pair_masses(rank, *groupings):
+    """Exact pair-measure masses of (union of groups[i]) x (union of
+    groups[j]) for every grouping of nonempty groups of cylinders, over
+    one common power: returns ([N, ...], E) with mass
+    N[i, j] / ((2k)^2 (2k-1)^E).
 
     The pair (a, b) weighs (2k-1)^(2 lcp(a, b)) nu(a) nu(b), which is
     (2k)^-2 (2k-1)^-t with t = |a| + |b| - 2 - 2 lcp(a, b) = d(a, b) - 2.
+    With the cylinders of a grouping flattened, W = (2k-1)^(E - t) over
+    all their pairs and M the one-hot owner matrix, N = M^T W M, summed
+    group by group.  The sums run in int64 when a bound on the largest
+    of them fits, and in Python ints otherwise.
     """
-    ts = [words.distance(a, b) - 2 for a in cells_a for b in cells_b]
-    e = max(0, *ts)
-    return sum((2 * rank - 1) ** (e - t) for t in ts), e
+    base = 2 * rank - 1
+    flats = [[w for group in groups for w in group] for groups in groupings]
+    ts = []
+    for flat in flats:
+        lens = np.fromiter(map(len, flat), np.int64, len(flat))
+        ts.append(lens[:, None] + lens[None, :] - 2
+                  - 2 * words.lcp_table(flat, flat))
+    e = max(0, *(int(t.max()) for t in ts))
+    # every sum is at most (#pairs) * the largest weight
+    bound = (max(len(flat) for flat in flats) ** 2
+             * base ** (e - min(int(t.min()) for t in ts)))
+    out = []
+    for groups, t in zip(groupings, ts):
+        if bound <= _INT64_MAX:
+            weight = np.int64(base) ** (e - t)
+        else:
+            weight = base ** (e - t).astype(object)
+        starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+        out.append(np.add.reduceat(np.add.reduceat(weight, starts, axis=0),
+                                   starts, axis=1))
+    return out, e
 
 
 def pair_invariance_check(pm, gamma, cap=None):
     """Max defect of mu-bar(gamma A x gamma B) against mu-bar(A x B).
 
-    Tree route is exact over the cylinder pushforward: both masses are
-    integers over a common power of (2k-1), compared as integers, and a
+    Tree route is exact over the cylinder pushforward: both masses of
+    every cell pair are integers over one common power of (2k-1),
+    computed at once by `_pair_masses`, compared as integers, and a
     nonzero difference is returned as a float of the exact rational (it
     must be identically zero).  Plane route re-bins the atomic masses
     over the Mobius image arcs and reports the max relative defect.
     """
     part = pm.partition
     if pm.backend == TREE:
-        if not words.is_reduced(gamma):
-            raise ValueError("gamma must be a reduced word")
         rank = part.rank
-        base = 2 * rank - 1
+        _check_tree_word("gamma", gamma, rank)
         images = [cylinder_pushforward(gamma, w, rank) for w in part.cells]
-        worst = Fraction(0)
-        for (i, j) in pm.weights:
-            n_lhs, e_lhs = _exact_pair_mass([part.cells[i]], [part.cells[j]],
-                                            rank)
-            n_rhs, e_rhs = _exact_pair_mass(images[i], images[j], rank)
-            e = max(e_lhs, e_rhs)
-            diff = n_rhs * base ** (e - e_rhs) - n_lhs * base ** (e - e_lhs)
-            if diff:
-                worst = max(worst, Fraction(abs(diff),
-                                            (2 * rank) ** 2 * base ** e))
-        return float(worst)
+        (lhs, rhs), e = _pair_masses(rank, [[w] for w in part.cells],
+                                     images)
+        i, j = np.array(list(pm.weights), dtype=np.int64).reshape(-1, 2).T
+        worst = int(np.abs(rhs[i, j] - lhs[i, j]).max(initial=0))
+        return float(Fraction(worst, (2 * rank) ** 2 * (2 * rank - 1) ** e))
     # plane: gamma is an integer matrix acting by Mobius maps.  The
     # image cell mass is computed by pushing the measure instead of the
     # set: nu_p(gamma A) = nu_{gamma^-1 p}(A) exactly, and the latter is

@@ -4,10 +4,14 @@ Everything here is exact: words are python strings over the alphabet
 a..z (generators) and A..Z (inverses), distances are integers, boundary
 cylinder masses are Fractions or integer exponents of 1/(2k-1).  The
 tree is 0-hyperbolic, so this module doubles as the brute-force oracle
-for the numerical backends.
+for the numerical backends.  The closed forms `visual_exponent` and
+`tree_busemann` also take a sequence of prefixes or boundary words and
+return int64 arrays, with every lcp from one pass of `lcp_table`.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -66,6 +70,25 @@ def common_prefix_len(u, v):
             break
         n += 1
     return n
+
+
+def _codes(ws):
+    """Letter codes of the words as a uint8 matrix, one row per word,
+    zero-padded to the longest."""
+    rows = np.array(ws, dtype=bytes)
+    return rows.view(np.uint8).reshape(len(ws), rows.itemsize)
+
+
+def lcp_table(us, vs):
+    """lcp(u, v) for every u of us (rows) and v of vs (columns), as an
+    int64 array, in one pass over the words' letter codes."""
+    a, b = _codes(us), _codes(vs)
+    width = min(a.shape[1], b.shape[1])
+    a, b = a[:, None, :width], b[None, :, :width]
+    # the padding code 0 matches no letter
+    same = (a == b) & (a != 0)
+    return np.logical_and.accumulate(same, axis=2).sum(axis=2,
+                                                      dtype=np.int64)
 
 
 def distance(u, v):
@@ -171,13 +194,21 @@ def visual_exponent(base, prefix):
     from the identity.  From a base point outside that subtree its mass
     is (1/2k)(1/(2k-1))^e with e = d(base, prefix) - 1; from inside it is
     1 minus that, with e = d(base, parent(prefix)) - 1, the complement of
-    the shadow through the parent edge.
+    the shadow through the parent edge.  With a sequence of prefixes, e
+    and inside are int64 and bool arrays over it.
     """
-    if not prefix:
+    if isinstance(prefix, str):
+        n, lcp = len(prefix), common_prefix_len(base, prefix)
+        empty = not n
+    else:
+        n = np.fromiter(map(len, prefix), np.int64, len(prefix))
+        lcp = lcp_table([base], prefix)[0]
+        empty = not n.all()
+    if empty:
         raise ValueError("cylinder prefix must be nonempty")
-    if prefix == base[: len(prefix)]:
-        return distance(base, prefix[:-1]) - 1, True
-    return distance(base, prefix) - 1, False
+    inside = lcp == n
+    # inside, the parent edge is one step farther: e = d(base, prefix)
+    return len(base) + n - 2 * lcp - 1 + inside, inside
 
 
 def visual_measure(base, prefix, rank=2):
@@ -219,8 +250,9 @@ class BoundaryWord:
 
     def word(self, n):
         """First n letters of the infinite word."""
-        reps = max(0, (n - len(self.prefix)) // len(self.cycle) + 1)
-        return (self.prefix + self.cycle * reps)[:n]
+        if n <= len(self.prefix):
+            return self.prefix[:n]
+        return (self.prefix + self.cycle * (n // len(self.cycle) + 1))[:n]
 
     def __eq__(self, other):
         if not isinstance(other, BoundaryWord):
@@ -244,11 +276,17 @@ def tree_busemann(q, p, xi):
     Exact closed form: the ray leaves p toward the identity until it
     meets xi's ray at depth lcp(p, xi), so
     b_p(q, xi) = |q| - 2 lcp(q, xi) - |p| + 2 lcp(p, xi).
-    Normalization b_p(p, xi) = 0.
+    Normalization b_p(p, xi) = 0.  With a sequence of boundary words xi,
+    an int64 array over it.
     """
-    target = xi.word(max(len(p), len(q)))
-    return (len(q) - 2 * common_prefix_len(q, target)
-            - len(p) + 2 * common_prefix_len(p, target))
+    n = max(len(p), len(q))
+    if isinstance(xi, BoundaryWord):
+        target = xi.word(n)
+        lcp_q, lcp_p = (common_prefix_len(q, target),
+                        common_prefix_len(p, target))
+    else:
+        lcp_q, lcp_p = lcp_table([q, p], [x.word(n) for x in xi])
+    return len(q) - 2 * lcp_q - len(p) + 2 * lcp_p
 
 
 def necklace_words(alphabet, max_len, step, start, close,

@@ -174,6 +174,14 @@ def test_measure_bad_plane_cap_is_usage_error(tmp_path, capsys, cap):
             f"{float(cap)}" in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("cap", ["0.5", "-3", "nan"])
+def test_measure_bad_tree_cap_is_usage_error(tmp_path, capsys, cap):
+    code, _ = run(tmp_path, "measure", "--backend", "tree", "--cap", cap)
+    assert code == cli.EXIT_USAGE
+    assert (f"error: tree orbital-measure cap must be finite and >= 1, "
+            f"not {float(cap)}" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv", [
     ("--backend", "modular", "--delta", "-0.5"),
     ("--backend", "tree", "--delta", "nan"),

@@ -134,6 +134,14 @@ def test_conformal_check_tree_detects_a_negated_busemann(monkeypatch):
     assert measures.conformal_check(TREE, "ab", "B", part) > 1.0
 
 
+@pytest.mark.parametrize("p, q", [("aA", "b"), ("x", "b"), ("a", "bB"),
+                                  ("", "c")])
+def test_conformal_check_tree_refuses_words_outside_the_group(p, q):
+    # p, q must be reduced words over the partition's rank-2 letters
+    with pytest.raises(ValueError):
+        measures.conformal_check(TREE, p, q, measures.tree_partition(3))
+
+
 def test_representatives_are_built_once():
     part = measures.tree_partition(3)
     reps = part.representatives
@@ -303,9 +311,9 @@ def test_exact_pair_mass_equals_fraction_sum():
         want = sum(Fraction(3) ** (2 * words.common_prefix_len(x, y))
                    * words.cylinder_measure(x) * words.cylinder_measure(y)
                    for x in a for y in b)
-        n, e = measures._exact_pair_mass(a, b, 2)
+        (n,), e = measures._pair_masses(2, [a, b])
         assert e >= 0
-        assert Fraction(n, 16 * 3 ** e) == want
+        assert Fraction(int(n[0, 1]), 16 * 3 ** e) == want
 
 
 def test_pair_invariance_tree_exact_when_gamma_absorbs_cells():
@@ -326,6 +334,71 @@ def test_pair_invariance_tree_detects_a_shifted_pushforward(monkeypatch):
                         lambda g, w, rank=2: push(g, w[:-1] or w, rank))
     pm = measures.pair_measure(TREE, "", measures.tree_partition(3))
     assert measures.pair_invariance_check(pm, "a") > 0
+
+
+def _fraction_pair_defect(pm, gamma):
+    """Reference route: both sides of every cell pair as Fraction sums."""
+    def mass(cells_a, cells_b):
+        return sum(Fraction(3) ** (2 * words.common_prefix_len(x, y))
+                   * words.cylinder_measure(x) * words.cylinder_measure(y)
+                   for x in cells_a for y in cells_b)
+
+    cells = pm.partition.cells
+    images = [measures.cylinder_pushforward(gamma, w) for w in cells]
+    return float(max((abs(mass(images[i], images[j])
+                          - mass([cells[i]], [cells[j]]))
+                      for i, j in pm.weights), default=Fraction(0)))
+
+
+@pytest.mark.parametrize("mutant", [None, "coarser", "finer"])
+def test_pair_invariance_tree_python_int_route_equals_int64(mutant,
+                                                           monkeypatch):
+    # a coarser image is too heavy and a finer one too light, so the two
+    # mutants give differences of both signs
+    push = measures.cylinder_pushforward
+    if mutant == "coarser":
+        monkeypatch.setattr(measures, "cylinder_pushforward",
+                            lambda g, w, rank=2: push(g, w[:-1] or w, rank))
+    if mutant == "finer":
+        monkeypatch.setattr(measures, "cylinder_pushforward",
+                            lambda g, w, rank=2: push(
+                                g, w + measures._forward_letter(w, rank),
+                                rank))
+    pm = measures.pair_measure(TREE, "", measures.tree_partition(3))
+    gammas = ("a", "abA", "BAbb", "aBaBab")
+    want = [_fraction_pair_defect(pm, g) for g in gammas]
+    assert [measures.pair_invariance_check(pm, g) for g in gammas] == want
+    assert (max(want) > 0) == (mutant is not None)
+    (n,), _ = measures._pair_masses(2, [["ab"], ["ba"]])
+    assert n.dtype == np.int64
+    # with no int64 room the same sums run in Python ints
+    monkeypatch.setattr(measures, "_INT64_MAX", 0)
+    (n,), _ = measures._pair_masses(2, [["ab"], ["ba"]])
+    assert n.dtype == object
+    assert [measures.pair_invariance_check(pm, g) for g in gammas] == want
+
+
+def test_pair_masses_past_int64_run_in_python_ints():
+    # long cylinders far apart carry weights 3^t beyond int64
+    rng = random.Random(7)
+
+    def word(n):
+        w = rng.choice("abAB")
+        while len(w) < n:
+            c = rng.choice("abAB")
+            if w[-1] != words.inv_letter(c):
+                w += c
+        return w
+
+    for _ in range(20):
+        a = [word(rng.randint(30, 40)) for _ in range(rng.randint(1, 3))]
+        b = [word(rng.randint(30, 40)) for _ in range(rng.randint(1, 3))]
+        (n,), e = measures._pair_masses(2, [a, b])
+        assert n.dtype == object and 3 ** e > 2 ** 63
+        want = sum(Fraction(3) ** (2 * words.common_prefix_len(x, y))
+                   * words.cylinder_measure(x) * words.cylinder_measure(y)
+                   for x in a for y in b)
+        assert Fraction(n[0, 1], 16 * 3 ** e) == want
 
 
 def test_pair_invariance_plane_identity_is_zero():

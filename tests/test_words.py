@@ -5,9 +5,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hyplab import words
+from hyplab import measures, words
 
 import reference
 
@@ -186,6 +187,58 @@ def test_visual_exponent_matches_sphere_proportions():
             e, below = words.visual_exponent(p, w)
             mass = Fraction(1, 4) * Fraction(1, 3) ** e
             assert share == (1 - mass if below else mass)
+
+
+def _random_reduced(rng, rank, n):
+    alphabet = words.letters(rank)
+    w = ""
+    while len(w) < n:
+        c = rng.choice(alphabet)
+        if not w or w[-1] != words.inv_letter(c):
+            w += c
+    return w
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_broadcast_closed_forms_equal_the_scalar_forms(rank):
+    # 150 random base pairs up to length 6 per rank, 300 in all, on
+    # partitions of depth 2..5.  Bases deeper than a partition lie below
+    # one of its cells, where the complement form runs.  Partitions of
+    # up to 120 cells are compared cell by cell, larger ones on 40
+    # random cells and the cells above p or q.
+    rng = random.Random(rank)
+    parts = [measures.tree_partition(d, rank) for d in range(2, 6)]
+    inside = 0
+    for _ in range(150):
+        p = _random_reduced(rng, rank, rng.randint(0, 6))
+        q = _random_reduced(rng, rank, rng.randint(0, 6))
+        for part in parts:
+            cells, reps = part.cells, part.representatives
+            e_p, in_p = words.visual_exponent(p, cells)
+            b = words.tree_busemann(q, p, reps)
+            assert e_p.dtype == b.dtype == np.int64 and in_p.dtype == bool
+            idx = range(len(cells))
+            if len(cells) > 120:
+                idx = set(rng.sample(idx, 40)) | {
+                    i for i, w in enumerate(cells)
+                    if p.startswith(w) or q.startswith(w)}
+            for i in idx:
+                e, below = words.visual_exponent(p, cells[i])
+                assert type(e) is int and type(below) is bool
+                assert (e, below) == (e_p[i], in_p[i])
+                b_i = words.tree_busemann(q, p, reps[i])
+                assert type(b_i) is int and b_i == b[i]
+            inside += int(in_p.sum())
+    assert inside > 0
+
+
+def test_lcp_table_equals_common_prefix_len():
+    us = ["", "a", "ab", "abA", "aBB", "ba"]
+    vs = us + ["abAb", "B"]
+    table = words.lcp_table(us, vs)
+    assert table.shape == (len(us), len(vs))
+    assert table.tolist() == [[words.common_prefix_len(u, v) for v in vs]
+                              for u in us]
 
 
 def _exhaustive_deviation(v, rho):
