@@ -568,9 +568,6 @@ def cylinder_pushforward(g, w, rank=2):
     return [words.mul(g, w)]
 
 
-_INT64_MAX = 2 ** 63 - 1
-
-
 def _pair_masses(rank, *groupings):
     """Exact pair-measure masses of (union of groups[i]) x (union of
     groups[j]) for every grouping of nonempty groups of cylinders, over
@@ -581,8 +578,8 @@ def _pair_masses(rank, *groupings):
     (2k)^-2 (2k-1)^-t with t = |a| + |b| - 2 - 2 lcp(a, b) = d(a, b) - 2.
     With the cylinders of a grouping flattened, W = (2k-1)^(E - t) over
     all their pairs and M the one-hot owner matrix, N = M^T W M, summed
-    group by group.  The sums run in int64 when a bound on the largest
-    of them fits, and in Python ints otherwise.
+    group by group in Python ints (E grows with the cylinder lengths, so
+    no fixed-width integer holds every input).
     """
     base = 2 * rank - 1
     flats = [[w for group in groups for w in group] for groups in groupings]
@@ -592,15 +589,9 @@ def _pair_masses(rank, *groupings):
         ts.append(lens[:, None] + lens[None, :] - 2
                   - 2 * words.lcp_table(flat, flat))
     e = max(0, *(int(t.max()) for t in ts))
-    # every sum is at most (#pairs) * the largest weight
-    bound = (max(len(flat) for flat in flats) ** 2
-             * base ** (e - min(int(t.min()) for t in ts)))
     out = []
     for groups, t in zip(groupings, ts):
-        if bound <= _INT64_MAX:
-            weight = np.int64(base) ** (e - t)
-        else:
-            weight = base ** (e - t).astype(object)
+        weight = base ** (e - t).astype(object)
         starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
         out.append(np.add.reduceat(np.add.reduceat(weight, starts, axis=0),
                                    starts, axis=1))

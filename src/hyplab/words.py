@@ -250,9 +250,8 @@ class BoundaryWord:
 
     def word(self, n):
         """First n letters of the infinite word."""
-        if n <= len(self.prefix):
-            return self.prefix[:n]
-        return (self.prefix + self.cycle * (n // len(self.cycle) + 1))[:n]
+        reps = max(0, (n - len(self.prefix)) // len(self.cycle) + 1)
+        return (self.prefix + self.cycle * reps)[:n]
 
     def __eq__(self, other):
         if not isinstance(other, BoundaryWord):

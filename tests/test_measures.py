@@ -336,23 +336,23 @@ def test_pair_invariance_tree_detects_a_shifted_pushforward(monkeypatch):
     assert measures.pair_invariance_check(pm, "a") > 0
 
 
+def _fraction_pair_mass(cells_a, cells_b):
+    return sum(Fraction(3) ** (2 * words.common_prefix_len(x, y))
+               * words.cylinder_measure(x) * words.cylinder_measure(y)
+               for x in cells_a for y in cells_b)
+
+
 def _fraction_pair_defect(pm, gamma):
     """Reference route: both sides of every cell pair as Fraction sums."""
-    def mass(cells_a, cells_b):
-        return sum(Fraction(3) ** (2 * words.common_prefix_len(x, y))
-                   * words.cylinder_measure(x) * words.cylinder_measure(y)
-                   for x in cells_a for y in cells_b)
-
     cells = pm.partition.cells
     images = [measures.cylinder_pushforward(gamma, w) for w in cells]
-    return float(max((abs(mass(images[i], images[j])
-                          - mass([cells[i]], [cells[j]]))
+    return float(max((abs(_fraction_pair_mass(images[i], images[j])
+                          - _fraction_pair_mass([cells[i]], [cells[j]]))
                       for i, j in pm.weights), default=Fraction(0)))
 
 
 @pytest.mark.parametrize("mutant", [None, "coarser", "finer"])
-def test_pair_invariance_tree_python_int_route_equals_int64(mutant,
-                                                           monkeypatch):
+def test_pair_invariance_tree_equals_fraction_route(mutant, monkeypatch):
     # a coarser image is too heavy and a finer one too light, so the two
     # mutants give differences of both signs
     push = measures.cylinder_pushforward
@@ -369,17 +369,11 @@ def test_pair_invariance_tree_python_int_route_equals_int64(mutant,
     want = [_fraction_pair_defect(pm, g) for g in gammas]
     assert [measures.pair_invariance_check(pm, g) for g in gammas] == want
     assert (max(want) > 0) == (mutant is not None)
-    (n,), _ = measures._pair_masses(2, [["ab"], ["ba"]])
-    assert n.dtype == np.int64
-    # with no int64 room the same sums run in Python ints
-    monkeypatch.setattr(measures, "_INT64_MAX", 0)
-    (n,), _ = measures._pair_masses(2, [["ab"], ["ba"]])
-    assert n.dtype == object
-    assert [measures.pair_invariance_check(pm, g) for g in gammas] == want
 
 
-def test_pair_masses_past_int64_run_in_python_ints():
-    # long cylinders far apart carry weights 3^t beyond int64
+def test_pair_masses_exact_past_int64():
+    # over the common power a long cylinder weighs 3^(E + 2) against
+    # itself, so the diagonal sums pass 2^63
     rng = random.Random(7)
 
     def word(n):
@@ -394,11 +388,26 @@ def test_pair_masses_past_int64_run_in_python_ints():
         a = [word(rng.randint(30, 40)) for _ in range(rng.randint(1, 3))]
         b = [word(rng.randint(30, 40)) for _ in range(rng.randint(1, 3))]
         (n,), e = measures._pair_masses(2, [a, b])
-        assert n.dtype == object and 3 ** e > 2 ** 63
-        want = sum(Fraction(3) ** (2 * words.common_prefix_len(x, y))
-                   * words.cylinder_measure(x) * words.cylinder_measure(y)
-                   for x in a for y in b)
-        assert Fraction(n[0, 1], 16 * 3 ** e) == want
+        assert max(n.flat) > 2 ** 63
+        for i, u in enumerate((a, b)):
+            for j, v in enumerate((a, b)):
+                assert Fraction(n[i, j], 16 * 3 ** e) == \
+                    _fraction_pair_mass(u, v)
+
+
+def test_pair_masses_share_one_power_across_groupings():
+    # the shorter grouping's masses are exact over the longer one's power
+    rng = random.Random(11)
+    deep = [w for w in words.ball_words(4) if len(w) >= 3]
+    shallow = [w for w in words.ball_words(1) if w]
+    for _ in range(50):
+        groupings = [[rng.sample(cells, rng.randint(1, 3)) for _ in range(2)]
+                     for cells in (shallow, deep)]
+        if rng.random() < 0.5:
+            groupings.reverse()
+        out, e = measures._pair_masses(2, *groupings)
+        for n, (a, b) in zip(out, groupings):
+            assert Fraction(n[0, 1], 16 * 3 ** e) == _fraction_pair_mass(a, b)
 
 
 def test_pair_invariance_plane_identity_is_zero():
