@@ -91,18 +91,31 @@ def direction_toward(p, xi):
     """Initial tangent angle in [-pi, pi) at interior point p of the
     geodesic ray toward boundary point xi (real or inf).
 
-    Broadcasts over arrays of p and xi; returns a float for scalar input.
+    Broadcasts over arrays of p and xi, in blocks of _ANGLE_BLOCK points
+    so that the temporaries stay a fixed size however many points come
+    in; returns a float for scalar input.
     """
     scalar = np.ndim(p) == 0 and np.ndim(xi) == 0
     p = np.asarray(p, dtype=complex)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.empty(np.broadcast_shapes(p.shape, xi.shape))
-    isinf = np.broadcast_to(np.isinf(xi), out.shape)
-    out[isinf] = 0.5 * math.pi
-    fin = ~isinf
+    xi = np.asarray(xi, dtype=float)
+    out = np.empty(np.broadcast_shapes(p.shape, xi.shape, (1,)))
+    flat = out.reshape(-1)
     # a scalar p stays scalar: no full-length copy of one base point
-    p, x = (np.broadcast_to(a, out.shape)[fin] if a.ndim else a
-            for a in (p, xi))
+    p = p if p.ndim == 0 else np.broadcast_to(p, out.shape).reshape(-1)
+    xi = np.broadcast_to(xi, out.shape).reshape(-1)
+    for k in range(0, len(flat), _ANGLE_BLOCK):
+        block = slice(k, k + _ANGLE_BLOCK)
+        flat[block] = _direction_block(p[block] if p.ndim else p, xi[block])
+    return float(out[0]) if scalar else out
+
+
+_ANGLE_BLOCK = 1 << 16  # points per block of direction_toward
+
+
+def _direction_block(p, xi):
+    out = np.full(xi.shape, 0.5 * math.pi)
+    fin = ~np.isinf(xi)
+    p, x = p[fin] if p.ndim else p, xi[fin]
     same = np.abs(x - p.real) < 1e-13
     # circle center c on the real axis with |p - c| = |xi - c|
     c = 0.5 * (x + (np.abs(p) ** 2 - x * p.real)
@@ -112,7 +125,7 @@ def direction_toward(p, xi):
     th = np.where(x > c, phi - 0.5 * math.pi, phi + 0.5 * math.pi)
     th = np.where(same, -0.5 * math.pi, th)
     out[fin] = np.mod(th + math.pi, 2.0 * math.pi) - math.pi
-    return float(out[0]) if scalar else out
+    return out
 
 
 class _AxisChart:
@@ -301,11 +314,27 @@ class _SegmentChart(_AxisChart):
         self.ap = np.abs(self.to_w(p))
         self.aq = np.abs(self.to_w(q))
 
-    def sample(self, n):
-        """n points evenly spaced in arclength from p to q, shape (m, n)."""
-        frac = np.linspace(0.0, 1.0, n)
+    def _at(self, frac):
         s = np.log(self.ap) * (1 - frac) + np.log(self.aq) * frac
         return self.from_w(1j * np.exp(s, out=s))
+
+    def sample(self, n):
+        """n points evenly spaced in arclength from p to q, shape (m, n)."""
+        return self._at(np.linspace(0.0, 1.0, n))
+
+    def sample_at(self, idx):
+        """Point idx[i] of sample(SAMPLES_PER_SIDE) on segment i, bit for
+        bit, shape (m, 1)."""
+        return self._at(np.linspace(0.0, 1.0, SAMPLES_PER_SIDE)[idx][:, None])
+
+    def rolled(self, shift):
+        """The chart of the segments np.roll(p, shift) -> np.roll(q, shift),
+        rolled from this one's arrays rather than rebuilt."""
+        out = object.__new__(_SegmentChart)
+        for name in _AxisChart.__slots__ + _SegmentChart.__slots__:
+            v = getattr(self, name)
+            setattr(out, name, v if v is None else np.roll(v, shift, axis=0))
+        return out
 
     def cosh_dist(self, z):
         """cosh of the distance from z (shape (m, n)) to the segments: the
@@ -336,14 +365,35 @@ def triangle_thinness(a, b, c):
     over sides of the max over sampled points on the side of the distance
     to the union of the other two sides.  Side points are sampled; the
     distance to each opposite side is exact.  arccosh is monotone, so the
-    min and max run over cosh values and arccosh is taken once."""
-    sides = [_SegmentChart(a, b), _SegmentChart(b, c), _SegmentChart(c, a)]
-    defect = np.ones(len(sides[0].p))
-    for k, side in enumerate(sides):
-        pts = side.sample(SAMPLES_PER_SIDE)
-        dmin = np.minimum(sides[(k + 1) % 3].cosh_dist(pts),
-                          sides[(k + 2) % 3].cosh_dist(pts))
-        defect = np.maximum(defect, dmin.max(axis=1))
+    min and max run over cosh values and arccosh is taken once.
+
+    Along a side from a to b, the distance to the next side [b, c] is
+    convex (the distance to a convex set along a geodesic) and 0 at b, so
+    it does not increase; the distance to the previous side [c, a] does
+    not decrease.  Their min is unimodal: its max over the samples lies
+    at the first sample where the previous side is at least as far as the
+    next, or at the sample before.  All 3m sides bisect for that sample
+    at once, one sample per side and step, and only the two candidates
+    are compared: 14 distances per side instead of 48.
+    """
+    m, n = len(a), SAMPLES_PER_SIDE
+    side = _SegmentChart(np.concatenate((a, b, c)), np.concatenate((b, c, a)))
+    nxt, prev = side.rolled(-m), side.rolled(m)
+    # first[i]: the samples before it are nearer the previous side
+    first = np.zeros(3 * m, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        idx = first + step - 1
+        z = side.sample_at(np.minimum(idx, n - 1))
+        nearer = prev.cosh_dist(z)[:, 0] < nxt.cosh_dist(z)[:, 0]
+        first += np.where(nearer & (idx < n), step, 0)
+        step >>= 1
+    best = np.ones(3 * m)
+    for idx in (first - 1, first):
+        z = side.sample_at(np.clip(idx, 0, n - 1))
+        dmin = np.minimum(nxt.cosh_dist(z), prev.cosh_dist(z))[:, 0]
+        np.maximum(best, dmin, out=best)
+    defect = best.reshape(3, m).max(axis=0)
     return np.arccosh(defect, out=defect)
 
 
@@ -354,8 +404,12 @@ SAMPLES_PER_SIDE = 24  # sampled points per side in triangle_thinness
 def estimate_delta_mc(sample_count, radius, seed):
     """Monte-Carlo maximum slim-triangle defect over random triangles in
     B(i, radius).  Deterministic given the seed.  Raises ValueError for
-    a sample_count below 1 or a radius that is not finite and positive,
-    which would otherwise certify delta = 0."""
+    a sample_count that is not a finite whole number, or is below 1, and
+    for a radius that is not finite and positive: a fraction would be
+    cut silently, and a count or radius of 0 would certify delta = 0."""
+    if not float(sample_count).is_integer():
+        raise ValueError(f"sample count {sample_count} is not a finite "
+                         f"whole number")
     if not sample_count >= 1:
         raise ValueError(f"sample count {sample_count} is below 1")
     if not (math.isfinite(radius) and radius > 0):

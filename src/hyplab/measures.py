@@ -219,6 +219,9 @@ def _tree_cell_masses(p, s, partition, cap):
     return np.array(out)
 
 
+_THETA_BLOCK = 1 << 16  # atoms per block of _PlaneAtoms.theta
+
+
 class _PlaneAtoms:
     """Cached orbit atoms around a base point, reused across the s grid:
     positions and distances, the Poincare series with its tail, and,
@@ -260,8 +263,13 @@ class _PlaneAtoms:
     @functools.cached_property
     def theta(self):
         """Angle at PLANE_BASE of the ray toward each atom's boundary
-        point, the endpoint of the geodesic from p through the atom."""
-        xi = halfplane.geodesic_endpoints(self.p, self.z)[1]
+        point, the endpoint of the geodesic from p through the atom.
+        Computed in blocks of _THETA_BLOCK atoms, so that the temporaries
+        stay a fixed size however large the ball."""
+        xi = np.empty(len(self.z))
+        for k in range(0, len(self.z), _THETA_BLOCK):
+            xi[k:k + _THETA_BLOCK] = halfplane.geodesic_endpoints(
+                self.p, self.z[k:k + _THETA_BLOCK])[1]
         return halfplane.direction_toward(PLANE_BASE, xi)
 
     def far_cells(self, partition):
@@ -511,39 +519,35 @@ def pair_measure(backend, p, partition, masses=None, cap=None):
     `limit_cell_masses` of the orbit atoms of radius `cap` (default
     DEFAULT_PAIR_CAP)."""
     _check_partition(backend, partition)
+    i, j = np.triu_indices(len(partition), 1)
     if backend == TREE:
         rank = partition.rank
         h = math.log(2 * rank - 1)
+        p = p or ""
         if masses is None:
-            masses = [words.visual_measure(p or "", w, rank)
+            masses = [words.visual_measure(p, w, rank)
                       for w in partition.cells]
-        weights, excluded = {}, set()
-        for i in range(len(partition)):
-            for j in range(i + 1, len(partition)):
-                lcp = words.common_prefix_len(partition.cells[i],
-                                              partition.cells[j])
-                factor = Fraction(2 * rank - 1) ** (2 * lcp)
-                if float(factor) > PAIR_WEIGHT_CAP:
-                    excluded.add((i, j))
-                    continue
-                weights[(i, j)] = factor * masses[i] * masses[j]
-        return PairMeasure(TREE, p or "", partition, weights,
-                           frozenset(excluded), h)
-    h = 1.0
-    p = complex(p)
-    if masses is None:
-        masses = limit_cell_masses(PLANE, p, partition, DEFAULT_PAIR_CAP
-                                   if cap is None else cap)[0]
-    masses = np.asarray(masses, dtype=float)
-    reps = np.array(partition.representatives)
-    i, j = np.triu_indices(len(partition), 1)
-    factor = np.exp(h * halfplane.gromov_beta(p, reps[i], reps[j]))
-    out = factor > PAIR_WEIGHT_CAP
+        masses = np.array(masses, dtype=object)
+        # e^{h beta} = (2k-1)^(2 lcp), exact in Python ints
+        lcp = words.lcp_table(partition.cells, partition.cells)[i, j]
+        factor = (2 * rank - 1) ** (2 * lcp).astype(object)
+        out = np.array([float(f) > PAIR_WEIGHT_CAP for f in factor],
+                       dtype=bool)
+    else:
+        h = 1.0
+        p = complex(p)
+        if masses is None:
+            masses = limit_cell_masses(PLANE, p, partition, DEFAULT_PAIR_CAP
+                                       if cap is None else cap)[0]
+        masses = np.asarray(masses, dtype=float)
+        reps = np.array(partition.representatives)
+        factor = np.exp(h * halfplane.gromov_beta(p, reps[i], reps[j]))
+        out = factor > PAIR_WEIGHT_CAP
     i_in, j_in, f_in = i[~out], j[~out], factor[~out]
     weights = dict(zip(zip(i_in.tolist(), j_in.tolist()),
                        (f_in * masses[i_in] * masses[j_in]).tolist()))
     excluded = frozenset(zip(i[out].tolist(), j[out].tolist()))
-    return PairMeasure(PLANE, p, partition, weights, excluded, h)
+    return PairMeasure(backend, p, partition, weights, excluded, h)
 
 
 def cylinder_pushforward(g, w, rank=2):

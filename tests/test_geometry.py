@@ -53,6 +53,17 @@ def test_estimate_delta_plane_refuses_bad_input(count, radius):
         geo.estimate_delta(PLANE, sample_count=count, radius=radius)
 
 
+@pytest.mark.parametrize("count", [2.5, 0.5, math.inf, -math.inf, math.nan])
+def test_estimate_delta_plane_refuses_a_count_that_is_not_whole(count):
+    with pytest.raises(ValueError, match="not a finite whole number"):
+        geo.estimate_delta(PLANE, sample_count=count, radius=3.0)
+
+
+def test_estimate_delta_plane_takes_a_whole_float_count():
+    assert geo.estimate_delta(PLANE, sample_count=300.0, radius=3.0) \
+        == geo.estimate_delta(PLANE, sample_count=300, radius=3.0)
+
+
 def test_estimate_delta_deterministic_given_seed():
     a = geo.estimate_delta(PLANE, sample_count=2000, radius=3.0, seed=5)
     b = geo.estimate_delta(PLANE, sample_count=2000, radius=3.0, seed=5)

@@ -312,6 +312,86 @@ def test_triangle_thinness_matches_the_log_domain_route():
         assert np.array_equal(hp.triangle_thinness(a, b, c), want)
 
 
+def _crossings(a, b, c):
+    """For each side (rows: sides ab, then bc, then ca), the number of its
+    24 samples nearer the previous side than the next, in cosh values:
+    the index of the first sample where the previous side is as far."""
+    out = []
+    for (s1, s2), (n1, n2), (p1, p2) in (((a, b), (b, c), (c, a)),
+                                         ((b, c), (c, a), (a, b)),
+                                         ((c, a), (a, b), (b, c))):
+        z = hp._SegmentChart(s1, s2).sample(24)
+        out.append((hp._SegmentChart(p1, p2).cosh_dist(z)
+                    < hp._SegmentChart(n1, n2).cosh_dist(z)).sum(axis=1))
+    return np.concatenate(out)
+
+
+def _edge_batches():
+    """Seeded triangles at the edges of the bisection: degenerate ones
+    (c on side ab, all three vertices on one vertical or circular
+    geodesic), thin ones whose crossing on side ab falls at its last
+    sample, and tiny (radius 1e-3) and huge (radius 12) ones."""
+    rng = np.random.default_rng(13)
+    m = 512
+    a, b = hp.random_points(rng, 2 * m, 1.0).reshape(2, m)
+    c = hp._SegmentChart(a, b).sample(24)[np.arange(m),
+                                          rng.integers(1, 23, m)]
+    yield "c on side ab", a, b, c
+    x = rng.uniform(-2.0, 2.0, m)
+    y = np.exp(rng.uniform(-2.0, 2.0, (3, m)))
+    yield "one vertical geodesic", *(x + 1j * y)
+    t = np.sort(rng.uniform(0.1, 3.0, (3, m)), axis=0)
+    perm = np.argsort(rng.uniform(size=(3, m)), axis=0)
+    pts = 1j * np.exp(np.take_along_axis(t, perm, axis=0) - 1.5)
+    yield "one semicircle", *hp.mobius_apply((1, 1, -1, 1), pts)
+    # an angle of 1e-3 to 1e-2 at a and a side ca two to six times as
+    # long as ab: side ab stays nearer ca up to its last sample
+    a, b = hp.random_points(rng, 2 * m, 1.0).reshape(2, m)
+    ray = [reference.ray(p, hp.forward_endpoint(
+        p, hp.direction_toward(p, hp.geodesic_endpoints(p, q)[1])
+        + rng.choice((-1, 1)) * rng.uniform(1e-3, 1e-2)))
+        for p, q in zip(a, b)]
+    c = np.array([r.point(rng.uniform(2.0, 6.0) * hp.dist(p, q))
+                  for r, p, q in zip(ray, a, b)])
+    yield "thin at a", a, b, c
+    for radius in (1e-3, 12.0):
+        yield f"radius {radius}", *hp.random_points(
+            rng, 3 * m, radius).reshape(3, m)
+    yield "slim batch", *_slim_batch()
+
+
+def test_triangle_thinness_bisection_matches_the_dense_oracle_at_edges():
+    # the bisection over the sample index returns, bit for bit, the max
+    # over all 24 samples, with every distance and arccosh taken
+    crossings = []
+    for name, a, b, c in _edge_batches():
+        want = _per_segment_thinness(a, b, c, reference.segment_dist)
+        assert np.array_equal(hp.triangle_thinness(a, b, c), want), name
+        crossings.append(_crossings(a, b, c))
+    # the first sample as far from the previous side as from the next
+    # falls at both ends of a side
+    crossings = np.concatenate(crossings)
+    assert np.any(crossings == 0) and np.any(crossings == 23)
+
+
+def test_triangle_thinness_never_exceeds_the_dense_route():
+    # three vertices on one geodesic far from i: the computed points are
+    # off each other's sides by rounding, the distances along a side are
+    # no longer monotone, and the bisection's two candidates may miss
+    # the rounding noise that the max over all 24 samples picks up;
+    # being a max over some of those samples, it is never larger
+    rng = np.random.default_rng(17)
+    m = 512
+    x = rng.uniform(-1.0, 1.0, m)
+    t = rng.uniform(-12.0, 12.0, (3, m))
+    a, b, c = hp.mobius_apply((1, x, 0, 1), 1j * np.exp(t))
+    a, b, c = hp.mobius_apply((1, 1, -1, 1), np.array([a, b, c]))
+    got = hp.triangle_thinness(a, b, c)
+    want = _per_segment_thinness(a, b, c, hp._SegmentChart.dist)
+    assert np.all(got <= want)
+    assert float(want.max()) < 1e-2
+
+
 def test_dist_to_segment_matches_dense_sampling():
     # the nearest of 4001 evenly spaced segment points is within half a
     # spacing of the closed form, vertical sides and clamped feet included

@@ -302,6 +302,43 @@ def test_pair_measure_tree_invariance_exact(rank):
         assert measures.pair_invariance_check(pm, g) == 0
 
 
+def _double_loop_pair_measure(part, p):
+    """Tree pair-measure weights and excluded pairs from a loop over the
+    cell pairs, with a Fraction factor per pair."""
+    rank = part.rank
+    masses = [words.visual_measure(p, w, rank) for w in part.cells]
+    weights, excluded = {}, set()
+    for i in range(len(part)):
+        for j in range(i + 1, len(part)):
+            lcp = words.common_prefix_len(part.cells[i], part.cells[j])
+            factor = Fraction(2 * rank - 1) ** (2 * lcp)
+            if float(factor) > measures.PAIR_WEIGHT_CAP:
+                excluded.add((i, j))
+                continue
+            weights[(i, j)] = factor * masses[i] * masses[j]
+    return weights, excluded
+
+
+@pytest.mark.parametrize("rank, depth, p", [
+    (2, 4, ""), (2, 3, "aB"), (3, 3, ""), (3, 2, "c")])
+@pytest.mark.parametrize("cap", [None, 81.0])
+def test_pair_measure_tree_equals_the_double_loop(monkeypatch, rank, depth,
+                                                  p, cap):
+    # cap 81 = 3^4 keeps lcp 2 at rank 2 (not above the cap) and
+    # excludes lcp >= 3, and at rank 3 excludes lcp >= 2; the default cap
+    # excludes nothing at these depths
+    if cap is not None:
+        monkeypatch.setattr(measures, "PAIR_WEIGHT_CAP", cap)
+    part = measures.tree_partition(depth, rank=rank)
+    pm = measures.pair_measure(TREE, p, part)
+    weights, excluded = _double_loop_pair_measure(part, p)
+    assert pm.weights == weights and pm.excluded == excluded
+    assert list(pm.weights) == list(weights)
+    assert all(type(w) is Fraction for w in pm.weights.values())
+    assert bool(pm.excluded) == (cap is not None
+                                 and (rank, depth) in ((2, 4), (3, 3)))
+
+
 def test_exact_pair_mass_equals_fraction_sum():
     rng = random.Random(5)
     cells = [w for w in words.ball_words(4) if w]
