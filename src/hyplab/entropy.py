@@ -5,7 +5,6 @@ top-entropy slope estimates, and the expansivity probes that contrast
 the hyperbolic backends with the flat negative control.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -116,45 +115,37 @@ class SpanningReport:
 
 
 def _dn_rows(sample, n_grid):
-    """d_n from one sample line to every sample line, for all n in n_grid.
+    """d_n from one sample line to some sample lines, for all n in n_grid.
 
     Each line is evaluated once, on the time grid of the largest n, with
     the lines' own `steps` points per unit time.  For integer n that
-    grid starts with the grid of every smaller n, so a running max along
-    t reads off every d_n in one pass.  Returns row(i), an array of
-    shape (len(n_grid), len(sample)).
+    grid starts with the grid of every smaller n, so d_n is a running
+    max along t: the max of each segment up to the next distinct n
+    column (np.maximum.reduceat), accumulated over those few segments.
+    Returns row(i, live), an array of shape (len(n_grid), len(live)):
+    d_n from line i to the lines indexed by live.
     """
     v = sample[0]
-    cols = [v.steps * int(n) for n in n_grid]
-    ts = np.arange(max(cols) + 1) / v.steps
+    ends, which = np.unique([v.steps * int(n) for n in n_grid],
+                            return_inverse=True)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ts = np.arange(ends[-1] + 1) / v.steps
     pts = np.array([w.point(ts) for w in sample])
-    return lambda i: np.maximum.accumulate(
-        v.metric(pts, pts[i]), axis=1)[:, cols].T
-
-
-def _greedy_separated(apart, m, g):
-    """Sizes of g greedy maximal separated sets of the lines 0..m-1: in
-    index order, line i joins set k when apart(j)[k, i] holds for every
-    member j so far.  apart(j) is the symmetric relation seen from j, so
-    only members' rows are ever asked for."""
-    free = np.ones((g, m), dtype=bool)
-    size = np.zeros(g, dtype=int)
-    for i in range(m):
-        join = free[:, i].copy()
-        if join.any():
-            size += join
-            free[join] &= apart(i)[join]
-    return size
+    return lambda i, live: np.maximum.accumulate(np.maximum.reduceat(
+        v.metric(pts[live], pts[i]), starts, axis=1), axis=1)[:, which].T
 
 
 def spanning_counts(sample, n_grid, delta):
     """`spanning_count` for every n in n_grid, in one pass over the sample.
 
-    The n must be integers: the one-pass d_n grid nests only then, so a
-    non-integer n raises ValueError, as does a delta that is not a
-    finite positive number.  Each line's distance row is built
-    at most once, the first time the greedy cover or the separated scan
-    needs it, and lives only for this call.
+    The n must be integers, in any order and repeated or not: the d_n
+    grids nest only then, so a non-integer n raises ValueError, as does
+    a delta that is not a finite positive number.  The greedy cover
+    (threshold delta) and the greedy separated set (threshold 2 delta)
+    run together, for every n at once, over the lines in index order.
+    When line i joins some of them, d_n from i is evaluated only to the
+    later lines still free in one of those it joined; no distance row
+    outlives its member.
     """
     if not sample:
         raise ValueError("empty flow sample")
@@ -175,18 +166,20 @@ def spanning_counts(sample, n_grid, delta):
                                       len(prefixes), "exact-symbolic"))
         return out
     row = _dn_rows(sample, n_grid)
-
-    @functools.cache
-    def apart(i):
-        d = row(i)
-        return d > delta, d > 2.0 * delta
-
-    m, g = len(sample), len(n_grid)
-    upper = _greedy_separated(lambda i: apart(i)[0], m, g)
-    lower = _greedy_separated(lambda i: apart(i)[1], m, g)
+    # free[p, k, j]: line j may still join pass p (0 the cover, 1 the
+    # separated set) at the k-th n; a member clears what it is near
+    free = np.ones((2, len(n_grid), len(sample)), dtype=bool)
+    size = np.zeros(free.shape[:2], dtype=int)
+    near = np.array([delta, 2.0 * delta])[:, None, None]
+    for i in range(len(sample)):
+        join = free[:, :, i].copy()
+        if join.any():
+            size += join
+            live = i + 1 + np.flatnonzero(free[join, i + 1:].any(axis=0))
+            free[:, :, live] &= (row(i, live) > near) | ~join[:, :, None]
     return [SpanningReport(int(n), float(delta), int(lo), int(up),
                            "greedy-cover/separated-lower")
-            for n, lo, up in zip(n_grid, lower, upper)]
+            for n, up, lo in zip(n_grid, *size)]
 
 
 def spanning_count(sample, n, delta):
@@ -195,8 +188,10 @@ def spanning_count(sample, n, delta):
 
     A 2 delta-separated set meets each delta-ball at most once, so the
     lower figure never exceeds any delta-cover cardinality.  The greedy
-    cover is itself a maximal delta-separated set, so both figures come
-    from one greedy scan at two thresholds.  n must be an integer.
+    cover is itself a maximal delta-separated set: a line becomes a
+    centre when no earlier centre is within delta.  So the two figures
+    are one greedy rule at two thresholds, and `spanning_counts` runs
+    both in the same pass.  n must be an integer.
 
     On the flat torus (diameter sqrt(2)/2) no two lines are ever more
     than 2 delta apart once 2 delta > sqrt(2)/2, as at the default

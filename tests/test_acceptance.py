@@ -1,14 +1,18 @@
 """End-to-end acceptance checks, one pass/fail line per claim.
 
 Every test prints a single summary line (visible with -v / on failure)
-before asserting, so a full run reads as a scoreboard.  Oracles are
-independent of the library code paths they certify: closed-form counts,
-brute-force enumerations written inline, and frozen constants.
+before asserting, so a full run reads as a scoreboard.  When the
+environment variable HYPLAB_SCOREBOARD names a file, each line is also
+appended to it as one JSON object {name, ok, detail, elapsed}, elapsed
+being the seconds since the test started.  Oracles are independent of
+the library code paths they certify: closed-form counts, brute-force
+enumerations written inline, and frozen constants.
 """
 
 import itertools
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -23,9 +27,38 @@ import reference
 LOG3 = math.log(3)
 
 
+_STARTED = [0.0]  # perf_counter at the start of the running test
+
+
+@pytest.fixture(autouse=True)
+def _clock():
+    _STARTED[0] = time.perf_counter()
+
+
 def _report(name, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    path = os.environ.get("HYPLAB_SCOREBOARD")
+    if path:
+        line = {"name": name, "ok": bool(ok), "detail": detail,
+                "elapsed": round(time.perf_counter() - _STARTED[0], 3)}
+        with open(path, "a") as f:
+            f.write(json.dumps(line) + "\n")
     assert ok, f"{name}: {detail}"
+
+
+def test_report_appends_the_scoreboard_line(tmp_path, monkeypatch):
+    path = tmp_path / "scoreboard.jsonl"
+    monkeypatch.setenv("HYPLAB_SCOREBOARD", str(path))
+    _report("first claim", np.bool_(True), "2 <= 3")
+    with pytest.raises(AssertionError, match="second claim: 4 > 3"):
+        _report("second claim", False, "4 > 3")
+    lines = [json.loads(s) for s in path.read_text().splitlines()]
+    assert [(d["name"], d["ok"], d["detail"]) for d in lines] == [
+        ("first claim", True, "2 <= 3"), ("second claim", False, "4 > 3")]
+    assert all(0.0 <= d["elapsed"] < 60.0 for d in lines)
+    monkeypatch.delenv("HYPLAB_SCOREBOARD")
+    _report("unrecorded claim", True, "no file named")
+    assert len(path.read_text().splitlines()) == 2
 
 
 @pytest.fixture(scope="module")

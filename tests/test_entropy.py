@@ -80,6 +80,8 @@ def _greedy_reference(sample, n, delta):
     (entropy.flat_flow_sample(n_dirs=48, n_pos=1), [2, 1, 3], 0.3),
     (entropy.plane_flow_sample(n_dirs=8, n_pos=3), [3, 1, 4], 0.5),
     (entropy.tree_flow_sample(3), [1, 3, 2], 1.5),
+    # many cover members: up to 60 centres, and lower < upper at each n
+    (entropy.flat_flow_sample(n_dirs=60, n_pos=1), [6, 2, 4], 0.25),
 ])
 def test_spanning_counts_grids_nest(sample, grid, delta):
     # one pass on the largest n gives what independent per-n runs give
@@ -88,6 +90,10 @@ def test_spanning_counts_grids_nest(sample, grid, delta):
     for n, rep in zip(grid, reports):
         assert (rep.lower, rep.upper) == _greedy_reference(sample, n, delta)
         assert rep == entropy.spanning_count(sample, n, delta)
+    # repeated, unordered and zero n: each report is its own n's
+    for odd in ([3, 1, 3], [2, 2], [0, 2, 1]):
+        assert entropy.spanning_counts(sample, odd, delta) == [
+            entropy.spanning_count(sample, n, delta) for n in odd]
     # neither scan is trivial: both thresholds cut somewhere
     assert any(1 < r.lower < r.upper < len(sample) for r in reports)
     for bad in ([2.5], [1, 0.25], [-1]):
@@ -106,7 +112,7 @@ def test_flat_dn_is_the_torus_dyn_metric():
     sample = entropy.flat_flow_sample(n_dirs=12, n_pos=2)
     row = entropy._dn_rows(sample, [40])
     for i in (0, 5, 17):
-        dn = row(i)[0]
+        dn = row(i, np.arange(len(sample)))[0]
         assert dn.max() <= math.sqrt(0.5) + 1e-12
         for j in range(0, len(sample), 3):
             assert abs(dn[j] - dyn_metric(sample[i], sample[j],

@@ -392,6 +392,21 @@ def test_triangle_thinness_never_exceeds_the_dense_route():
     assert float(want.max()) < 1e-2
 
 
+def test_delta_radius_limit_is_where_the_dense_defects_stay_slim():
+    # every triangle of H^2 is ln(1 + sqrt 2)-slim; at the largest radius
+    # estimate_delta_mc accepts, the dense route over all 24 samples
+    # stays under that bound on a seeded batch, and a radius where the
+    # float arithmetic breaks down is refused
+    rng = np.random.default_rng(0)
+    a, b, c = hp.random_points(rng, 3 * 4096, hp.MC_MAX_RADIUS).reshape(
+        3, 4096)
+    dense = _per_segment_thinness(a, b, c, reference.segment_dist)
+    assert float(dense.max()) <= math.log(1.0 + math.sqrt(2.0))
+    assert hp.estimate_delta_mc(10, hp.MC_MAX_RADIUS, 0) > 0.0
+    with pytest.raises(ValueError, match="MC_MAX_RADIUS"):
+        hp.estimate_delta_mc(10, 30.0, 0)
+
+
 def test_dist_to_segment_matches_dense_sampling():
     # the nearest of 4001 evenly spaced segment points is within half a
     # spacing of the closed form, vertical sides and clamped feet included
