@@ -10,8 +10,9 @@ shadow,pair-invariance`, `--seed 5 validate`, `count --backend flat`,
 `entropy --backend flat` (plain, with `--probe z-set` and with
 `--probe fiber`), tree `measure` with every check but equidist and
 with `--cells depth=3 --gamma ab`, modular `measure` with `--cells`,
-`--cap` and `--gamma` set, `count --backend modular --Rmax 6 --T 6`
-and `entropy --backend tree --probe fiber`.  It prints one line per
+`--cap` and `--gamma` set, `count --backend modular --Rmax 6 --T 6`,
+`entropy --backend tree --probe fiber` and tree `entropy` at delta
+1.5 and, with rank 3 and n = 1..4, at delta 2.  It prints one line per
 output file and per standard output, `<sha256>  <label>`, sorted by
 label, plus each command's exit code.  Two checkouts whose printouts
 are equal produce byte-identical outputs on these runs.
@@ -54,6 +55,8 @@ COMMANDS = {
                    "--gamma 2,1,1,1",
     "count-mod-6": "count --backend modular --Rmax 6 --T 6",
     "fiber-tree": "entropy --backend tree --probe fiber",
+    "ent-tree-d1.5": "entropy --backend tree --delta 1.5",
+    "ent-tree-r3": "entropy --backend tree --rank 3 --n 1..4 --delta 2",
 }
 
 CLI = "import sys; from hyplab.cli import main; sys.exit(main(sys.argv[1:]))"

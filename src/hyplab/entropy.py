@@ -27,12 +27,10 @@ class FlowPoint:
     half-plane, direction angle).  Flat: (position mod the unit lattice,
     direction angle).
 
-    The backend is decided once, here: the point carries `steps`, its
-    d_n grid points per unit time (1 on the tree, SAMPLES_PER_UNIT on
-    the continuous backends), `metric`, its base-space distance
-    broadcast over arrays of points, and `point(t)`, the base-space
-    point c_v(t); an array of times gives the array of points (an object
-    array of words on the tree).
+    The backend is decided once, here: the point carries `point(t)`, the
+    base-space point c_v(t), at a scalar time on the tree.  The plane and
+    the flat torus also take an array of times, and carry `metric`, their
+    base-space distance broadcast over arrays of points.
     """
 
     backend: str
@@ -51,7 +49,7 @@ class FlowPoint:
                     raise ValueError(f"window word {w!r} not reduced")
             if self.future[0] == self.past[0]:
                 raise ValueError("flow line backtracks at time 0")
-            steps, metric, path = 1, _tree_metric, self._tree_point
+            vars(self).update(point=self._tree_point)
         elif self.backend == PLANE:
             p = complex(self.pos)
             if p.imag <= 0:
@@ -60,21 +58,17 @@ class FlowPoint:
             object.__setattr__(self, "geodesic", halfplane.Geodesic(
                 halfplane.forward_endpoint(p, self.theta + math.pi),
                 halfplane.forward_endpoint(p, self.theta), p))
-            steps, metric = SAMPLES_PER_UNIT, halfplane.dist
-            path = self.geodesic.point
+            vars(self).update(metric=halfplane.dist,
+                              point=self.geodesic.point)
         elif self.backend == FLAT:
             object.__setattr__(self, "pos",
                                np.mod(np.asarray(self.pos, dtype=float),
                                       1.0))
-            steps, metric = SAMPLES_PER_UNIT, flat.torus_dist
-            path = self._flat_point
+            vars(self).update(metric=flat.torus_dist, point=self._flat_point)
         else:
             raise BackendMismatch(f"unknown backend {self.backend!r}")
-        vars(self).update(steps=steps, metric=metric, point=path)
 
     def _tree_point(self, t):
-        if np.ndim(t):
-            return np.array([self._tree_point(s) for s in t], dtype=object)
         n = int(round(t))
         word = self.future if n >= 0 else self.past
         n = abs(n)
@@ -90,11 +84,6 @@ class FlowPoint:
     def _flat_point(self, t):
         v = np.array([math.cos(self.theta), math.sin(self.theta)])
         return self.pos + np.multiply.outer(t, v)
-
-
-def _tree_metric(p, q):
-    """words.distance over arrays of words, as floats."""
-    return np.frompyfunc(words.distance, 2, 1)(p, q).astype(float)
 
 
 @dataclass(frozen=True)
@@ -115,24 +104,23 @@ class SpanningReport:
 
 
 def _dn_rows(sample, n_grid):
-    """d_n from one sample line to some sample lines, for all n in n_grid.
+    """d_n from one plane or flat line to some lines, for every n.
 
-    Each line is evaluated once, on the time grid of the largest n, with
-    the lines' own `steps` points per unit time.  For integer n that
-    grid starts with the grid of every smaller n, so d_n is a running
-    max along t: the max of each segment up to the next distinct n
-    column (np.maximum.reduceat), accumulated over those few segments.
-    Returns row(i, live), an array of shape (len(n_grid), len(live)):
-    d_n from line i to the lines indexed by live.
+    Each line is evaluated once, at SAMPLES_PER_UNIT points per unit
+    time up to the largest n.  For integer n that grid starts with the
+    grid of every smaller n, so d_n is a running max along t: the max of
+    each segment up to the next distinct n column (np.maximum.reduceat),
+    accumulated over those few segments.  row(i, live) is d_n from line
+    i to the lines indexed by live, of shape (len(n_grid), len(live)).
     """
-    v = sample[0]
-    ends, which = np.unique([v.steps * int(n) for n in n_grid],
+    ends, which = np.unique([SAMPLES_PER_UNIT * int(n) for n in n_grid],
                             return_inverse=True)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    ts = np.arange(ends[-1] + 1) / v.steps
+    ts = np.arange(ends[-1] + 1) / SAMPLES_PER_UNIT
     pts = np.array([w.point(ts) for w in sample])
+    metric = sample[0].metric
     return lambda i, live: np.maximum.accumulate(np.maximum.reduceat(
-        v.metric(pts[live], pts[i]), starts, axis=1), axis=1)[:, which].T
+        metric(pts[live], pts[i]), starts, axis=1), axis=1)[:, which].T
 
 
 def spanning_counts(sample, n_grid, delta):
@@ -140,12 +128,17 @@ def spanning_counts(sample, n_grid, delta):
 
     The n must be integers, in any order and repeated or not: the d_n
     grids nest only then, so a non-integer n raises ValueError, as does
-    a delta that is not a finite positive number.  The greedy cover
-    (threshold delta) and the greedy separated set (threshold 2 delta)
-    run together, for every n at once, over the lines in index order.
-    When line i joins some of them, d_n from i is evaluated only to the
-    later lines still free in one of those it joined; no distance row
-    outlives its member.
+    a delta that is not a finite positive number.
+
+    Tree lines must share one origin o (ValueError otherwise).  Then
+    c_v(t) = o F_v[:t], so d(c_v(t), c_w(t)) = 2 max(0, t - lcp(F_v,
+    F_w)) never decreases in t, and d_n <= r exactly when v and w share
+    their vertex at time max(0, n - floor(r / 2)).  Each greedy pass
+    keeps one line per such class: the counts are the classes, exact.
+
+    Elsewhere the greedy cover (threshold delta) and separated set
+    (2 delta) run together over the lines in index order, for every n at
+    once; d_n from a new member reaches only the later lines still free.
     """
     if not sample:
         raise ValueError("empty flow sample")
@@ -154,17 +147,20 @@ def spanning_counts(sample, n_grid, delta):
         raise ValueError(f"n grid {n_grid} is not non-negative integers")
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta {delta} is not a finite positive number")
-    if sample[0].backend == TREE and delta < 1.0:
-        # exact symbolic route: vertex distances are integers, so a
-        # delta-ball (delta < 1) holds exactly the lines sharing the
-        # forward prefix, and distinct prefixes are d_n >= 2 separated
-        out = []
-        for n in n_grid:
-            prefixes = {tuple(v.point(t) for t in range(int(n) + 1))
-                        for v in sample}
-            out.append(SpanningReport(int(n), float(delta), len(prefixes),
-                                      len(prefixes), "exact-symbolic"))
-        return out
+    if sample[0].backend == TREE:
+        if len({v.origin for v in sample}) > 1:
+            raise ValueError("tree flow lines do not share one origin")
+        for v in sample:
+            v.point(max(n_grid))  # a window that cannot repeat raises
+
+        def classes(n, half):  # d_n <= 2 half: one vertex at n - floor(half)
+            return len({v.point(max(0, int(n) - math.floor(half)))
+                        for v in sample})
+        method = ("exact-symbolic" if delta < 1.0
+                  else "greedy-cover/separated-lower")
+        return [SpanningReport(int(n), float(delta), classes(n, delta),
+                               classes(n, delta / 2.0), method)
+                for n in n_grid]
     row = _dn_rows(sample, n_grid)
     # free[p, k, j]: line j may still join pass p (0 the cover, 1 the
     # separated set) at the k-th n; a member clears what it is near
@@ -258,9 +254,10 @@ def estimate_htop(backend, n_grid=None, delta_grid=None, rank=2,
                   sample=None):
     """Least-squares slope of log r_n versus n at the finest delta.
 
-    The slope is computed from the cover upper bounds (the separated
-    lower bounds give the same slope when the sandwich is tight) and is
-    compared against the volume entropy from the orbit-count fit.
+    The slope is fitted to the cover upper bounds (the separated lower
+    bounds give the same slope when the sandwich is tight), over at
+    least two distinct n (ValueError otherwise), and is compared with
+    the volume entropy from the orbit-count fit.
     """
     delta_grid = (0.5,) if delta_grid is None else tuple(delta_grid)
     if backend == TREE:
@@ -279,6 +276,8 @@ def estimate_htop(backend, n_grid=None, delta_grid=None, rank=2,
         fit_grid, base = [float(r) for r in range(2, 9)], 2j
     else:
         raise BackendMismatch(f"unknown backend {backend!r}")
+    if len(set(n_grid)) < 2:
+        raise ValueError(f"n grid {n_grid} has no two distinct n to fit")
     slopes, all_reports = {}, []
     for delta in delta_grid:
         reports = spanning_counts(sample, n_grid, delta)

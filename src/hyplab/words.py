@@ -104,24 +104,6 @@ def geodesic_vertices(u, v):
     return up + down
 
 
-def cyclic_reduce(w):
-    """Return (cyclically reduced core, conjugator c) with w = c * core * c^-1.
-
-    |core| is the translation length of w on the tree.  The identity has
-    empty core and conjugator.
-    """
-    conj = []
-    while len(w) >= 2 and w[0] == inv_letter(w[-1]):
-        conj.append(w[0])
-        w = w[1:-1]
-    return w, "".join(conj)
-
-
-def translation_length(w):
-    core, _ = cyclic_reduce(w)
-    return len(core)
-
-
 def canonical_rotation(w):
     """Lexicographically least rotation of a cyclically reduced word."""
     if not w:

@@ -51,6 +51,24 @@ def mat_pow(m, n):
     return out
 
 
+def cyclic_reduce(w):
+    """Return (cyclically reduced core, conjugator c) with w = c * core * c^-1.
+
+    |core| is the translation length of w on the tree.  The identity has
+    empty core and conjugator.
+    """
+    conj = []
+    while len(w) >= 2 and w[0] == words.inv_letter(w[-1]):
+        conj.append(w[0])
+        w = w[1:-1]
+    return w, "".join(conj)
+
+
+def translation_length(w):
+    core, _ = cyclic_reduce(w)
+    return len(core)
+
+
 def is_primitive(w):
     """True iff the cyclic word is not a proper power of a shorter block."""
     n = len(w)

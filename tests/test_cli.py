@@ -194,6 +194,15 @@ def test_entropy_bad_scale_is_usage_error(tmp_path, capsys, argv):
     assert not os.listdir(out)
 
 
+@pytest.mark.parametrize("argv", [("tree", "--n", "5"),
+                                  ("flat", "--n", "1,1")])
+def test_entropy_single_n_is_usage_error(tmp_path, capsys, argv):
+    code, out = run(tmp_path, "entropy", "--backend", *argv)
+    assert code == cli.EXIT_USAGE == 1
+    assert "has no two distinct n to fit" in capsys.readouterr().err
+    assert not os.listdir(out)
+
+
 def test_measure_flat_refused(tmp_path):
     code, _ = run(tmp_path, "measure", "--backend", "flat")
     assert code == cli.EXIT_USAGE

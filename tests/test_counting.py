@@ -130,7 +130,7 @@ def primitive_test(element):
     routes are exact.
     """
     if isinstance(element, str):
-        w, _ = words.cyclic_reduce(element)
+        w, _ = reference.cyclic_reduce(element)
         if not w:
             raise ValueError("identity element has no primitivity class")
         return reference.is_primitive(w)

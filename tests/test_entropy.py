@@ -13,18 +13,21 @@ def dyn_metric(v, w, k):
     """d_k(v, w) = max over t in [0, k] of d(c_v(t), c_w(t)), pair by pair:
     the reference that the one-pass d_n rows are checked against.
 
-    Tree flow lines are evaluated at the exact integer times; the
-    continuous backends sample a uniform t grid including both ends,
-    SAMPLES_PER_UNIT points per unit time.
+    Tree flow lines are evaluated at the exact integer times, each
+    repeating its forward window past its end; the continuous backends
+    sample a uniform t grid including both ends, SAMPLES_PER_UNIT points
+    per unit time.
     """
     if v.backend != w.backend:
         raise BackendMismatch("flow points live on different backends")
     if v.backend == TREE:
-        if k > min(len(v.future), len(w.future)):
+        k = int(k)
+        fv, fw = ((u.future * (k // len(u.future) + 1))[:k] for u in (v, w))
+        if not (words.is_reduced(fv) and words.is_reduced(fw)):
             raise ValueError("k exceeds usable window")
-        return max(float(words.distance(words.mul(v.origin, v.future[:t]),
-                                        words.mul(w.origin, w.future[:t])))
-                   for t in range(int(k) + 1))
+        return max(float(words.distance(words.mul(v.origin, fv[:t]),
+                                        words.mul(w.origin, fw[:t])))
+                   for t in range(k + 1))
     ts = np.linspace(0.0, float(k),
                      max(2, int(k * entropy.SAMPLES_PER_UNIT) + 1))
     metric = flat.torus_dist if v.backend == FLAT else halfplane.dist
@@ -82,6 +85,9 @@ def _greedy_reference(sample, n, delta):
     (entropy.tree_flow_sample(3), [1, 3, 2], 1.5),
     # many cover members: up to 60 centres, and lower < upper at each n
     (entropy.flat_flow_sample(n_dirs=60, n_pos=1), [6, 2, 4], 0.25),
+    # the tree at integer deltas, where some d_n meets a threshold exactly
+    (entropy.tree_flow_sample(3), [1, 3, 2], 1.0),
+    (entropy.tree_flow_sample(3, rank=3), [1, 3, 2], 2.0),
 ])
 def test_spanning_counts_grids_nest(sample, grid, delta):
     # one pass on the largest n gives what independent per-n runs give
@@ -104,6 +110,43 @@ def test_spanning_counts_grids_nest(sample, grid, delta):
     for bad in (-delta, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             entropy.spanning_counts(sample, grid, bad)
+
+
+def _periodic_tree_sample(origin):
+    """One line from `origin` per reduced window of length 1..3 that
+    repeats as a reduced word: "a", "aa" and "aaa" are one line, "ab"
+    and "aba" part at time 4, so classes run past every window."""
+    return [entropy.FlowPoint(TREE, origin, f,
+                              next(c for c in "abAB" if c != f[0]))
+            for f in words.ball_words(3)
+            if f and words.is_reduced(f + f)]
+
+
+@pytest.mark.parametrize("origin", ["ab", "B"])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 1.5, 3.0])
+def test_tree_counts_from_a_shared_origin_match_dyn_metric(origin, delta):
+    sample = _periodic_tree_sample(origin)
+    grid = list(range(8))
+    reports = entropy.spanning_counts(sample, grid, delta)
+    for n, rep in zip(grid, reports):
+        assert (rep.lower, rep.upper) == _greedy_reference(sample, n, delta)
+        assert rep.method == ("exact-symbolic" if delta < 1
+                              else "greedy-cover/separated-lower")
+    assert reports[-1].upper < len(sample)
+
+
+def test_tree_counts_refuse_mixed_origins_and_unrepeatable_windows():
+    sample = _periodic_tree_sample("")
+    mixed = sample[:5] + _periodic_tree_sample("b")[5:]
+    for delta in (0.5, 1.5):
+        with pytest.raises(ValueError, match="one origin"):
+            entropy.spanning_counts(mixed, [1, 2], delta)
+    # abA abA cancels at the junction: time 3 exists, time 4 does not
+    sample.append(entropy.FlowPoint(TREE, "", "abA", "B"))
+    for delta in (0.5, 1.5, 20.0):
+        assert entropy.spanning_counts(sample, [3, 1], delta)
+        with pytest.raises(ValueError, match="does not repeat"):
+            entropy.spanning_counts(sample, [1, 4], delta)
 
 
 def test_flat_dn_is_the_torus_dyn_metric():
@@ -133,6 +176,13 @@ def test_estimate_htop_tree_is_log3():
     est = entropy.estimate_htop(TREE)
     assert est.h == pytest.approx(math.log(3), abs=1e-9)
     assert est.gap <= 0.1 * math.log(3)
+
+
+def test_estimate_htop_needs_two_distinct_n():
+    # one n (or one n twice) has no slope: refused, not fitted
+    for backend, grid in ((FLAT, [3, 3]), (TREE, [5])):
+        with pytest.raises(ValueError, match="no two distinct n"):
+            entropy.estimate_htop(backend, n_grid=grid)
 
 
 def test_estimate_htop_tree_rank3_is_log5():
@@ -244,9 +294,6 @@ def test_tree_flow_point_repeats_only_a_reduced_window():
             v.point(t)
     w = entropy.FlowPoint(TREE, "", "ab", "B")
     assert w.point(5) == "ababa"
-    # an array of times gives the array of vertices
-    assert list(w.point(np.arange(-2, 6))) == [w.point(t)
-                                                for t in range(-2, 6)]
 
 
 def test_rejects_unreduced_windows():

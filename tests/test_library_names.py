@@ -9,28 +9,59 @@ LIBRARY = ROOT / "src" / "hyplab"
 CALLERS = ("src", "demos", "scripts", "perfbench")
 
 
-def _uses(tree):
-    """Counts of the names, attributes and exact string constants in the
-    tree: a string counts because a caller may look a name up by it."""
+def _source(node, module):
+    """The hyplab module a `from` import reads from ("hyplab" for the
+    package itself), or None for any other package."""
+    if node.level:  # relative: only the library's own files have these
+        return (node.module or "hyplab") if module else None
+    if (node.module or "").split(".")[0] == "hyplab":
+        return node.module.rpartition(".")[2]
+    return None
+
+
+def _uses(tree, module, aliases):
+    """(module, name) for each use of a library name in the tree:
+    `alias.name` where the alias is a hyplab module, a `from` import of
+    the name, and, inside the defining module, the bare name.  An exact
+    string constant counts as (None, text), because a caller may look a
+    name up by it."""
     out = collections.Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            out[aliases[node.value.id], node.attr] += 1
+        elif isinstance(node, ast.ImportFrom) and _source(node, module):
+            for a in node.names:
+                out[_source(node, module), a.name] += 1
+        elif isinstance(node, ast.Name) and module:
+            out[module, node.id] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out[node.value] += 1
+            out[None, node.value] += 1
     return out
 
 
+def _module_aliases(tree, module):
+    """Local names that the file binds to hyplab modules."""
+    return {a.asname or a.name: a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and _source(node, module) == "hyplab" for a in node.names}
+
+
 def test_every_library_function_and_class_has_a_caller():
-    trees = {path: ast.parse(path.read_text())
-             for d in CALLERS for path in sorted((ROOT / d).rglob("*.py"))}
-    uses = sum((_uses(tree) for tree in trees.values()), collections.Counter())
-    unused = [f"{path.stem}.{node.name}"
-              for path in sorted(LIBRARY.glob("*.py"))
-              for node in trees[path].body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              # a definition's own body (recursion) is no caller
-              and uses[node.name] == _uses(node)[node.name]]
+    uses, defined = collections.Counter(), []
+    for path in sorted(p for d in CALLERS for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = path.stem if path.parent == LIBRARY else None
+        aliases = _module_aliases(tree, module)
+        uses += _uses(tree, module, aliases)
+        for node in tree.body if module else ():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # a definition's own body (recursion) is no caller
+                own = _uses(node, module, aliases)
+                keys = ((module, node.name), (None, node.name))
+                uses.subtract({k: own[k] for k in keys})
+                defined.append(keys)
+    unused = [".".join(keys[0]) for keys in defined
+              if not any(uses[k] > 0 for k in keys)]
     assert not unused, f"no caller outside the tests: {unused}"
