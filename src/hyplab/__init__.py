@@ -7,10 +7,12 @@ and closed-geodesic counting, Patterson-Sullivan boundary measures,
 and Bowen-style entropy/expansivity probes.
 """
 
-from . import (cli, counting, entropy, flat, geometry, halfplane,
-               measures, modular, words)
+from . import (counting, entropy, flat, geometry, halfplane, measures,
+               modular, words)
 from .geometry import FLAT, PLANE, TREE, BackendMismatch
 
+# cli is named but not imported: `python -m hyplab.cli` imports the
+# package first, and would otherwise find cli already loaded
 __all__ = [
     "cli", "counting", "entropy", "flat", "geometry", "halfplane",
     "measures", "modular", "words",

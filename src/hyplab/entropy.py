@@ -21,11 +21,11 @@ class FlowPoint:
     """A bi-infinite geodesic with marked time-0 point.
 
     Tree: the origin vertex with a backward word `past` and a forward
-    word `future`, both reduced and read outward from the origin; beyond
-    either word the line repeats it, and a time there raises ValueError
-    when the repetition would cancel.  Plane: (position in the upper
-    half-plane, direction angle).  Flat: (position mod the unit lattice,
-    direction angle).
+    word `future`, read outward from the origin; all three are reduced
+    words.  Beyond either word the line repeats it, and a time there
+    raises ValueError when the repetition would cancel.  Plane: (position
+    in the upper half-plane, direction angle).  Flat: (position mod the
+    unit lattice, direction angle).
 
     The backend is decided once, here: the point carries `point(t)`, the
     base-space point c_v(t), at a scalar time on the tree.  The plane and
@@ -44,9 +44,9 @@ class FlowPoint:
         if self.backend == TREE:
             if not self.future or not self.past:
                 raise ValueError("tree flow point needs both directions")
-            for w in (self.future, self.past):
+            for w in (self.origin, self.future, self.past):
                 if words.reduce_word(w) != w:
-                    raise ValueError(f"window word {w!r} not reduced")
+                    raise ValueError(f"tree word {w!r} not reduced")
             if self.future[0] == self.past[0]:
                 raise ValueError("flow line backtracks at time 0")
             vars(self).update(point=self._tree_point)

@@ -698,37 +698,38 @@ def equidistribution_test(census, T):
 
     mu_T averages arc length over all primitive classes of length <= T,
     normalized to a probability measure.  Each geodesic is sampled
-    uniformly along one period [0, ell) of its axis, a halfplane.line
-    whose origin t = 0 is the top of the semicircle (height 1 on a
-    vertical axis).  The samples are folded into the fundamental domain
-    with their tangent directions and binned into 16 position x
-    direction cells.  Whole classes are sampled, folded and binned
-    together, in passes of at most _EQUIDIST_CHUNK points.
+    uniformly along one period [0, ell) of its axis (modular.class_axes),
+    from t = 0 at the top of the semicircle.  The samples are folded into
+    the fundamental domain with their tangent directions and binned into
+    16 position x direction cells.  Whole classes are sampled, folded and
+    binned together, in passes of at most _EQUIDIST_CHUNK points.
 
     Returns (mu_masses, liouville_masses, per-cell gaps).  Raises
     ValueError when no class has length <= T.
     """
     if census.backend != PLANE:
         raise BackendMismatch("equidistribution runs on the modular census")
-    classes = []  # k, ell / k, and the axis's lo, hi, sigma0, sign and v
-    total = 0.0
-    for length, word in census.entries:
-        if length > T + 1e-12:
-            continue
-        geo, ell = modular.closed_geodesic_path(modular._word_matrix(word))
-        k = max(32, int(math.ceil(ell * _SAMPLES_PER_UNIT)))
-        classes.append((k, ell / k, geo.lo, geo.hi, geo.sigma0, geo.sign,
-                        geo.v))
-        total += ell
-    if not classes:
+    kept = [(ell, w) for ell, w in census.entries if ell <= T + 1e-12]
+    if not kept:
         raise ValueError(f"no closed geodesic of length <= {T}")
-    ks, steps, los, his, sigma0s, signs, ends = map(np.array, zip(*classes))
+    ells = np.array([ell for ell, _ in kept])
+    _, us, ends = modular.class_axes([w for _, w in kept])
+    los, his = np.minimum(us, ends), np.maximum(us, ends)
+    signs = np.where(ends > us, 1.0, -1.0)
+    # log|w| at the top of the semicircle, the axis's origin, is rounding
+    # noise around 0; it is taken in Python complex arithmetic, as
+    # halfplane.Geodesic takes it
+    tops = map(complex, (0.5 * (los + his)).tolist(),
+               (0.5 * (his - los)).tolist())
+    sigma0s = np.array([math.log(abs((z - lo) / (hi - z))) for z, lo, hi
+                        in zip(tops, los.tolist(), his.tolist())])
+    ks = np.maximum(32, np.ceil(ells * _SAMPLES_PER_UNIT).astype(np.int64))
+    steps = ells / ks
     rows = []  # per class: cell counts x (ell / k), in census order
     for a, b in _class_chunks(ks):
         at = np.repeat(np.arange(a, b), ks[a:b])  # each point's class
         t = (modular._ramp(ks[a:b]) + 0.5) * steps[at]
-        lo = los[at]  # also a vertical axis's finite endpoint
-        z = halfplane._AxisChart(lo, his[at], lo).from_w(
+        z = halfplane._AxisChart(los[at], his[at], None).from_w(
             1j * np.exp(sigma0s[at] + signs[at] * t))
         # fold from [0, 2 pi): an angle on a cell edge keeps its bin
         theta = np.mod(halfplane.direction_toward(z, ends[at]),
@@ -739,7 +740,7 @@ def equidistribution_test(census, T):
         rows.append(counts.reshape(b - a, 4 * _N_THETA) * steps[a:b, None])
     # accumulate adds row after row, as a running per-class sum would
     hist = np.add.accumulate(np.concatenate(rows))[-1]
-    mu = hist / total
+    mu = hist / np.add.accumulate(ells)[-1]
     ref = liouville_cell_masses()
     return mu, ref, mu - ref
 

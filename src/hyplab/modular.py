@@ -19,16 +19,6 @@ R_MAT = (1, 1, 0, 1)
 L_MAT = (1, 0, 1, 1)
 IDENT = (1, 0, 0, 1)
 
-EPS_ID = 1e-9
-
-
-def normalize(m):
-    """Canonical representative modulo sign: first nonzero entry positive."""
-    for x in m:
-        if x != 0:
-            return tuple(m) if x > 0 else tuple(-v for v in m)
-    raise ValueError("zero matrix")
-
 
 def mat_mul(m1, m2):
     a1, b1, c1, d1 = m1
@@ -46,34 +36,9 @@ def trace(m):
     return m[0] + m[3]
 
 
-PARABOLIC, ELLIPTIC, HYPERBOLIC = "parabolic", "elliptic", "hyperbolic"
-
-
-def classify(m):
-    t = abs(trace(m))
-    if t > 2 + EPS_ID:
-        return HYPERBOLIC
-    if t >= 2 - EPS_ID:
-        return PARABOLIC
-    return ELLIPTIC
-
-
-def translation_length(m):
-    """inf_x d(x, m x): 2 arccosh(|tr|/2) for hyperbolic m, else 0.
-
-    Returns (length, kind).
-    """
-    if normalize(m) == IDENT:
-        raise ValueError("identity has no translation length")
-    kind = classify(m)
-    if kind != HYPERBOLIC:
-        return 0.0, kind
-    return 2.0 * math.acosh(abs(trace(m)) / 2.0), kind
-
-
 @dataclass
 class BallResult:
-    # matrices gamma with d(p, gamma q) <= R: an int64 (n, 4) array of
+    # matrices gamma with d(p, gamma p) <= R: an int64 (n, 4) array of
     # rows (a, b, c, d)
     elements: object
     radius: float
@@ -86,15 +51,15 @@ BALL_BLOCK_ROWS = 16  # rows c of the (c, d) enumeration handled per block
 BALL_SLACK = 1e-9  # float64 tolerance of the sphere d = R
 
 
-def modular_ball(p, R, q=None):
-    """All gamma in PSL(2, Z) with d(p, gamma q) <= R, complete.
+def modular_ball(p, R):
+    """All gamma in PSL(2, Z) with d(p, gamma p) <= R, complete.
 
-    q defaults to p.  Enumerates matrices directly: for each coprime
-    (c, d) with |c q + d| bounded, the displacement along the solution
-    family (a0 + t c, b0 + t d, c, d) is quadratic in t, so the
-    admissible t form an interval solved in closed form.  Every candidate
-    then passes a float64 displacement check d <= R + BALL_SLACK, so the
-    sphere itself is decided in floating point, not exactly.
+    Enumerates matrices directly: for each coprime (c, d) with
+    |c p + d| bounded, the displacement along the solution family
+    (a0 + t c, b0 + t d, c, d) is quadratic in t, so the admissible t
+    form an interval solved in closed form.  Every candidate then passes
+    a float64 displacement check d <= R + BALL_SLACK, so the sphere
+    itself is decided in floating point, not exactly.
 
     With c >= 0, and d = 1 when c = 0, each element of PSL(2, Z) is
     enumerated exactly once.  Returns the elements as an int64 (n, 4)
@@ -104,24 +69,23 @@ def modular_ball(p, R, q=None):
     ValueError.  The work runs in blocks of BALL_BLOCK_ROWS values of c.
     """
     p = complex(p)
-    q = p if q is None else complex(q)
-    yp, yq = p.imag, q.imag
-    # |p - gamma q|^2 |c q + d|^2 = |p (c q + d) - (a q + b)|^2 <= nmax
-    nmax = (math.cosh(R) - 1.0) * 2.0 * yp * yq
-    # y_p / Im(gamma q) <= e^R  ->  |c q + d|^2 <= e^R yq / yp
-    bmax = math.sqrt(math.exp(R) * yq / yp)
-    cmax = int(math.floor(bmax / yq)) + 1
+    y = p.imag
+    # |p - gamma p|^2 |c p + d|^2 = |p (c p + d) - (a p + b)|^2 <= nmax
+    nmax = (math.cosh(R) - 1.0) * 2.0 * y * y
+    # y / Im(gamma p) <= e^R  ->  |c p + d|^2 <= e^R
+    bmax = math.exp(0.5 * R)
+    cmax = int(math.floor(bmax / y)) + 1
     blocks = []  # int64 columns a, b, c, d
     for c0 in range(0, cmax + 1, BALL_BLOCK_ROWS):
         rows = np.arange(c0, min(c0 + BALL_BLOCK_ROWS, cmax + 1),
                          dtype=np.int64)
-        c, d = _coprime_cd(rows, q.real, bmax)
+        c, d = _coprime_cd(rows, p.real, bmax)
         g, xg, yg = _ext_gcd_rows(c, d)
         flip = np.where(g < 0, -1, 1)
         # xg*c + yg*d = 1  ->  a0 = yg, b0 = -xg gives a0 d - b0 c = 1
         a0, b0 = yg * flip, -xg * flip
-        beta = c * q + d
-        alpha = (a0 * q + b0) - p * beta
+        beta = c * p + d
+        alpha = (a0 * p + b0) - p * beta
         # |alpha + t beta|^2 <= nmax
         A = np.abs(beta) ** 2
         B = 2.0 * (alpha * np.conj(beta)).real
@@ -135,7 +99,7 @@ def modular_ball(p, R, q=None):
         t = tlo[pick] + _ramp(n_t)
         c, d = c[pick], d[pick]
         a, b = a0[pick] + t * c, b0[pick] + t * d
-        disp = halfplane.dist(p, (a * q + b) / (c * q + d))
+        disp = halfplane.dist(p, (a * p + b) / (c * p + d))
         m = np.stack([a, b, c, d])[:, disp <= R + BALL_SLACK]
         lead = m[(m != 0).argmax(axis=0), np.arange(m.shape[1])]
         blocks.append(np.where(lead < 0, -m, m))
@@ -211,13 +175,6 @@ class ConjClass:
         return f"ConjClass({self.word}, tr={self.trace}, l={self.length:.4f})"
 
 
-def _word_matrix(w):
-    m = IDENT
-    for ch in w:
-        m = mat_mul(m, R_MAT if ch == "R" else L_MAT)
-    return m
-
-
 def enumerate_conj_classes(T, include_imprimitive=False):
     """Primitive hyperbolic conjugacy classes of PSL(2, Z) with translation
     length <= T, as canonical cyclic words in R and L (both letters
@@ -245,39 +202,35 @@ def enumerate_conj_classes(T, include_imprimitive=False):
     return out
 
 
-def fixed_points(m):
-    """(repelling, attracting) boundary fixed points of a hyperbolic m."""
-    a, b, c, d = m
+def class_axes(ws):
+    """Matrices and axes of hyperbolic R/L words, as arrays.
+
+    The product matrices are built column by column over the words'
+    letter codes, in int64.  A word holding both letters has c >= 1 and
+    trace t > 2, so its fixed points (a - d -+ sqrt(t^2 - 4)) / 2c are
+    finite; the attracting one has |gamma'(x)| = 1 / (c x + d)^2 < 1.
+    Returns (m, u, v): m the int64 (4, n) rows a, b, c, d, and u, v the
+    repelling and attracting fixed points, so that each matrix
+    translates the axis from u to v forward by its length.  Raises
+    ValueError on a word with another letter or without both.
+    """
+    m = np.array(IDENT, dtype=np.int64)[:, None].repeat(len(ws), axis=1)
+    a, b, c, d = m  # row views, updated in place
+    for col in np.ascontiguousarray(words._codes(ws).T):
+        by_r, by_l = col == ord("R"), col == ord("L")  # right factors
+        np.add(b, a, out=b, where=by_r)
+        np.add(d, c, out=d, where=by_r)
+        np.add(a, b, out=a, where=by_l)
+        np.add(c, d, out=c, where=by_l)
     t = a + d
-    if abs(t) <= 2:
-        raise ValueError("matrix is not hyperbolic")
-    if c == 0:
-        # fixed points b/(d-a) and inf
-        x = b / (d - a)
-        return (x, math.inf) if abs(a) > abs(d) else (math.inf, x)
-    sq = math.sqrt(t * t - 4.0)
+    if not (set("".join(ws)) <= set("RL") and (c >= 1).all()
+            and (t > 2).all()):
+        raise ValueError("class_axes needs R/L words with both letters")
+    sq = np.sqrt(t * t - 4.0)
     x1 = (a - d - sq) / (2.0 * c)
     x2 = (a - d + sq) / (2.0 * c)
-    # attracting fixed point: |derivative| = 1/(c x + d)^2 < 1
-    if abs(c * x1 + d) > 1.0:
-        return x2, x1
-    return x1, x2
-
-
-def axis(m):
-    """Unit-speed axis of a hyperbolic matrix, oriented so that
-    m . point(t) = point(t + l) with l the translation length."""
-    return halfplane.line(*fixed_points(m))
-
-
-def closed_geodesic_path(cls):
-    """Axis and period of a conjugacy class (matrix route for any backend
-    representative)."""
-    m = cls.matrix if isinstance(cls, ConjClass) else cls
-    length, kind = translation_length(m)
-    if kind != HYPERBOLIC:
-        raise ValueError(f"{kind} element has no closed geodesic")
-    return axis(m), length
+    att = np.abs(c * x1 + d) > 1.0  # x1 is the attracting end
+    return m, np.where(att, x2, x1), np.where(att, x1, x2)
 
 
 # ---------------------------------------------------------------------------

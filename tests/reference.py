@@ -39,6 +39,22 @@ def segment_dist(seg, z):
     return out
 
 
+def normalize(m):
+    """Canonical representative modulo sign: first nonzero entry positive."""
+    for x in m:
+        if x != 0:
+            return tuple(m) if x > 0 else tuple(-v for v in m)
+    raise ValueError("zero matrix")
+
+
+def word_matrix(w):
+    """The product of R and L over an R/L word, one letter at a time."""
+    m = modular.IDENT
+    for ch in w:
+        m = modular.mat_mul(m, modular.R_MAT if ch == "R" else modular.L_MAT)
+    return m
+
+
 def det(m):
     a, b, c, d = m
     return a * d - b * c

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +16,17 @@ def run(tmp_path, *argv):
     out = tmp_path / "out"
     code = cli.main(["--out", str(out)] + list(argv))
     return code, out
+
+
+def test_module_run_raises_no_runpy_warning(tmp_path):
+    # runpy warns when the package import has already loaded hyplab.cli
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hyplab.cli",
+         "--help"], cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert res.returncode == 0, res.stderr
 
 
 def test_fmt_twelve_significant_digits():

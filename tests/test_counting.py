@@ -134,11 +134,10 @@ def primitive_test(element):
         if not w:
             raise ValueError("identity element has no primitivity class")
         return reference.is_primitive(w)
-    m = modular.normalize(tuple(int(x) for x in element))
-    length, kind = modular.translation_length(m)
-    if kind != "hyperbolic":
-        raise ValueError(f"{kind} element has no primitivity class")
+    m = reference.normalize(tuple(int(x) for x in element))
     t = modular.trace(m)
+    if abs(t) <= 2:
+        raise ValueError("only a hyperbolic element has a primitivity class")
     k = 2
     while 2 * math.cosh(math.acosh(t / 2.0) / k) >= 3 - 1e-9:
         if _matrix_root_test(m, k) is not None:

@@ -301,3 +301,10 @@ def test_rejects_unreduced_windows():
         entropy.FlowPoint(TREE, "", "aA", "b")
     with pytest.raises(ValueError):
         entropy.FlowPoint(TREE, "", "ab", "a")  # backtracks at time 0
+
+
+def test_rejects_an_unreduced_tree_origin():
+    # "aA" is the vertex "", whose point at time 1 is "b", not "aAb"
+    with pytest.raises(ValueError, match="not reduced"):
+        entropy.FlowPoint(TREE, "aA", "b", "a")
+    assert entropy.FlowPoint(TREE, "ab", "b", "a").point(1) == "abb"

@@ -13,8 +13,8 @@ import reference
 
 
 def test_normalize_fixes_projective_sign():
-    assert modular.normalize((-1, 0, 0, -1)) == (1, 0, 0, 1)
-    assert modular.normalize((-2, -1, -1, -1)) == (2, 1, 1, 1)
+    assert reference.normalize((-1, 0, 0, -1)) == (1, 0, 0, 1)
+    assert reference.normalize((-2, -1, -1, -1)) == (2, 1, 1, 1)
 
 
 def test_mat_inverse_and_power():
@@ -25,34 +25,43 @@ def test_mat_inverse_and_power():
     assert reference.mat_pow(m, 0) == modular.IDENT
 
 
-def test_classification_by_trace():
-    assert modular.classify((1, 1, 0, 1)) == "parabolic"
-    assert modular.classify((0, -1, 1, 0)) == "elliptic"
-    assert modular.classify((2, 1, 1, 1)) == "hyperbolic"
-    # trace-2 convention: the identity sits in the parabolic bucket
-    assert modular.classify(modular.IDENT) == "parabolic"
+@pytest.fixture(scope="module")
+def axes_t10():
+    """The T = 10 census classes with their class_axes arrays."""
+    classes = modular.enumerate_conj_classes(10.0)
+    return classes, modular.class_axes([c.word for c in classes])
 
 
-def test_translation_length_closed_form():
-    m = (2, 1, 1, 1)  # trace 3
-    length, kind = modular.translation_length(m)
-    assert kind == "hyperbolic"
-    assert length == pytest.approx(2.0 * math.acosh(1.5))
+def test_class_axes_matrices_equal_the_word_products(axes_t10):
+    classes, (m, _, _) = axes_t10
+    assert m.dtype == np.int64 and m.shape == (4, len(classes))
+    assert [tuple(r) for r in m.T.tolist()] \
+        == [reference.word_matrix(c.word) for c in classes]
 
 
-def test_translation_length_equals_axis_displacement():
-    m = (5, 2, 2, 1)
-    length, _ = modular.translation_length(m)
-    z = modular.axis(m).point(0.7)
-    assert (halfplane.dist(z, halfplane.mobius_apply(m, z))
-            == pytest.approx(length))
+def test_class_axes_ends_are_fixed_and_v_attracts(axes_t10):
+    _, (m, u, v) = axes_t10
+    a, b, c, d = m
+    for x in (u, v):
+        assert np.allclose((a * x + b) / (c * x + d), x, rtol=1e-12)
+    # the derivative 1 / (c x + d)^2 of each matrix is < 1 at v only
+    assert np.all(np.abs(c * v + d) > 1.0)
+    assert np.all(np.abs(c * u + d) < 1.0)
 
 
-def test_fixed_points_are_fixed():
-    m = (2, 1, 1, 1)
-    for x in modular.fixed_points(m):
-        y = halfplane.mobius_apply(m, complex(x, 1e-12)).real
-        assert y == pytest.approx(x, abs=1e-6)
+def test_class_axes_translate_axis_points_by_the_class_length(axes_t10):
+    classes, (m, u, v) = axes_t10
+    for i in range(0, len(classes), 7):
+        geo, ell = halfplane.line(u[i], v[i]), classes[i].length
+        for t in (-0.3, 1.7):
+            z = halfplane.mobius_apply(tuple(m[:, i].tolist()), geo.point(t))
+            assert halfplane.dist(z, geo.point(t + ell)) < 1e-7
+
+
+def test_class_axes_refuses_words_that_are_not_hyperbolic():
+    for ws in (["RL", "RRR"], ["LL"], ["RLx"]):
+        with pytest.raises(ValueError):
+            modular.class_axes(ws)
 
 
 WORD_BALL_BUFFER = 4.0  # word_ball extends words up to displacement R + this
@@ -70,7 +79,7 @@ def word_ball(p, R):
     completeness claim; it ends when the pruned frontier exhausts itself.
     """
     p = complex(p)
-    gens = [modular.normalize(g) for m in (modular.R_MAT, modular.L_MAT)
+    gens = [reference.normalize(g) for m in (modular.R_MAT, modular.L_MAT)
             for g in (m, modular.mat_inv(m))]
     seen = {modular.IDENT}
     frontier = [modular.IDENT]
@@ -79,7 +88,7 @@ def word_ball(p, R):
         nxt = []
         for w in frontier:
             for g in gens:
-                m = modular.normalize(modular.mat_mul(w, g))
+                m = reference.normalize(modular.mat_mul(w, g))
                 if m in seen:
                     continue
                 seen.add(m)
@@ -99,15 +108,15 @@ def test_modular_ball_brute_force_word_crosscheck():
     for R in (2.0, 4.0, 6.0):
         direct = modular.modular_ball(p, R)
         assert direct.complete
-        assert (sorted(modular.normalize(m) for m in direct.elements)
-                == sorted(modular.normalize(m) for m in word_ball(p, R)))
+        assert (sorted(reference.normalize(m) for m in direct.elements)
+                == sorted(reference.normalize(m) for m in word_ball(p, R)))
 
 
 def test_modular_ball_nested_and_displacements_within_radius():
     p = 1j
-    small = {modular.normalize(m)
+    small = {reference.normalize(m)
              for m in modular.modular_ball(p, 3.0).elements}
-    big = {modular.normalize(m)
+    big = {reference.normalize(m)
            for m in modular.modular_ball(p, 5.0).elements}
     assert small <= big
     for m in big:
@@ -136,7 +145,7 @@ def _brute_ball_2i(bound):
     m = np.concatenate(rows)
     forms = 4 * m[:, 0] ** 2 + m[:, 1] ** 2 + 16 * m[:, 2] ** 2 \
         + 4 * m[:, 3] ** 2
-    return sorted({modular.normalize(tuple(int(v) for v in r))
+    return sorted({reference.normalize(tuple(int(v) for v in r))
                    for r in m[forms <= bound]})
 
 
@@ -164,23 +173,12 @@ def test_modular_ball_brute_force_on_the_sphere():
                    for a, b, c, d in rows)
 
 
-def test_modular_ball_two_base_points_word_crosscheck():
-    # d(p, gamma q) <= R implies d(p, gamma p) <= R + d(p, q), so the word
-    # ball of that radius, filtered, is the two-point ball
-    p, q, R = 2j, 1 + 1j, 4.0
-    wide = word_ball(p, R + halfplane.dist(p, q))
-    want = sorted(modular.normalize(m) for m in wide
-                  if halfplane.dist(p, halfplane.mobius_apply(m, q))
-                  <= R + 1e-9)
-    assert _rows(modular.modular_ball(p, R, q=q)) == want
-
-
 def test_modular_ball_rows_are_sorted_unique_int64():
-    el = modular.modular_ball(0.3 + 1.7j, 6.0, q=2j).elements
+    el = modular.modular_ball(0.3 + 1.7j, 6.0).elements
     assert el.dtype == np.int64 and el.shape[1] == 4
     rows = [tuple(r) for r in el.tolist()]
     assert rows == sorted(set(rows))
-    assert all(modular.normalize(r) == r for r in rows)
+    assert all(reference.normalize(r) == r for r in rows)
     assert np.all(el[:, 0] * el[:, 3] - el[:, 1] * el[:, 2] == 1)
 
 
@@ -252,13 +250,13 @@ def _brute_classes(T, include_imprimitive):
             found.add(min(w[i:] + w[:i] for i in range(len(w))))
         if len(w) < math.ceil(trmax):
             for ch in "LR":
-                if modular.trace(modular._word_matrix(w + ch)) <= trmax:
+                if modular.trace(reference.word_matrix(w + ch)) <= trmax:
                     stack.append(w + ch)
     out = []
     for w in found:
         prim = len({w[i:] + w[:i] for i in range(len(w))}) == len(w)
         if prim or include_imprimitive:
-            m = modular._word_matrix(w)
+            m = reference.word_matrix(w)
             t = modular.trace(m)
             out.append(modular.ConjClass(w, m, t, 2.0 * math.acosh(t / 2.0),
                                          prim))
