@@ -310,6 +310,18 @@ def cmd_entropy(args):
 # ---------------------------------------------------------------------------
 # validate
 
+def _fellow_traveling_gaps(ws, us):
+    """For each w of ws and then each u of us, the largest tree distance
+    between the vertices at equal depth of the rays from the root to w
+    and to w.u.  The rays share their first l = lcp(w, w.u) vertices and
+    then part, so the vertices at depth i <= min(|w|, |w.u|) are
+    2 max(0, i - l) apart, farthest at the shorter ray's end."""
+    for w in ws:
+        for u in us:
+            wu = words.mul(w, u)
+            yield 2 * (min(len(w), len(wu)) - words.common_prefix_len(w, wu))
+
+
 def _validate_records(args):
     records = []
 
@@ -320,13 +332,8 @@ def _validate_records(args):
 
     # lemma 2.5 on the tree: rays to w and to w.u stay 3 rho apart
     rho = 2
-    worst = 0
-    for w in sorted(words.ball_words(5)):
-        v1 = words.geodesic_vertices("", w)
-        for u in sorted(words.ball_words(rho)):
-            v2 = words.geodesic_vertices("", words.mul(w, u))
-            worst = max(worst, max(words.distance(a, b)
-                                   for a, b in zip(v1, v2)))
+    worst = max(_fellow_traveling_gaps(words.ball_words(5),
+                                       list(words.ball_words(rho))))
     rec("lemma-2.5-fellow-traveling", "tree", worst, 3 * rho,
         worst <= 3 * rho)
 

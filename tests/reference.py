@@ -25,12 +25,12 @@ def ray(p, xi):
 def segment_dist(seg, z):
     """Distance from z (shape (m, n)) to the segments of the chart seg in
     the log domain: arccosh at every point, and the foot's arclength
-    log|w| compared against the ends' log seg.ap and log seg.aq before
-    the clamp to the nearer endpoint."""
+    log|w| compared against the ends' seg.lp and seg.lq before the clamp
+    to the nearer endpoint."""
     w = seg.to_w(z)
     aw = np.abs(w)
     out = np.arccosh(np.maximum(aw / w.imag, 1.0))
-    sig, sp, sq = np.log(aw), np.log(seg.ap), np.log(seg.aq)
+    sig, sp, sq = np.log(aw), seg.lp, seg.lq
     outside = ~((sig >= np.minimum(sp, sq)) & (sig <= np.maximum(sp, sq)))
     zo = z[outside]
     p = np.broadcast_to(seg.p, z.shape)[outside]

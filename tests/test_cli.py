@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hyplab import cli, measures
+from hyplab import cli, measures, words
 from hyplab.geometry import PLANE, TREE
 
 
@@ -161,6 +161,21 @@ def test_validate_corruption_is_caught(tmp_path, capsys):
     code, out = run(tmp_path, "validate", "--corrupt-delta")
     assert code == cli.EXIT_VIOLATION
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("radius, rho", [(5, 2), (6, 3)])
+def test_fellow_traveling_gaps_match_the_vertex_by_vertex_loop(radius, rho):
+    # the closed form 2 max(0, min(|w|, |wu|) - lcp(w, wu)) against the
+    # tree distance of every pair of equal-depth vertices on the rays
+    ws, us = list(words.ball_words(radius)), list(words.ball_words(rho))
+    want = []
+    for w in ws:
+        v1 = words.geodesic_vertices("", w)
+        for u in us:
+            v2 = words.geodesic_vertices("", words.mul(w, u))
+            want.append(max(words.distance(a, b) for a, b in zip(v1, v2)))
+    assert list(cli._fellow_traveling_gaps(ws, us)) == want
+    assert max(want) > 0
 
 
 def test_unknown_backend_is_usage_error(tmp_path):
