@@ -1,12 +1,13 @@
 """Patterson-Sullivan measures and their quantitative checks.
 
 Truncated Poincare series with tail bounds, the atomic orbital measures
-nu_{p,s} at one base point p, extrapolation of boundary-cell masses
-toward the critical exponent, conformal-density and shadow-lemma checks,
-the pair measure on the double boundary with its invariance test,
-closed-geodesic equidistribution, and the two flow-measure validators
-(forward-cone mass and separated sets).  Tree routes that take a
-partition read the rank, and with it h, from the partition.
+nu_{p,s} at one base point p, the limit s -> h of boundary-cell masses
+(exact on the tree, one least-squares fit on the plane), conformal-density
+and shadow-lemma checks, the pair measure on the double boundary with its
+invariance test, closed-geodesic equidistribution, and the two
+flow-measure validators (forward-cone mass and separated sets).  Tree
+routes that take a partition read the rank, and with it h, from the
+partition.
 """
 
 import functools
@@ -193,32 +194,6 @@ def ps_measure(backend, p, s, cap, rank=2):
 # ---------------------------------------------------------------------------
 # boundary-cell masses and the limit s -> h
 
-def _tree_cell_masses(p, s, partition, cap):
-    """Normalized nu_{p,s} masses of the cylinder cells, base p = root.
-
-    Per-cell geometric sums in closed form (over the full orbit when
-    cap=None): a cylinder of depth m holds (2k-1)^{n-m} orbit points at
-    distance n, so its unnormalized mass is sum_n q^{n-m} x^n.
-    """
-    if p not in ("", None):
-        raise BackendMismatch("tree finite-s cell masses are rooted at the "
-                              "identity vertex")
-    rank = partition.rank
-    x = math.exp(-s)
-    q = (2 * rank - 1) * x
-    norm = tree_series_closed_form(s, rank)  # raises where q >= 1
-    out = []
-    for w in partition.cells:
-        m = len(w)
-        if cap is None:
-            cell = x ** m / (1.0 - q)
-        else:
-            n = int(cap) - m + 1
-            cell = x ** m * (1.0 - q ** n) / (1.0 - q)
-        out.append(cell / norm)
-    return np.array(out)
-
-
 _THETA_BLOCK = 1 << 16  # atoms per block of _PlaneAtoms.theta
 
 
@@ -283,12 +258,18 @@ class _PlaneAtoms:
         d = self.d[self.far]
         return [float(np.exp(-s * d).sum()) for s in DEFAULT_S_GRID_PLANE]
 
-    def limit_masses(self, sums):
-        """Extrapolated s -> 1 masses of parts of the annulus, from their
-        e^{-s d} sums at each s of DEFAULT_S_GRID_PLANE over far_totals."""
-        return extrapolate_to_h([np.asarray(v) / t for v, t in
-                                 zip(sums, self.far_totals)],
-                                DEFAULT_S_GRID_PLANE, 1.0)
+    @staticmethod
+    def limit(rows):
+        """The s -> 1 limit of values given one row per s of
+        DEFAULT_S_GRID_PLANE: (the intercept at s = 1 of each column's
+        least-squares line, the largest residual of those fits).  The
+        residual measures the s-fit alone; it does not see the error of
+        the finite cap."""
+        x = np.asarray(DEFAULT_S_GRID_PLANE, dtype=float) - 1.0
+        rows = np.asarray(rows, dtype=float)
+        coef = np.polyfit(x, rows, 1)
+        fit = coef[0] * x[:, None] + coef[1]
+        return coef[1], float(np.max(np.abs(rows - fit), initial=0.0))
 
 
 def _plane_atoms(p, cap=None):
@@ -306,35 +287,7 @@ def _cached_atoms(p, cap):
 
 DEFAULT_PLANE_CAP = 12.0  # plane atom radius of the checks and cell masses
 DEFAULT_PAIR_CAP = 14.0  # plane atom radius of the pair measure
-
-
-def extrapolate_to_h(values_by_s, s_grid, h):
-    """Richardson extrapolation of cell masses along a geometric s grid.
-
-    s_grid must decrease toward h with (s-h) in a fixed ratio; assuming
-    first-order behavior m(s) = m(h) + c (s-h) + O((s-h)^2), successive
-    pairs give extrapolants whose last difference is the error estimate.
-    That estimate is a Richardson spread, not a bound: it misses the
-    plane's finite-ball error (1.0e-4 against 2.3e-3 at 256 arcs, cap 12).
-    Returns (extrapolated array, error estimate, cauchy flag).
-    """
-    eps = np.array([s - h for s in s_grid])
-    if not (np.all(eps > 0) and np.all(np.diff(eps) < 0)):
-        raise ValueError("s grid must decrease strictly toward h")
-    rows = [np.asarray(v, dtype=float) for v in values_by_s]
-    extr = []
-    for j in range(len(rows) - 1):
-        r = eps[j + 1] / eps[j]
-        extr.append((rows[j + 1] - r * rows[j]) / (1.0 - r))
-    if len(extr) == 1:
-        return extr[0], float(np.max(np.abs(extr[0] - rows[-1]))), True
-    diffs = [float(np.max(np.abs(a - b))) for a, b in zip(extr, extr[1:])]
-    cauchy = all(b <= a * 1.5 + 1e-15 for a, b in zip(diffs, diffs[1:]))
-    return extr[-1], diffs[-1], cauchy
-
-
-TREE_S_OFFSETS = (0.4, 0.2, 0.1, 0.05)  # tree s grid: h + offset
-DEFAULT_S_GRID_PLANE = (1.8, 1.4, 1.2, 1.1)
+DEFAULT_S_GRID_PLANE = (1.8, 1.4, 1.2, 1.1)  # s grid of every plane limit
 
 
 def _check_tree_word(name, w, rank):
@@ -351,38 +304,44 @@ def _check_partition(backend, partition):
 
 
 def limit_cell_masses(backend, p, partition, cap=None):
-    """Extrapolated s -> h boundary masses on all partition cells, from
-    the cell masses of nu_{p,s} (plane: the far atoms of radius `cap`)
-    along an s grid decreasing toward h; the error is a Richardson
-    spread, not a bound."""
+    """The s -> h boundary masses of all partition cells, as
+    (masses, error, kind).
+
+    Tree masses are the limit itself, the exact visual measure at p (a
+    reduced word over the partition's letters) as `Fraction`s, with
+    error 0 and kind "exact".  Plane masses are `_PlaneAtoms.limit` of
+    the far atoms' cell masses of nu_{p,s} at radius `cap`; the error
+    is the fit's largest residual, of kind "s-fit residual": it does
+    not include the finite cap's error."""
     _check_partition(backend, partition)
     if backend == TREE:
-        h = math.log(2 * partition.rank - 1)
-        s_grid = tuple(h + e for e in TREE_S_OFFSETS)
-        rows = [_tree_cell_masses(p, s, partition, cap) for s in s_grid]
-        return extrapolate_to_h(rows, s_grid, h)
+        rank = partition.rank
+        _check_tree_word("p", p, rank)
+        masses = np.array([words.visual_measure(p, w, rank)
+                           for w in partition.cells], dtype=object)
+        return masses, 0.0, "exact"
     atoms = _plane_atoms(p, cap)
     idx, n = atoms.far_cells(partition), len(partition)
-    return atoms.limit_masses(
+    masses, err = atoms.limit(
         [np.bincount(idx, weights=np.exp(-s * atoms.d), minlength=n + 1)[:n]
-         for s in DEFAULT_S_GRID_PLANE])
+         / total for s, total in zip(DEFAULT_S_GRID_PLANE, atoms.far_totals)])
+    return masses, err, "s-fit residual"
 
 
-def _far_log_ratios(atoms, q, partition, h):
-    """Per-cell log(nu_q / nu_p) read off at s = h, and the usable cells.
+def _far_log_ratios(atoms, q, partition):
+    """Per-cell log(nu_q / nu_p) read off at s = 1, and the usable cells.
 
     nu_p and nu_q weigh the same orbit atoms by e^{-s d(p, y)} and
     e^{-s d(q, y)}; on the far atoms d(q,y) - d(p,y) has already
-    converged to the Busemann cocycle.  Each cell's log ratio is fitted
-    to first order in (s - h) over DEFAULT_S_GRID_PLANE; cells with no
-    far atom are excluded with a warning.
+    converged to the Busemann cocycle.  Each cell's log ratio is taken
+    to s = 1 by `_PlaneAtoms.limit`; cells with no far atom are excluded
+    with a warning.
     """
     n = len(partition)
     dq = halfplane.dist(q, atoms.z)
     idx = atoms.far_cells(partition)
-    svals = np.asarray(DEFAULT_S_GRID_PLANE, dtype=float)
     rows = []
-    for s in svals:
+    for s in DEFAULT_S_GRID_PLANE:
         num = np.bincount(idx, weights=np.exp(-s * dq), minlength=n + 1)[:n]
         den = np.bincount(idx, weights=np.exp(-s * atoms.d),
                           minlength=n + 1)[:n]
@@ -394,8 +353,7 @@ def _far_log_ratios(atoms, q, partition, h):
     if not usable.all():
         warnings.warn(f"{int((~usable).sum())} zero-mass cells excluded")
         rows[:, ~usable] = 0.0
-    coef = np.polyfit(svals - h, rows, 1)
-    return coef[1], usable
+    return atoms.limit(rows)[0], usable
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +369,9 @@ def conformal_check(backend, p, q, partition, cap=None):
     once over all cells as int64 arrays.  Complement cells and
     mismatches are measured in Fractions, which give the float defect.
     p and q must be reduced words over the partition's letters.
-    Plane route uses extrapolated arc masses and the closed-form Busemann
-    function at each arc's representative direction.
+    Plane route takes each arc's far-atom log ratio log(nu_q/nu_p) to
+    s = 1 (`_far_log_ratios`) and compares it with the closed-form
+    Busemann function at the arc's representative direction.
     """
     _check_partition(backend, partition)
     if backend == TREE:
@@ -436,8 +395,7 @@ def conformal_check(backend, p, q, partition, cap=None):
         return worst
     p, q = complex(p), complex(q)
     h = 1.0
-    log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q,
-                                        partition, h)
+    log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q, partition)
     b = halfplane.busemann(
         q, p, np.asarray(partition.representatives)[usable])
     return float(np.max(np.abs(log_ratio[usable] + h * b), initial=0.0))
@@ -489,8 +447,9 @@ def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
         atoms = _plane_atoms(p, cap)
         on_arc = atoms.d[atoms.far & (np.mod(atoms.theta - lo, 2.0 * math.pi)
                                       < np.mod(hi - lo, 2.0 * math.pi))]
-        mass, _, _ = atoms.limit_masses([[np.exp(-s * on_arc).sum()]
-                                         for s in DEFAULT_S_GRID_PLANE])
+        mass, _ = atoms.limit([[np.exp(-s * on_arc).sum() / total]
+                               for s, total in zip(DEFAULT_S_GRID_PLANE,
+                                                   atoms.far_totals)])
         return float(mass[0]), float(mass[0] * math.exp(halfplane.dist(p, x)))
     raise BackendMismatch(f"unknown backend {backend!r}")
 
@@ -514,19 +473,19 @@ class PairMeasure:
 def pair_measure(backend, p, partition, masses=None, cap=None):
     """Build the pair measure from cell masses at representatives.
 
-    Tree masses default to the exact visual measure at p, with the rank
-    read from the partition.  Plane masses, when not given, are
-    `limit_cell_masses` of the orbit atoms of radius `cap` (default
+    Masses, when not given, are `limit_cell_masses` at p: on the tree
+    the exact visual measure, with the rank read from the partition; on
+    the plane the limit of the orbit atoms of radius `cap` (default
     DEFAULT_PAIR_CAP)."""
     _check_partition(backend, partition)
+    p = (p or "") if backend == TREE else complex(p)
+    if masses is None:
+        masses = limit_cell_masses(backend, p, partition, DEFAULT_PAIR_CAP
+                                   if cap is None else cap)[0]
     i, j = np.triu_indices(len(partition), 1)
     if backend == TREE:
         rank = partition.rank
         h = math.log(2 * rank - 1)
-        p = p or ""
-        if masses is None:
-            masses = [words.visual_measure(p, w, rank)
-                      for w in partition.cells]
         masses = np.array(masses, dtype=object)
         # e^{h beta} = (2k-1)^(2 lcp), exact in Python ints
         lcp = words.lcp_table(partition.cells, partition.cells)[i, j]
@@ -535,10 +494,6 @@ def pair_measure(backend, p, partition, masses=None, cap=None):
                        dtype=bool)
     else:
         h = 1.0
-        p = complex(p)
-        if masses is None:
-            masses = limit_cell_masses(PLANE, p, partition, DEFAULT_PAIR_CAP
-                                       if cap is None else cap)[0]
         masses = np.asarray(masses, dtype=float)
         reps = np.array(partition.representatives)
         factor = np.exp(h * halfplane.gromov_beta(p, reps[i], reps[j]))
@@ -632,7 +587,7 @@ def pair_invariance_check(pm, gamma, cap=None):
     h = pm.h
     q = halfplane.mobius_apply(modular.mat_inv(gamma), p)
     log_ratio, usable = _far_log_ratios(
-        _plane_atoms(p, DEFAULT_PAIR_CAP if cap is None else cap), q, part, h)
+        _plane_atoms(p, DEFAULT_PAIR_CAP if cap is None else cap), q, part)
     reps = np.array(part.representatives)
     greps = np.array([halfplane.mobius_apply_boundary(gamma, r)
                       for r in reps])

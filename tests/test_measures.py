@@ -78,13 +78,18 @@ def test_tree_partition_is_a_partition():
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_limit_cell_masses_tree_equals_visual_measure(rank):
-    # the s grid follows h = log(2k - 1) of the partition's rank
+    # the tree limit is the visual measure itself, at the partition's rank
     part = measures.tree_partition(2, rank=rank)
-    masses, err, cauchy = measures.limit_cell_masses(TREE, "", part)
-    assert cauchy
-    for cell, m in zip(part.cells, masses):
-        assert m == pytest.approx(float(words.cylinder_measure(cell, rank)),
-                                  abs=max(3 * err, 1e-9))
+    masses, err, kind = measures.limit_cell_masses(TREE, "", part)
+    assert all(isinstance(m, Fraction) for m in masses)
+    assert list(masses) == [words.cylinder_measure(cell, rank)
+                            for cell in part.cells]
+    assert err == 0 and kind == "exact"
+    masses, _, _ = measures.limit_cell_masses(TREE, "ab", part)
+    assert list(masses) == [words.visual_measure("ab", cell, rank)
+                            for cell in part.cells]
+    with pytest.raises(ValueError):
+        measures.limit_cell_masses(TREE, "aA", part)
 
 
 def test_conformal_check_tree_exact_zero():
@@ -211,7 +216,8 @@ def test_shadow_mass_bounds_tree_family():
 @pytest.mark.parametrize("cap", [10.0, 12.0])
 def test_plane_shadow_masses_equal_fsum_reference(cap):
     # the CLI's shadow rows; the reference sums the far on-arc atoms over
-    # the far total with math.fsum and extrapolates them the same way
+    # the far total with math.fsum and takes the intercept at s = 1 of
+    # their least-squares line
     atoms = measures._plane_atoms(2j, cap)
     grid = measures.DEFAULT_S_GRID_PLANE
     far = atoms.d >= 0.5 * cap
@@ -224,7 +230,7 @@ def test_plane_shadow_masses_equal_fsum_reference(cap):
                            < np.mod(hi - lo, 2.0 * math.pi))]
         rows = [[math.fsum(np.exp(-s * d)) / norm]
                 for s, norm in zip(grid, norms)]
-        want = measures.extrapolate_to_h(rows, grid, 1.0)[0][0]
+        want = np.polyfit(np.asarray(grid) - 1.0, rows, 1)[1][0]
         mass, ratio = measures.shadow_mass_bounds(PLANE, 2j, x, 1.0, cap=cap)
         assert mass == pytest.approx(want, rel=1e-14, abs=0)
         assert ratio == mass * math.exp(halfplane.dist(2j, x))
@@ -247,6 +253,26 @@ def test_plane_limit_masses_match_the_exact_density():
         mass, _ = measures.shadow_mass_bounds(PLANE, 2j, x, 1.0, cap=12.0)
         want = math.asin(math.sinh(1.0) / math.sinh(halfplane.dist(2j, x)))
         assert abs(mass / (want / math.pi) - 1.0) <= (0.07 if n < 5 else 0.20)
+
+
+def test_plane_log_ratios_match_the_exact_conformal_ratio():
+    # nu_q(arc) / nu_p(arc) of the visual density is the angle the arc
+    # subtends at q over the angle it subtends at p.  At cap 12 the fit
+    # reads it to 2.84e-3 (Richardson extrapolation of the same rows read
+    # 3.42e-3); the bound leaves a 13% margin over the fit.
+    part = measures.plane_partition(256)
+    ends = np.array([[halfplane.forward_endpoint(measures.PLANE_BASE, t)
+                      for t in cell] for cell in part.cells]).real.ravel()
+
+    def subtended(z):
+        angle = halfplane.direction_toward(z, ends).reshape(-1, 2)
+        return np.mod(angle[:, 1] - angle[:, 0], 2.0 * math.pi)
+
+    exact = np.log(subtended(1 + 1j) / subtended(2j))
+    log_ratio, usable = measures._far_log_ratios(
+        measures._plane_atoms(2j, 12.0), 1 + 1j, part)
+    assert usable.all()
+    assert np.max(np.abs(log_ratio - exact)) <= 3.2e-3
 
 
 def _psl2z_forms_at_2i(radius):
@@ -473,7 +499,7 @@ def _per_pair_plane_invariance(pm, gamma, cap):
     p, part = pm.base, pm.partition
     q = halfplane.mobius_apply(modular.mat_inv(gamma), p)
     log_ratio, usable = measures._far_log_ratios(
-        measures._plane_atoms(p, cap), q, part, pm.h)
+        measures._plane_atoms(p, cap), q, part)
     reps = part.representatives
     greps = [halfplane.mobius_apply_boundary(gamma, r) for r in reps]
     worst = 0.0
@@ -617,9 +643,17 @@ def test_validate_separated_bound_exhaustive_route():
     assert card >= 1
 
 
-def test_extrapolate_to_h_linear_data():
-    s_grid = [2.0, 1.5, 1.2, 1.1]
-    h = 1.0
-    vals = [[0.3 + 0.05 * (s - h)] for s in s_grid]
-    out = measures.extrapolate_to_h(vals, s_grid, h)
-    assert out[0] == pytest.approx(0.3, abs=1e-12)
+def test_plane_limit_is_the_least_squares_intercept():
+    x = np.asarray(measures.DEFAULT_S_GRID_PLANE) - 1.0
+    intercept = np.array([0.3, -1.0, 2.5])
+    rows = intercept + np.array([0.05, -2.0, 7.5]) * x[:, None]
+    value, residual = measures._PlaneAtoms.limit(rows)
+    assert value == pytest.approx(intercept, rel=0, abs=1e-12)
+    assert residual <= 1e-12
+    # an s^2 term leaves the part of x^2 off the span of 1 and x
+    curved = rows[:, :1] + 0.2 * x[:, None] ** 2
+    design = np.stack([np.ones_like(x), x], axis=1)
+    off = x ** 2 - design @ np.linalg.lstsq(design, x ** 2, rcond=None)[0]
+    _, residual = measures._PlaneAtoms.limit(curved)
+    assert residual == pytest.approx(0.2 * np.max(np.abs(off)), rel=1e-9)
+    assert residual > 0.01
