@@ -24,15 +24,12 @@ first in odd ones, and each figure is the median over the rounds:
 The result is written as JSON under the key `bisector_crossing`.
 """
 
-import argparse
 import hashlib
 import json
-import os
 import statistics
-import subprocess
-import sys
-import tempfile
 import time
+
+import abbench
 
 SEEDS = (1, 7919)
 STAGES = ("delta_mc", "cli_validate")
@@ -41,25 +38,15 @@ LAYERS = ("halfplane.estimate_delta_mc.s", "cli.main.s")
 
 def worker(checkout):
     """Kernel and stage times in this process, as one JSON line."""
-    sys.path[:0] = [os.path.join(checkout, "src"),
-                    os.path.join(checkout, "perfbench")]
+    abbench.use_checkout(checkout)
     import numpy as np
     from hyplab import halfplane as hp
-    import oracles
-    import workloads
 
     out = {"stages": {}, "kernel": {}}
     for seed in SEEDS:
-        with tempfile.TemporaryDirectory() as scratch:
-            inputs, stages = workloads.build("flow_mc", seed, scratch)
-            for stage in stages:
-                if stage.name in STAGES:
-                    t0 = time.perf_counter()
-                    res = stage.run()
-                    s = time.perf_counter() - t0
-                    payload = stage.check(res)[2]
-                    out["stages"][f"{stage.name}.seed{seed}"] = [
-                        s, oracles.digest(payload)]
+        inputs, stages = abbench.time_stages("flow_mc", seed, STAGES)
+        for name, rec in stages.items():
+            out["stages"][f"{name}.seed{seed}"] = rec
         # the triangles estimate_delta_mc draws for the delta_mc stage
         rng = np.random.default_rng(inputs["mc_seed"])
         batches, left = [], inputs["triangles"]
@@ -79,79 +66,35 @@ def worker(checkout):
     print(json.dumps(out))
 
 
-def run_py(checkout, args):
-    proc = subprocess.run([sys.executable, *args], cwd=checkout, check=True,
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.path.join(
-                              checkout, "src")))
-    return proc.stdout
-
-
-def bench_metrics(checkout, seed, trace):
-    out = run_py(checkout, ["perfbench/run.py", "--workload", "flow_mc",
-                            "--seed", str(seed), "--seconds", "8",
-                            "--trace", str(trace)])
-    return json.loads(out.strip().splitlines()[-1])["metrics"]
-
-
 def one_round(checkout):
     # the cli_validate stage prints its records before the JSON line
-    rec = json.loads(run_py(checkout, [os.path.abspath(__file__), "--worker",
-                                       checkout]).splitlines()[-1])
+    rec = abbench.worker_record(__file__, checkout)
     for seed in SEEDS:
-        traced = bench_metrics(checkout, seed, 1)
+        traced = abbench.bench_metrics(checkout, "flow_mc", seed, 1)
         for layer in LAYERS:
             rec[f"{layer}.seed{seed}"] = traced[layer]["value"]
-        rec[f"wall_s.seed{seed}"] = bench_metrics(
-            checkout, seed, 0)["wall_s"]["value"]
+        rec[f"wall_s.seed{seed}"] = abbench.bench_metrics(
+            checkout, "flow_mc", seed, 0)["wall_s"]["value"]
     return rec
-
-
-def quartiles(values):
-    if len(values) < 2:
-        return {"median": values[0]}
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return {"q1": q1, "median": q2, "q3": q3}
 
 
 def summarise(recs):
     med = statistics.median
-    first = recs[0]
     return {
         "kernel": {k: {"s": med(r["kernel"][k][0] for r in recs),
                        "defects_sha256": v[1]}
-                   for k, v in first["kernel"].items()},
-        "stages": {k: {"s": med(r["stages"][k][0] for r in recs),
-                       "digest": v[1]}
-                   for k, v in first["stages"].items()},
+                   for k, v in recs[0]["kernel"].items()},
+        "stages": abbench.medians(recs, "stages"),
         "traced": {f"{layer}.seed{seed}": med(
             r[f"{layer}.seed{seed}"] for r in recs)
             for layer in LAYERS for seed in SEEDS},
-        "flow_mc.wall_s": {
-            f"seed{seed}": {"runs": [r[f"wall_s.seed{seed}"] for r in recs],
-                            **quartiles([r[f"wall_s.seed{seed}"]
-                                         for r in recs])}
-            for seed in SEEDS},
+        "flow_mc.wall_s": {f"seed{seed}": abbench.runs(
+            recs, f"wall_s.seed{seed}") for seed in SEEDS},
     }
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("parent", nargs="?")
-    ap.add_argument("change", nargs="?")
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_slim_crossing.json")
-    ap.add_argument("--worker")
-    args = ap.parse_args()
-    if args.worker:
-        return worker(args.worker)
-    recs = {"parent": [], "change": []}
-    for k in range(args.rounds):
-        for side in sorted(recs, reverse=not k % 2):
-            recs[side].append(one_round(os.path.abspath(getattr(args, side))))
-    result = {side: summarise(r) for side, r in recs.items()}
-    p, c = result["parent"], result["change"]
-    result["identical"] = {
+def identical(p, c):
+    return {
         "kernel_defects": all(p["kernel"][k]["defects_sha256"]
                               == c["kernel"][k]["defects_sha256"]
                               for k in p["kernel"]),
@@ -159,21 +102,10 @@ def main():
                              == c["stages"][k]["digest"]
                              for k in p["stages"]),
     }
-    result["wall_s_pairs_won"] = {
-        f"seed{seed}": sum(
-            rc[f"wall_s.seed{seed}"] < rp[f"wall_s.seed{seed}"]
-            for rp, rc in zip(recs["parent"], recs["change"])) / args.rounds
-        for seed in SEEDS}
-    result["what"] = (
-        f"{args.rounds} rounds, alternating which side runs first; medians "
-        "except flow_mc.wall_s, one value per round; "
-        f"python {sys.version.split()[0]}, {os.cpu_count()} cpus")
-    with open(args.out, "w") as f:
-        json.dump({"bisector_crossing": result}, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(json.dumps({**result["identical"],
-                      "wall_s_pairs_won": result["wall_s_pairs_won"]}))
 
 
 if __name__ == "__main__":
-    main()
+    abbench.main("bisector_crossing", "BENCH_slim_crossing.json", worker,
+                 one_round, summarise, identical,
+                 won={f"seed{seed}": f"wall_s.seed{seed}" for seed in SEEDS},
+                 note="medians except flow_mc.wall_s, one value per round")

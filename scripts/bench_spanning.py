@@ -22,15 +22,14 @@ first in odd ones, and each figure is the median over the rounds:
 The result is written as JSON under the key `one_joint_pass`.
 """
 
-import argparse
 import hashlib
 import json
 import os
 import statistics
-import subprocess
-import sys
 import tempfile
 import time
+
+import abbench
 
 SAMPLES = {
     # name: (sample from the entropy module, n grid, delta)
@@ -49,22 +48,11 @@ CLI = ["entropy", "--backend", "flat"]
 
 def worker(checkout):
     """Stage and kernel times in this process, as one JSON line."""
-    sys.path[:0] = [os.path.join(checkout, "src"),
-                    os.path.join(checkout, "perfbench")]
+    abbench.use_checkout(checkout)
     from hyplab import entropy
-    import oracles
-    import workloads
 
-    out = {"stages": {}, "kernel": {}}
-    with tempfile.TemporaryDirectory() as scratch:
-        _, stages = workloads.build("flow_mc", 1, scratch)
-        for stage in stages:
-            if stage.name in STAGES:
-                t0 = time.perf_counter()
-                res = stage.run()
-                s = time.perf_counter() - t0
-                payload = stage.check(res)[2]
-                out["stages"][stage.name] = [s, oracles.digest(payload)]
+    out = {"stages": abbench.time_stages("flow_mc", 1, STAGES)[1],
+           "kernel": {}}
     for name, (make, grid, delta) in SAMPLES.items():
         sample = make(entropy)
         times = []
@@ -77,25 +65,10 @@ def worker(checkout):
     print(json.dumps(out))
 
 
-def run_py(checkout, args):
-    proc = subprocess.run([sys.executable, *args], cwd=checkout, check=True,
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.path.join(
-                              checkout, "src")))
-    return proc.stdout
-
-
-def bench_metrics(checkout, seed, trace):
-    out = run_py(checkout, ["perfbench/run.py", "--workload", "flow_mc",
-                            "--seed", str(seed), "--seconds", "8",
-                            "--trace", str(trace)])
-    return json.loads(out.strip().splitlines()[-1])["metrics"]
-
-
 def cli_run(checkout):
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
-        run_py(checkout, ["-m", "hyplab.cli", "--out", out, *CLI])
+        abbench.run_py(checkout, ["-m", "hyplab.cli", "--out", out, *CLI])
         wall = time.perf_counter() - t0
         files = {}
         for name in sorted(os.listdir(out)):
@@ -105,12 +78,13 @@ def cli_run(checkout):
 
 
 def one_round(checkout):
-    rec = json.loads(run_py(checkout, [os.path.abspath(__file__),
-                                       "--worker", checkout]))
+    rec = abbench.worker_record(__file__, checkout)
     for seed in (1, 7919):
-        rec[f"htop_self_s_seed{seed}"] = bench_metrics(
-            checkout, seed, 1)["entropy.estimate_htop.self_s"]["value"]
-    rec["flow_mc_wall_s"] = bench_metrics(checkout, 1, 0)["wall_s"]["value"]
+        rec[f"htop_self_s_seed{seed}"] = abbench.bench_metrics(
+            checkout, "flow_mc", seed,
+            1)["entropy.estimate_htop.self_s"]["value"]
+    rec["flow_mc_wall_s"] = abbench.bench_metrics(
+        checkout, "flow_mc", 1, 0)["wall_s"]["value"]
     rec["cli"] = cli_run(checkout)
     return rec
 
@@ -122,9 +96,7 @@ def summarise(recs):
         "kernel": {name: {"s": med(r["kernel"][name][0] for r in recs),
                           "reports": first["kernel"][name][1]}
                    for name in SAMPLES},
-        "stages": {name: {"s": med(r["stages"][name][0] for r in recs),
-                          "digest": first["stages"][name][1]}
-                   for name in STAGES},
+        "stages": abbench.medians(recs, "stages"),
         "traced": {**{f"entropy.estimate_htop.self_s.seed{seed}": med(
             r[f"htop_self_s_seed{seed}"] for r in recs)
             for seed in (1, 7919)},
@@ -135,38 +107,18 @@ def summarise(recs):
     }
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("parent", nargs="?")
-    ap.add_argument("change", nargs="?")
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", default="BENCH_spanning.json")
-    ap.add_argument("--worker")
-    args = ap.parse_args()
-    if args.worker:
-        return worker(args.worker)
-    recs = {"parent": [], "change": []}
-    for k in range(args.rounds):
-        for side in sorted(recs, reverse=not k % 2):
-            recs[side].append(one_round(os.path.abspath(getattr(args, side))))
-    result = {side: summarise(r) for side, r in recs.items()}
-    p, c = result["parent"], result["change"]
-    result["identical"] = {
+def identical(p, c):
+    return {
         "kernel_reports": all(p["kernel"][k]["reports"]
                               == c["kernel"][k]["reports"] for k in SAMPLES),
         "stage_digests": all(p["stages"][k]["digest"]
                              == c["stages"][k]["digest"] for k in STAGES),
         "cli_outputs": p["cli"]["outputs"] == c["cli"]["outputs"],
     }
-    result["what"] = (
-        f"{args.rounds} rounds, alternating which side runs first; medians "
-        "except flow_mc.wall_s.seed1, one value per round; "
-        f"python {sys.version.split()[0]}, {os.cpu_count()} cpus")
-    with open(args.out, "w") as f:
-        json.dump({"one_joint_pass": result}, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(json.dumps(result["identical"]))
 
 
 if __name__ == "__main__":
-    main()
+    abbench.main("one_joint_pass", "BENCH_spanning.json", worker, one_round,
+                 summarise, identical,
+                 note="medians except flow_mc.wall_s.seed1, one value per "
+                      "round")

@@ -13,7 +13,7 @@ partition.
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +58,12 @@ class BoundaryPartition:
     def representatives(self):
         """representative(i) for every cell, built once per partition."""
         return tuple(self.representative(i) for i in range(len(self)))
+
+    @functools.cached_property
+    def cell_codes(self):
+        """Letter codes (`words._codes`) of the tree cells, built once
+        per partition; they are also the representatives' first letters."""
+        return words._codes(self.cells)
 
     def locate_angle(self, theta):
         """Index of the arc holding each angle (a scalar or an array)."""
@@ -366,8 +372,8 @@ def conformal_check(backend, p, q, partition, cap=None):
     masses are (1/2k)(2k-1)^-e with integer e = d(base, w) - 1, so
     nu_q/nu_p = (2k-1)^-b reads e_q - e_p == b, with b the integer
     Busemann value at the cell's representative; both closed forms run
-    once over all cells as int64 arrays.  Complement cells and
-    mismatches are measured in Fractions, which give the float defect.
+    over the partition's cached cell codes as int64 arrays.  Complement
+    cells and mismatches are measured in Fractions (float defect).
     p and q must be reduced words over the partition's letters.
     Plane route takes each arc's far-atom log ratio log(nu_q/nu_p) to
     s = 1 (`_far_log_ratios`) and compares it with the closed-form
@@ -378,20 +384,22 @@ def conformal_check(backend, p, q, partition, cap=None):
         rank = partition.rank
         _check_tree_word("p", p, rank)
         _check_tree_word("q", q, rank)
-        e_p, inside_p = words.visual_exponent(p, partition.cells)
-        e_q, inside_q = words.visual_exponent(q, partition.cells)
-        b = words.tree_busemann(q, p, partition.representatives)
+        codes = partition.cell_codes
+        e_p, inside_p = words.visual_exponent(p, codes)
+        e_q, inside_q = words.visual_exponent(q, codes)
+        # a base longer than the cells reads its representatives farther
+        deep = max(len(p), len(q)) > codes.shape[1]
+        b = words.tree_busemann(q, p, partition.representatives if deep
+                                else codes)
         worst = 0.0
         for i in np.flatnonzero(inside_p | inside_q | (e_q - e_p != b)):
             w, b_i = partition.cells[i], int(b[i])
-            nu_p = words.visual_measure(p, w, rank)
-            nu_q = words.visual_measure(q, w, rank)
+            ratio = (words.visual_measure(q, w, rank)
+                     / words.visual_measure(p, w, rank))
             # exact check: nu_q/nu_p must equal (2k-1)^{-b}
-            if nu_q / nu_p == Fraction(2 * rank - 1) ** (-b_i):
-                continue
-            defect = abs(math.log(float(nu_q / nu_p))
-                         + math.log(2 * rank - 1) * b_i)
-            worst = max(worst, defect)
+            if ratio != Fraction(2 * rank - 1) ** -b_i:
+                worst = max(worst, abs(math.log(float(ratio))
+                                       + math.log(2 * rank - 1) * b_i))
         return worst
     p, q = complex(p), complex(q)
     h = 1.0
@@ -436,10 +444,8 @@ def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
         desc = shadow(TREE, p, x, rho)  # shadow of B(x,.) seen from p
         if desc[0] != "cyl":
             raise ValueError("mass bound route expects a proper shadow")
-        mass = words.visual_measure(p, desc[1], rank)
-        d = words.distance(p, x)
-        ratio = float(mass) * float(2 * rank - 1) ** d
-        return float(mass), ratio
+        mass = float(words.visual_measure(p, desc[1], rank))
+        return mass, mass * float(2 * rank - 1) ** words.distance(p, x)
     if backend == PLANE:
         p, x = complex(p), complex(x)
         lo, hi = halfplane.direction_toward(
@@ -457,52 +463,62 @@ def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
 # ---------------------------------------------------------------------------
 # the pair measure on the double boundary
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairMeasure:
-    """Weights e^{h beta_p(xi_i, xi_j)} nu(cell_i) nu(cell_j) on distinct
-    cell pairs, with a reported excluded diagonal band."""
+    """Weights e^{h beta_p(xi_i, xi_j)} nu(cell_i) nu(cell_j) on the cell
+    pairs i < j, as triu index arrays: weights / denominator, Python ints
+    over one int on the tree, floats over 1 on the plane.  `excluded`
+    marks the diagonal band e^{h beta} > PAIR_WEIGHT_CAP; it weighs 0."""
 
     backend: str
     base: object
     partition: BoundaryPartition
-    weights: dict = field(compare=False)
-    excluded: frozenset
+    i: np.ndarray
+    j: np.ndarray
+    weights: np.ndarray
+    excluded: np.ndarray
+    denominator: int
     h: float
 
 
 def pair_measure(backend, p, partition, masses=None, cap=None):
     """Build the pair measure from cell masses at representatives.
 
-    Masses, when not given, are `limit_cell_masses` at p: on the tree
-    the exact visual measure, with the rank read from the partition; on
-    the plane the limit of the orbit atoms of radius `cap` (default
-    DEFAULT_PAIR_CAP)."""
+    The tree measure is exact and base independent: at any reduced word
+    p, (2k-1)^(2 (xi|eta)_p) nu_p(A) nu_p(B) is its value at the
+    identity, (2k-1)^(2 lcp) over `_pair_masses`'s denominator
+    (2k)^2 (2k-1)^(2d-2) on depth-d cells.  Its band is decided once
+    per lcp, and it takes no `masses`.  Plane masses, when not given,
+    are `limit_cell_masses` at p of the orbit atoms of radius `cap`
+    (default DEFAULT_PAIR_CAP)."""
     _check_partition(backend, partition)
-    p = (p or "") if backend == TREE else complex(p)
+    i, j = np.triu_indices(len(partition), 1)
+    if backend == TREE:
+        if masses is not None:
+            raise ValueError("tree pair weights take no caller masses")
+        rank, p = partition.rank, p or ""
+        _check_tree_word("p", p, rank)
+        base, depth = 2 * rank - 1, len(partition.cells[0])
+        lcp = words.lcp_table(partition.cell_codes,
+                              partition.cell_codes)[i, j]
+        # e^{h beta} = (2k-1)^(2 lcp), for lcp = 0 .. depth - 1
+        factor = base ** np.arange(0, 2 * depth, 2, dtype=object)
+        band = factor > PAIR_WEIGHT_CAP
+        return PairMeasure(backend, p, partition, i, j,
+                           np.where(band, 0, factor)[lcp], band[lcp],
+                           (2 * rank) ** 2 * base ** (2 * depth - 2),
+                           math.log(base))
+    p, h = complex(p), 1.0
     if masses is None:
         masses = limit_cell_masses(backend, p, partition, DEFAULT_PAIR_CAP
                                    if cap is None else cap)[0]
-    i, j = np.triu_indices(len(partition), 1)
-    if backend == TREE:
-        rank = partition.rank
-        h = math.log(2 * rank - 1)
-        masses = np.array(masses, dtype=object)
-        # e^{h beta} = (2k-1)^(2 lcp), exact in Python ints
-        lcp = words.lcp_table(partition.cells, partition.cells)[i, j]
-        factor = (2 * rank - 1) ** (2 * lcp).astype(object)
-        out = np.array([float(f) > PAIR_WEIGHT_CAP for f in factor],
-                       dtype=bool)
-    else:
-        h = 1.0
-        masses = np.asarray(masses, dtype=float)
-        reps = np.array(partition.representatives)
-        factor = np.exp(h * halfplane.gromov_beta(p, reps[i], reps[j]))
-        out = factor > PAIR_WEIGHT_CAP
-    i_in, j_in, f_in = i[~out], j[~out], factor[~out]
-    weights = dict(zip(zip(i_in.tolist(), j_in.tolist()),
-                       (f_in * masses[i_in] * masses[j_in]).tolist()))
-    excluded = frozenset(zip(i[out].tolist(), j[out].tolist()))
-    return PairMeasure(backend, p, partition, weights, excluded, h)
+    masses = np.asarray(masses, dtype=float)
+    reps = np.array(partition.representatives)
+    factor = np.exp(h * halfplane.gromov_beta(p, reps[i], reps[j]))
+    out = factor > PAIR_WEIGHT_CAP
+    weights = np.zeros(len(i))
+    weights[~out] = factor[~out] * masses[i[~out]] * masses[j[~out]]
+    return PairMeasure(backend, p, partition, i, j, weights, out, 1, h)
 
 
 def cylinder_pushforward(g, w, rank=2):
@@ -517,13 +533,9 @@ def cylinder_pushforward(g, w, rank=2):
     n = len(w)
     if len(g) >= n and g[-n:] == words.inverse(w):
         stem = g[:-n]
-        out = []
-        for c in words.letters(rank):
-            if c == words.inv_letter(w[-1]):
-                continue
-            out.extend(cylinder_pushforward(stem, c, rank) if stem
-                       else [c])
-        return out
+        return [v for c in words.letters(rank) if c != words.inv_letter(w[-1])
+                for v in (cylinder_pushforward(stem, c, rank) if stem
+                          else [c])]
     return [words.mul(g, w)]
 
 
@@ -548,9 +560,10 @@ def _pair_masses(rank, *groupings):
         ts.append(lens[:, None] + lens[None, :] - 2
                   - 2 * words.lcp_table(flat, flat))
     e = max(0, *(int(t.max()) for t in ts))
+    powers = base ** np.arange(e + 3, dtype=object)  # t >= -2
     out = []
     for groups, t in zip(groupings, ts):
-        weight = base ** (e - t).astype(object)
+        weight = powers[e - t]
         starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
         out.append(np.add.reduceat(np.add.reduceat(weight, starts, axis=0),
                                    starts, axis=1))
@@ -560,44 +573,40 @@ def _pair_masses(rank, *groupings):
 def pair_invariance_check(pm, gamma, cap=None):
     """Max defect of mu-bar(gamma A x gamma B) against mu-bar(A x B).
 
-    Tree route is exact over the cylinder pushforward: both masses of
-    every cell pair are integers over one common power of (2k-1),
-    computed at once by `_pair_masses`, compared as integers, and a
-    nonzero difference is returned as a float of the exact rational (it
-    must be identically zero).  Plane route re-bins the atomic masses
-    over the Mobius image arcs and reports the max relative defect.
+    Tree route is exact over the cylinder pushforward: the image masses
+    of every cell pair are integers over one power of (2k-1), computed
+    at once by `_pair_masses`, and are compared with pm's integer
+    weights over the product of the two denominators; a nonzero
+    difference is returned as a float of the exact rational (it must be
+    identically zero).  Plane route re-bins the atomic masses over the
+    Mobius image arcs and reports the max relative defect.
     """
     part = pm.partition
+    keep = ~pm.excluded
     if pm.backend == TREE:
         rank = part.rank
         _check_tree_word("gamma", gamma, rank)
         images = [cylinder_pushforward(gamma, w, rank) for w in part.cells]
-        (lhs, rhs), e = _pair_masses(rank, [[w] for w in part.cells],
-                                     images)
-        i, j = np.array(list(pm.weights), dtype=np.int64).reshape(-1, 2).T
-        worst = int(np.abs(rhs[i, j] - lhs[i, j]).max(initial=0))
-        return float(Fraction(worst, (2 * rank) ** 2 * (2 * rank - 1) ** e))
+        (rhs,), e = _pair_masses(rank, images)
+        den = (2 * rank) ** 2 * (2 * rank - 1) ** e
+        diff = (rhs[pm.i[keep], pm.j[keep]] * pm.denominator
+                - pm.weights[keep] * den)
+        worst = int(np.abs(diff).max(initial=0))
+        return float(Fraction(worst, den * pm.denominator))
     # plane: gamma is an integer matrix acting by Mobius maps.  The
     # image cell mass is computed by pushing the measure instead of the
     # set: nu_p(gamma A) = nu_{gamma^-1 p}(A) exactly, and the latter is
     # measured on the same atoms as nu_p(A), so the per-cell log ratio
     # is free of binning and truncation bias common to both.
-    p = complex(pm.base)
-    n = len(part)
-    h = pm.h
+    p, h = complex(pm.base), pm.h
     q = halfplane.mobius_apply(modular.mat_inv(gamma), p)
     log_ratio, usable = _far_log_ratios(
         _plane_atoms(p, DEFAULT_PAIR_CAP if cap is None else cap), q, part)
     reps = np.array(part.representatives)
     greps = np.array([halfplane.mobius_apply_boundary(gamma, r)
                       for r in reps])
-    # pm.excluded holds the pairs with e^{h beta} > PAIR_WEIGHT_CAP
-    keep = usable[:, None] & usable[None, :]
-    if pm.excluded:
-        keep[tuple(np.array(list(pm.excluded)).T)] = False
-    i, j = np.triu_indices(n, 1)
-    sel = keep[i, j]
-    i, j = i[sel], j[sel]
+    keep &= usable[pm.i] & usable[pm.j]
+    i, j = pm.i[keep], pm.j[keep]
     beta = halfplane.gromov_beta(p, reps[i], reps[j])
     dlog = (h * (halfplane.gromov_beta(p, greps[i], greps[j]) - beta)
             + log_ratio[i] + log_ratio[j])
@@ -740,17 +749,14 @@ def validate_D_mass(p, x, r_prime, r, rank=2):
     mass = Fraction(0)
     for j in range(int(math.floor(r_prime)) + 1):
         u = x[:j]
-        branch = Fraction(0)
-        for c in words.letters(rank):
-            if c == x[j]:
-                continue  # the axis direction itself
-            if u and c == words.inv_letter(u[-1]):
-                continue  # not a reduced continuation
-            branch += words.cylinder_measure(u + c, rank)
+        # reduced continuations of u other than the axis direction x[j]
+        branch = sum((words.cylinder_measure(u + c, rank)
+                      for c in words.letters(rank) if c != x[j]
+                      and not (u and c == words.inv_letter(u[-1]))),
+                     Fraction(0))
         leb = 2 * (Fraction(r_prime) - j)
         mass += branch * nu_x * Fraction(q) ** (2 * j) * leb
-    c_prime = mass * Fraction(q) ** n
-    return mass, c_prime
+    return mass, mass * Fraction(q) ** n
 
 
 def validate_separated_bound(x, n, rho, r_prime, r, rank=2):
@@ -767,17 +773,10 @@ def validate_separated_bound(x, n, rho, r_prime, r, rank=2):
         raise ValueError("need d(x, p) >= n + R + R'")
     r0 = 3 * rho
     bases = sorted(words.ball_words(int(math.floor(r_prime)), rank))
-    # d(u, x) >= n keeps times 0..n on the segment from u to x
-    lines = [words.geodesic_vertices(u, x) for u in bases]
     kept = []
-    for path in lines:
-        ok = True
-        for other in kept:
-            dn = max(words.distance(path[t], other[t])
-                     for t in range(n + 1))
-            if dn < 2 * r0:
-                ok = False
-                break
-        if ok:
+    # d(u, x) >= n keeps times 0..n on the segment from u to x
+    for path in (words.geodesic_vertices(u, x) for u in bases):
+        if all(max(words.distance(path[t], other[t]) for t in range(n + 1))
+               >= 2 * r0 for other in kept):
             kept.append(path)
     return len(kept), "exhaustive"

@@ -6,7 +6,11 @@ cylinder masses are Fractions or integer exponents of 1/(2k-1).  The
 tree is 0-hyperbolic, so this module doubles as the brute-force oracle
 for the numerical backends.  The closed forms `visual_exponent` and
 `tree_busemann` also take a sequence of prefixes or boundary words and
-return int64 arrays, with every lcp from one pass of `lcp_table`.
+return int64 arrays, with every lcp from one pass of `lcp_table`.  Words
+read many times (a partition's cells, which are also the first letters
+of the cells' representatives) can be passed instead as their code
+matrix: the uint8 letter codes of `_codes`, one zero-padded row per
+word, built once.
 """
 
 from fractions import Fraction
@@ -74,21 +78,27 @@ def common_prefix_len(u, v):
 
 def _codes(ws):
     """Letter codes of the words as a uint8 matrix, one row per word,
-    zero-padded to the longest."""
+    zero-padded to the longest.  A uint8 matrix is taken to be such
+    codes already and is returned as it is."""
+    if isinstance(ws, np.ndarray) and ws.dtype == np.uint8:
+        return ws
     rows = np.array(ws, dtype=bytes)
     return rows.view(np.uint8).reshape(len(ws), rows.itemsize)
 
 
 def lcp_table(us, vs):
     """lcp(u, v) for every u of us (rows) and v of vs (columns), as an
-    int64 array, in one pass over the words' letter codes."""
+    int64 array, in one pass over the letter positions.  Either side
+    may be given as its code matrix (`_codes`)."""
     a, b = _codes(us), _codes(vs)
-    width = min(a.shape[1], b.shape[1])
-    a, b = a[:, None, :width], b[None, :, :width]
-    # the padding code 0 matches no letter
-    same = (a == b) & (a != 0)
-    return np.logical_and.accumulate(same, axis=2).sum(axis=2,
-                                                      dtype=np.int64)
+    lcp = np.zeros((len(a), len(b)), np.int64)
+    run = np.ones((len(a), len(b)), bool)  # pairs equal so far
+    for k in range(min(a.shape[1], b.shape[1])):
+        col = a[:, k, None]
+        # the padding code 0 matches no letter
+        run &= (col == b[:, k]) & (col != 0)
+        lcp += run
+    return lcp
 
 
 def distance(u, v):
@@ -176,15 +186,16 @@ def visual_exponent(base, prefix):
     from the identity.  From a base point outside that subtree its mass
     is (1/2k)(1/(2k-1))^e with e = d(base, prefix) - 1; from inside it is
     1 minus that, with e = d(base, parent(prefix)) - 1, the complement of
-    the shadow through the parent edge.  With a sequence of prefixes, e
-    and inside are int64 and bool arrays over it.
+    the shadow through the parent edge.  With a sequence of prefixes, or
+    their code matrix, e and inside are int64 and bool arrays over it.
     """
     if isinstance(prefix, str):
         n, lcp = len(prefix), common_prefix_len(base, prefix)
         empty = not n
     else:
-        n = np.fromiter(map(len, prefix), np.int64, len(prefix))
-        lcp = lcp_table([base], prefix)[0]
+        codes = _codes(prefix)
+        n = np.count_nonzero(codes, axis=1)
+        lcp = lcp_table([base], codes)[0]
         empty = not n.all()
     if empty:
         raise ValueError("cylinder prefix must be nonempty")
@@ -258,13 +269,19 @@ def tree_busemann(q, p, xi):
     meets xi's ray at depth lcp(p, xi), so
     b_p(q, xi) = |q| - 2 lcp(q, xi) - |p| + 2 lcp(p, xi).
     Normalization b_p(p, xi) = 0.  With a sequence of boundary words xi,
-    an int64 array over it.
+    an int64 array over it; they may be given as the code matrix of
+    their first max(|p|, |q|) or more letters.
     """
     n = max(len(p), len(q))
     if isinstance(xi, BoundaryWord):
         target = xi.word(n)
         lcp_q, lcp_p = (common_prefix_len(q, target),
                         common_prefix_len(p, target))
+    elif isinstance(xi, np.ndarray):
+        if xi.shape[1] < n:
+            raise ValueError(f"{xi.shape[1]} letters of each boundary word "
+                             f"do not reach depth {n}")
+        lcp_q, lcp_p = lcp_table([q, p], xi)
     else:
         lcp_q, lcp_p = lcp_table([q, p], [x.word(n) for x in xi])
     return len(q) - 2 * lcp_q - len(p) + 2 * lcp_p

@@ -154,6 +154,26 @@ def test_representatives_are_built_once():
     assert list(reps) == [part.representative(i) for i in range(len(part))]
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_cell_codes_are_built_once(rank, monkeypatch):
+    part = measures.tree_partition(3, rank)
+    codes = part.cell_codes
+    assert codes is part.cell_codes
+    assert codes.dtype == np.uint8 and codes.shape == (len(part), 3)
+    assert codes.tobytes().decode() == "".join(part.cells)
+    # the codes are the representatives' first letters
+    assert [x.word(3) for x in part.representatives] == list(part.cells)
+    # the checks read the cached codes: no word is re-encoded per call
+    encoded = []  # the number of words each call encodes
+    encode = words._codes
+    monkeypatch.setattr(words, "_codes", lambda ws: encoded.append(
+        0 if isinstance(ws, np.ndarray) else len(ws)) or encode(ws))
+    for p, q in [("", "a"), ("ab", "B"), ("a", "bA")]:
+        measures.conformal_check(TREE, p, q, part)
+    measures.pair_measure(TREE, "", part)
+    assert encoded and max(encoded) <= 2
+
+
 def test_conformal_check_plane_small():
     part = measures.plane_partition(64)
     defect = measures.conformal_check(PLANE, 2j, 1 + 1j, part)
@@ -318,8 +338,9 @@ def test_pair_measure_tree_invariance_exact(rank):
     pm = measures.pair_measure(TREE, "", part)
     # h and the default masses come from the partition's rank
     assert pm.h == math.log(2 * rank - 1)
-    for i, j in pm.weights:
-        assert pm.weights[(i, j)] == (
+    weights, _ = _weights_and_band(pm)
+    for i, j in weights:
+        assert weights[(i, j)] == (
             Fraction(2 * rank - 1) ** (2 * words.common_prefix_len(
                 part.cells[i], part.cells[j]))
             * words.cylinder_measure(part.cells[i], rank)
@@ -328,19 +349,43 @@ def test_pair_measure_tree_invariance_exact(rank):
         assert measures.pair_invariance_check(pm, g) == 0
 
 
+def _weights_and_band(pm):
+    """pm's weights as a dict over its kept cell pairs, in Fractions on
+    the tree, and its excluded pairs as a set."""
+    weights, band = {}, set()
+    for i, j, w, out in zip(pm.i.tolist(), pm.j.tolist(),
+                            pm.weights.tolist(), pm.excluded.tolist()):
+        if out:
+            band.add((i, j))
+        else:
+            weights[(i, j)] = (Fraction(w, pm.denominator)
+                               if pm.backend == TREE else w)
+    return weights, band
+
+
 def _double_loop_pair_measure(part, p):
     """Tree pair-measure weights and excluded pairs from a loop over the
-    cell pairs, with a Fraction factor per pair."""
+    cell pairs, with a Fraction factor per pair.  The factor is
+    (2k-1)^(2 (A|B)_p), with the Gromov product at p of the cells'
+    boundary points: p is shorter than the cells, so the rays from p
+    pass through the cells' vertices a and b, and (A|B)_p is
+    (d(p, a) + d(p, b) - d(a, b)) / 2.  The diagonal band is the
+    identity's, the pairs with (2k-1)^(2 lcp) above the cap."""
     rank = part.rank
+    assert len(p) < len(part.cells[0])
     masses = [words.visual_measure(p, w, rank) for w in part.cells]
     weights, excluded = {}, set()
     for i in range(len(part)):
         for j in range(i + 1, len(part)):
-            lcp = words.common_prefix_len(part.cells[i], part.cells[j])
-            factor = Fraction(2 * rank - 1) ** (2 * lcp)
-            if float(factor) > measures.PAIR_WEIGHT_CAP:
+            a, b = part.cells[i], part.cells[j]
+            lcp = words.common_prefix_len(a, b)
+            if float(Fraction(2 * rank - 1) ** (2 * lcp)) \
+                    > measures.PAIR_WEIGHT_CAP:
                 excluded.add((i, j))
                 continue
+            two_gromov = (words.distance(p, a) + words.distance(p, b)
+                          - words.distance(a, b))
+            factor = Fraction(2 * rank - 1) ** two_gromov
             weights[(i, j)] = factor * masses[i] * masses[j]
     return weights, excluded
 
@@ -358,11 +403,35 @@ def test_pair_measure_tree_equals_the_double_loop(monkeypatch, rank, depth,
     part = measures.tree_partition(depth, rank=rank)
     pm = measures.pair_measure(TREE, p, part)
     weights, excluded = _double_loop_pair_measure(part, p)
-    assert pm.weights == weights and pm.excluded == excluded
-    assert list(pm.weights) == list(weights)
-    assert all(type(w) is Fraction for w in pm.weights.values())
-    assert bool(pm.excluded) == (cap is not None
-                                 and (rank, depth) in ((2, 4), (3, 3)))
+    got, band = _weights_and_band(pm)
+    assert got == weights and band == excluded
+    assert list(got) == list(weights)
+    assert all(type(w) is int for w in pm.weights)
+    assert pm.excluded.dtype == bool
+    assert bool(band) == (cap is not None
+                          and (rank, depth) in ((2, 4), (3, 3)))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_pair_measure_tree_does_not_depend_on_the_base(rank):
+    # "abAB" lies below one depth-3 cell
+    part = measures.tree_partition(3, rank)
+    ref = measures.pair_measure(TREE, "", part)
+    weights, band = _weights_and_band(ref)
+    for p in ("a", "aB", "abAB"):
+        pm = measures.pair_measure(TREE, p, part)
+        assert pm.base == p
+        assert _weights_and_band(pm) == (weights, band)
+
+
+def test_pair_measure_tree_refuses_masses_and_foreign_bases():
+    part = measures.tree_partition(2)
+    masses, _, _ = measures.limit_cell_masses(TREE, "", part)
+    with pytest.raises(ValueError):
+        measures.pair_measure(TREE, "", part, masses=masses)
+    for p in ("aA", "c", "x"):
+        with pytest.raises(ValueError):
+            measures.pair_measure(TREE, p, part)
 
 
 def test_exact_pair_mass_equals_fraction_sum():
@@ -411,7 +480,8 @@ def _fraction_pair_defect(pm, gamma):
     images = [measures.cylinder_pushforward(gamma, w) for w in cells]
     return float(max((abs(_fraction_pair_mass(images[i], images[j])
                           - _fraction_pair_mass([cells[i]], [cells[j]]))
-                      for i, j in pm.weights), default=Fraction(0)))
+                      for i, j in _weights_and_band(pm)[0]),
+                     default=Fraction(0)))
 
 
 @pytest.mark.parametrize("mutant", [None, "coarser", "finer"])
@@ -502,10 +572,11 @@ def _per_pair_plane_invariance(pm, gamma, cap):
         measures._plane_atoms(p, cap), q, part)
     reps = part.representatives
     greps = [halfplane.mobius_apply_boundary(gamma, r) for r in reps]
+    band = _weights_and_band(pm)[1]
     worst = 0.0
     for i in range(len(part)):
         for j in range(i + 1, len(part)):
-            if (i, j) in pm.excluded or not (usable[i] and usable[j]):
+            if (i, j) in band or not (usable[i] and usable[j]):
                 continue
             dlog = (pm.h * (halfplane.gromov_beta(p, greps[i], greps[j])
                             - halfplane.gromov_beta(p, reps[i], reps[j]))
@@ -523,11 +594,12 @@ def test_plane_pair_routes_equal_per_pair_loops(weight_cap, monkeypatch):
     masses, _, _ = measures.limit_cell_masses(PLANE, 2j, part, cap=cap)
     pm = measures.pair_measure(PLANE, 2j, part, masses=masses)
     weights, excluded = _per_pair_plane_measure(2j, part, masses)
-    assert pm.excluded == excluded
+    got, band = _weights_and_band(pm)
+    assert band == excluded
     assert bool(excluded) == (weight_cap < 1e6)
-    assert pm.weights.keys() == weights.keys()
+    assert got.keys() == weights.keys()
     for key, w in weights.items():
-        assert pm.weights[key] == pytest.approx(w, rel=0, abs=1e-12)
+        assert got[key] == pytest.approx(w, rel=0, abs=1e-12)
     for gamma in [(1, 1, 0, 1), (2, 1, 1, 1)]:
         assert measures.pair_invariance_check(pm, gamma, cap=cap) \
             == pytest.approx(_per_pair_plane_invariance(pm, gamma, cap),

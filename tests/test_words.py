@@ -241,6 +241,31 @@ def test_lcp_table_equals_common_prefix_len():
                               for u in us]
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_lcp_table_over_cached_codes_equals_common_prefix_len(rank):
+    # random words from "" to twice the partition depth, against the
+    # partition's cached cell codes and against themselves as codes
+    rng = random.Random(10 + rank)
+    part = measures.tree_partition(3, rank)
+    us = [""] + [_random_reduced(rng, rank, rng.randint(0, 6))
+                 for _ in range(60)]
+    want = [[words.common_prefix_len(u, w) for w in part.cells] for u in us]
+    assert words.lcp_table(us, part.cell_codes).tolist() == want
+    assert words.lcp_table(part.cell_codes, us).T.tolist() == want
+    codes = words._codes(us)
+    assert words._codes(codes) is codes
+    assert words.lcp_table(codes, codes).tolist() == [
+        [words.common_prefix_len(u, v) for v in us] for u in us]
+    # the cells' codes are their representatives' first letters
+    for u in us:
+        for v in us[:8]:
+            if max(len(u), len(v)) <= 3:
+                assert words.tree_busemann(u, v, part.cell_codes).tolist() \
+                    == words.tree_busemann(u, v, part.representatives).tolist()
+    with pytest.raises(ValueError):
+        words.tree_busemann("abab", "", part.cell_codes)
+
+
 def _exhaustive_deviation(v, rho):
     """Every vertex of every geodesic [u, v w], |u|, |w| <= rho."""
     ball = sorted(words.ball_words(rho))
