@@ -156,14 +156,13 @@ def geodesic_census(backend, T, rank=2):
     Both routes are complete.
     """
     if backend == TREE:
-        entries = sorted((float(len(w)), w)
-                         for w in words.necklaces(int(T), rank,
-                                                  primitive_only=True))
-        return GeodesicCensus(TREE, tuple(entries), h=math.log(2 * rank - 1))
+        entries = tuple((float(len(w)), w)
+                        for w in words.necklaces(int(T), rank))
+        return GeodesicCensus(TREE, entries, h=math.log(2 * rank - 1))
     if backend == PLANE:
         classes = modular.enumerate_conj_classes(T)
-        entries = sorted((c.length, c.word) for c in classes if c.primitive)
-        return GeodesicCensus(PLANE, tuple(entries), h=1.0)
+        entries = tuple((c.length, c.word) for c in classes if c.primitive)
+        return GeodesicCensus(PLANE, entries, h=1.0)
     raise BackendMismatch(f"no closed-geodesic census on backend "
                           f"{backend!r} (no hyperbolic elements)")
 

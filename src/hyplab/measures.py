@@ -692,7 +692,7 @@ def equidistribution_test(census, T):
     rows = []  # per class: cell counts x (ell / k), in census order
     for a, b in _class_chunks(ks):
         at = np.repeat(np.arange(a, b), ks[a:b])  # each point's class
-        t = (modular._ramp(ks[a:b]) + 0.5) * steps[at]
+        t = (words._ramp(ks[a:b]) + 0.5) * steps[at]
         z = halfplane._AxisChart(los[at], his[at], None).from_w(
             1j * np.exp(sigma0s[at] + signs[at] * t))
         # fold from [0, 2 pi): an angle on a cell edge keeps its bin

@@ -96,7 +96,7 @@ def modular_ball(p, R):
         thi = np.floor((-B + sq) / (2.0 * A) + BALL_SLACK).astype(np.int64)
         n_t = np.where(disc < 0, 0, np.maximum(thi - tlo + 1, 0))
         pick = np.repeat(np.arange(len(c)), n_t)
-        t = tlo[pick] + _ramp(n_t)
+        t = tlo[pick] + words._ramp(n_t)
         c, d = c[pick], d[pick]
         a, b = a0[pick] + t * c, b0[pick] + t * d
         disp = halfplane.dist(p, (a * p + b) / (c * p + d))
@@ -136,15 +136,9 @@ def _coprime_cd(rows, x, bmax):
     n = np.floor(dmid + dr).astype(np.int64) - lo + 1
     lo[rows == 0], n[rows == 0] = 1, 1
     c = np.repeat(rows, n)
-    d = np.repeat(lo, n) + _ramp(n)
+    d = np.repeat(lo, n) + words._ramp(n)
     keep = np.gcd(c, d) == 1
     return c[keep], d[keep]
-
-
-def _ramp(counts):
-    """0, 1, ..., k-1 for each k in counts, concatenated."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) - np.repeat(starts, counts)
 
 
 def _ext_gcd_rows(a, b):
@@ -177,28 +171,33 @@ class ConjClass:
 
 def enumerate_conj_classes(T, include_imprimitive=False):
     """Primitive hyperbolic conjugacy classes of PSL(2, Z) with translation
-    length <= T, as canonical cyclic words in R and L (both letters
-    present; least rotation with L < R).  Oriented: a class and its
-    inverse are counted separately unless they coincide.
+    length <= T, in (length, word) order, as canonical cyclic words in R
+    and L (both letters present; least rotation with L < R).  Oriented: a
+    class and its inverse are counted separately unless they coincide.
 
-    Complete: words.necklace_words prunes each prefix whose trace exceeds
-    2*cosh(T/2).  Every prefix of a necklace is a prenecklace, and the
-    trace of an R/L word never decreases when a letter is appended, so no
-    admissible class is lost.  A both-letter word of length n has trace
-    >= n + 1, so the length cutoff (which stops the trace-2 chains L^k
-    and R^k) loses none either.
+    Complete: words.necklace_levels drops, level by level, each prefix
+    whose trace exceeds 2*cosh(T/2).  Every prefix of a necklace is a
+    prenecklace, and the trace of an R/L word never decreases when a
+    letter is appended, so no admissible class is lost.  A both-letter
+    word of length n has trace >= n + 1, so the length cutoff (which
+    stops the trace-2 chains L^k and R^k) loses none either.
     """
     trmax = 2.0 * math.cosh(T / 2.0)
 
-    def step(m, ch):
-        m2 = mat_mul(m, R_MAT if ch == "R" else L_MAT)
-        return m2 if trace(m2) <= trmax else None
+    def step(m, r):  # int64 rows (a, b, c, d) times R if r = 1, L if 0
+        m[:, 1::2] += m[:, ::2] * r[:, None]  # R: b += a, d += c
+        m[:, ::2] += m[:, 1::2] * (1 - r[:, None])  # L: a += b, c += d
+        return m, m[:, 0] + m[:, 3] <= trmax
 
-    out = [ConjClass(w, m, trace(m), 2.0 * math.acosh(trace(m) / 2.0), prim)
-           for w, m, prim in words.necklace_words(
-               "LR", math.ceil(trmax), step, IDENT,
-               lambda w, m: "L" in w and "R" in w, not include_imprimitive)]
-    out.sort(key=lambda c: (c.length, c.word))
+    ws, m, prim = words.necklace_levels(
+        "LR", math.ceil(trmax), step, IDENT,
+        lambda codes, m: m[:, 0] + m[:, 3] > 2, not include_imprimitive)
+    tr = (m[:, 0] + m[:, 3]).tolist()
+    length = {t: 2.0 * math.acosh(t / 2.0) for t in set(tr)}
+    out = [ConjClass(*c) for c in zip(ws, zip(*m.T.tolist()), tr,
+                                      map(length.get, tr), prim.tolist())]
+    out.sort(key=lambda c: c.word)  # then stably by length: (length, word)
+    out.sort(key=lambda c: c.length)  # order without a tuple key per class
     return out
 
 

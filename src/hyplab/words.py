@@ -129,12 +129,8 @@ def ball_words(radius, rank=2):
     frontier = [""]
     yield ""
     for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for c in alpha:
-                if not w or w[-1] != inv_letter(c):
-                    nxt.append(w + c)
-        frontier = nxt
+        frontier = [w + c for w in frontier for c in alpha
+                    if not w or w[-1] != inv_letter(c)]
         yield from frontier
 
 
@@ -142,23 +138,13 @@ def sphere_counts(radius, rank=2):
     """Exact streamed sphere cardinalities [|S_0|, ..., |S_radius|],
     obtained by walking the tree (not from the closed-form formula).
     """
-    alpha = letters(rank)
-    counts = [1]
-    # walk the tree keeping only the last letter of each frontier word;
-    # the branching below a vertex depends on nothing else
-    frontier = {}
-    for c in alpha:
-        frontier[c] = frontier.get(c, 0) + 1
-    if radius >= 1:
-        counts.append(sum(frontier.values()))
-    for _ in range(2, radius + 1):
-        nxt = dict.fromkeys(alpha, 0)
-        for last, m in frontier.items():
-            for c in alpha:
-                if c != inv_letter(last):
-                    nxt[c] += m
-        frontier = nxt
-        counts.append(sum(frontier.values()))
+    k = len(letters(rank))  # letter i has the inverse (i + rank) % k
+    # walk the tree keeping only how many frontier words end in each
+    # letter; the branching below a vertex depends on nothing else
+    counts, ends = [1], [1] * k
+    for _ in range(radius):
+        counts.append(sum(ends))
+        ends = [counts[-1] - ends[(i + rank) % k] for i in range(k)]
     return counts
 
 
@@ -193,10 +179,11 @@ def visual_exponent(base, prefix):
         n, lcp = len(prefix), common_prefix_len(base, prefix)
         empty = not n
     else:
-        codes = _codes(prefix)
-        n = np.count_nonzero(codes, axis=1)
+        codes = _codes(prefix)  # zero-padded: full last column, full rows
+        n = (codes.shape[1] if codes[:, -1:].all()
+             else np.count_nonzero(codes, axis=1))
         lcp = lcp_table([base], codes)[0]
-        empty = not n.all()
+        empty = not np.all(n)
     if empty:
         raise ValueError("cylinder prefix must be nonempty")
     inside = lcp == n
@@ -287,49 +274,64 @@ def tree_busemann(q, p, xi):
     return len(q) - 2 * lcp_q - len(p) + 2 * lcp_p
 
 
-def necklace_words(alphabet, max_len, step, start, close,
-                   primitive_only=False):
-    """Yield (word, state, primitive) for each necklace of length
-    1..max_len over `alphabet` (in increasing order) whose prefixes all
-    pass `step` and which passes close(word, state).
+def _ramp(counts):
+    """0, 1, ..., k-1 for each k in counts, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) - np.repeat(starts, counts)
 
-    Fredricksen-Maiorana / Ruskey-Savage-Wang, with an explicit stack: a
-    prenecklace a[1..t-1] of period p extends only by letters c >= a[t-p],
-    to period p if c = a[t-p] and t otherwise; it is a necklace (its own
-    least rotation) iff p divides t, and a Lyndon word iff p = t.
-    step(state, letter) returns the extended prefix's state, or None to
-    prune it with all its extensions.  Every prefix of a necklace is a
-    prenecklace, so a prune that every prefix of an admissible necklace
-    passes loses nothing.
+
+def necklace_levels(alphabet, max_len, step, state, close,
+                    primitive_only=False):
+    """(words, states, primitive) of the necklaces of length 1..max_len
+    over `alphabet` (letters in increasing order) whose prefixes all pass
+    `step` and which pass `close`, in length-then-lexicographic order.
+
+    Fredricksen-Maiorana / Ruskey-Savage-Wang, one length at a time on a
+    uint8 matrix of letter codes: a prenecklace a[0..t-1] of period p
+    extends only by codes c >= a[t-p], to period p if c = a[t-p] and t+1
+    otherwise; it is a necklace iff p divides t, and a Lyndon word iff
+    p = t.  `state` is the empty prefix's state row; step(states, codes)
+    gives the children's state rows and a bool array, False pruning a
+    child with all its extensions; close(codes, states) picks the
+    necklaces to keep.  Parents stay in lexicographic order and each
+    one's children follow in increasing letter order: no sort is needed.
     """
-    index = {c: i for i, c in enumerate(alphabet)}
-    stack = [("", start, 1)]
-    while stack:
-        w, state, p = stack.pop()
-        n = len(w)
-        if n and n % p == 0 and (p == n or not primitive_only) \
-                and close(w, state):
-            yield w, state, p == n
-        ref = w[n - p] if n else alphabet[0]
-        for c in alphabet[index[ref]:] if n < max_len else ():
-            nxt = step(state, c)
-            if nxt is not None:
-                stack.append((w + c, nxt, p if n and c == ref else n + 1))
+    lut = np.frombuffer(alphabet.encode(), np.uint8)
+    codes, period = np.zeros((1, 0), np.uint8), np.ones(1, np.int64)
+    state = np.asarray(state)[None]
+    ws, states, prims = [], [state[:0]], [np.zeros(0, bool)]
+    for t in range(max_len):
+        ref = (codes[np.arange(len(codes)), t - period].astype(np.int64)
+               if t else np.zeros(1, np.int64))
+        parent = np.repeat(np.arange(len(codes)), len(lut) - ref)
+        c = ref[parent] + _ramp(len(lut) - ref)
+        state, keep = step(state[parent], c)
+        parent, c, state = parent[keep], c[keep], state[keep]
+        period = np.where(c == ref[parent], period[parent], t + 1)
+        codes = np.column_stack((codes[parent], c.astype(np.uint8)))
+        prim = period == t + 1
+        out = prim if primitive_only else (t + 1) % period == 0
+        out &= close(codes, state)
+        ws += lut[codes[out]].view(f"S{t + 1}").ravel().astype(str).tolist()
+        states.append(state[out])
+        prims.append(prim[out])
+    return ws, np.concatenate(states), np.concatenate(prims)
 
 
 def necklaces(max_len, rank=2, primitive_only=True):
     """All cyclically reduced cyclic words (canonical least rotation) of
-    length <= max_len, i.e. conjugacy classes of F_rank.  Oriented: w and
-    w^-1 are distinct unless cyclically equal.
+    length <= max_len, i.e. conjugacy classes of F_rank, in
+    length-then-lexicographic order.  Oriented: w and w^-1 are distinct
+    unless cyclically equal.
 
-    Complete: such a least rotation is a necklace and its prefixes are
-    reduced prenecklaces, so necklace_words, pruning unreduced prefixes,
-    misses none; the closing check refuses a last letter inverse to the
-    first.
+    Complete: such a least rotation is a necklace and every prefix of it
+    is a reduced prenecklace, so necklace_levels, pruning each level's
+    unreduced prefixes, misses none; the closing check refuses a last
+    letter inverse to the first.
     """
-    inv = {c: inv_letter(c) for c in letters(rank)}
-    return sorted((w for w, _, _ in necklace_words(
-        sorted(inv), max_len, lambda last, c: None if c == inv.get(last) else c,
-        None, lambda w, last: last != inv[w[0]], primitive_only)),
-        key=lambda w: (len(w), w))
-
+    alpha = "".join(sorted(letters(rank)))
+    # inv[c] is the code of c's inverse; len(alpha) stands for no letter
+    inv = np.array([alpha.index(inv_letter(c)) for c in alpha] + [len(alpha)])
+    return necklace_levels(
+        alpha, max_len, lambda last, c: (c, c != inv[last]), len(alpha),
+        lambda codes, last: codes[:, 0] != inv[last], primitive_only)[0]

@@ -111,3 +111,61 @@ def fellow_travel_deviation(v, rho):
     ball = list(words.ball_words(rho))
     return max(len(y) - words.common_prefix_len(y, v)
                for y in ball + [words.mul(v, w) for w in ball])
+
+
+def necklace_words(alphabet, max_len, step, start, close,
+                   primitive_only=False):
+    """Yield (word, state, primitive) for each necklace of length
+    1..max_len over `alphabet` (in increasing order) whose prefixes all
+    pass `step` and which passes close(word, state).
+
+    Fredricksen-Maiorana / Ruskey-Savage-Wang, with an explicit stack: a
+    prenecklace a[1..t-1] of period p extends only by letters c >= a[t-p],
+    to period p if c = a[t-p] and t otherwise; it is a necklace (its own
+    least rotation) iff p divides t, and a Lyndon word iff p = t.
+    step(state, letter) returns the extended prefix's state, or None to
+    prune it with all its extensions.  Every prefix of a necklace is a
+    prenecklace, so a prune that every prefix of an admissible necklace
+    passes loses nothing.
+    """
+    index = {c: i for i, c in enumerate(alphabet)}
+    stack = [("", start, 1)]
+    while stack:
+        w, state, p = stack.pop()
+        n = len(w)
+        if n and n % p == 0 and (p == n or not primitive_only) \
+                and close(w, state):
+            yield w, state, p == n
+        ref = w[n - p] if n else alphabet[0]
+        for c in alphabet[index[ref]:] if n < max_len else ():
+            nxt = step(state, c)
+            if nxt is not None:
+                stack.append((w + c, nxt, p if n and c == ref else n + 1))
+
+
+def necklaces(max_len, rank=2, primitive_only=True):
+    """words.necklaces by the depth-first necklace_words, one word and
+    one callback per prefix, then sorted."""
+    inv = {c: words.inv_letter(c) for c in words.letters(rank)}
+    return sorted((w for w, _, _ in necklace_words(
+        sorted(inv), max_len, lambda last, c: None if c == inv.get(last) else c,
+        None, lambda w, last: last != inv[w[0]], primitive_only)),
+        key=lambda w: (len(w), w))
+
+
+def conj_classes(T, include_imprimitive=False):
+    """modular.enumerate_conj_classes by the depth-first necklace_words,
+    one tuple mat_mul per prefix."""
+    trmax = 2.0 * math.cosh(T / 2.0)
+
+    def step(m, ch):
+        m2 = modular.mat_mul(m, modular.R_MAT if ch == "R" else modular.L_MAT)
+        return m2 if modular.trace(m2) <= trmax else None
+
+    out = [modular.ConjClass(w, m, modular.trace(m),
+                             2.0 * math.acosh(modular.trace(m) / 2.0), prim)
+           for w, m, prim in necklace_words(
+               "LR", math.ceil(trmax), step, modular.IDENT,
+               lambda w, m: "L" in w and "R" in w, not include_imprimitive)]
+    out.sort(key=lambda c: (c.length, c.word))
+    return out

@@ -270,6 +270,21 @@ def test_census_equals_rotation_brute_force(T, include_imprimitive):
             == _brute_classes(T, include_imprimitive))
 
 
+def _fields(c):
+    """Every field of a class, the length as its bits and the integer
+    entries with their types."""
+    return (c.word, c.matrix, tuple(map(type, c.matrix)), c.trace,
+            type(c.trace), c.length.hex(), c.primitive)
+
+
+@pytest.mark.parametrize("T", [6.0, 7.0, 8.0, 9.0, 10.0, 11.0])
+@pytest.mark.parametrize("include_imprimitive", [False, True])
+def test_census_equals_the_depth_first_oracle(T, include_imprimitive):
+    got = modular.enumerate_conj_classes(T, include_imprimitive)
+    want = reference.conj_classes(T, include_imprimitive)
+    assert [_fields(c) for c in got] == [_fields(c) for c in want]
+
+
 def test_census_size_at_T12():
     assert len(modular.enumerate_conj_classes(12.0)) == 14904
 

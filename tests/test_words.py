@@ -142,6 +142,15 @@ def test_necklace_counts_match_closed_forms(rank, max_len):
         assert counts[1:] == want
 
 
+@pytest.mark.parametrize("rank, max_len", [(2, 10), (3, 6)])
+@pytest.mark.parametrize("primitive_only", [True, False])
+def test_necklaces_equal_the_depth_first_oracle(rank, max_len,
+                                                primitive_only):
+    # the same list, order included, as one stack frame per prefix
+    assert (words.necklaces(max_len, rank, primitive_only)
+            == reference.necklaces(max_len, rank, primitive_only))
+
+
 def test_cylinder_measures_are_exact_and_additive():
     assert words.cylinder_measure("a") == Fraction(1, 4)
     assert words.cylinder_measure("ab") == Fraction(1, 12)
@@ -187,6 +196,18 @@ def test_visual_exponent_matches_sphere_proportions():
             e, below = words.visual_exponent(p, w)
             mass = Fraction(1, 4) * Fraction(1, 3) ** e
             assert share == (1 - mass if below else mass)
+
+
+def test_visual_exponent_on_rows_of_mixed_length():
+    # zero-padded rows shorter than the matrix read their own length
+    ws = [w for w in words.ball_words(3) if w]
+    for p in ("", "a", "aB", "aBaB"):
+        for prefixes in (ws, words._codes(ws)):
+            e, below = words.visual_exponent(p, prefixes)
+            assert [(int(x), bool(y)) for x, y in zip(e, below)] == [
+                words.visual_exponent(p, w) for w in ws]
+    with pytest.raises(ValueError):
+        words.visual_exponent("a", ["ab", ""])
 
 
 def _random_reduced(rng, rank, n):
