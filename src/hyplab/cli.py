@@ -116,6 +116,11 @@ def cmd_count(args):
     backend = _BACKENDS[args.backend]
     rank = int(cfg.get("rank", 2))
     out = args.out
+    for key in ("Rmax", "T"):
+        if key in cfg and not (math.isfinite(float(cfg[key]))
+                               and float(cfg[key]) >= 0):
+            raise ValueError(f"--{key} must be finite and >= 0, "
+                             f"not {cfg[key]}")
     if backend == TREE:
         base = ""
         grid = list(range(2, int(cfg.get("Rmax", 12)) + 1))

@@ -210,7 +210,8 @@ class _PlaneAtoms:
     atoms at p itself are kept apart: they have no boundary angle.  The
     s -> h routes read only the `far` atoms, d(p, y) >= cap/2: the limit
     gives any bounded region no mass, but at finite cap the heavy atoms
-    near p would dominate small cells."""
+    near p would dominate small cells.  The atoms are binned into cells
+    once per partition (`far_cells`), for the last partition asked."""
 
     def __init__(self, p, cap):
         if not (math.isfinite(cap) and cap >= 1.0):
@@ -230,6 +231,7 @@ class _PlaneAtoms:
         counts = np.searchsorted(np.sort(self.d), grid + 1e-12)
         self.c2 = float(max(counts * np.exp(-grid)))
         self.far = self.d >= 0.5 * cap
+        self._binned = None  # (partition, cell index, cell sums)
 
     def series(self, s):
         """(partial sum over the ball, tail bound C2 e^{-(s-1) R} /
@@ -254,10 +256,25 @@ class _PlaneAtoms:
         return halfplane.direction_toward(PLANE_BASE, xi)
 
     def far_cells(self, partition):
-        """Each atom's cell; near atoms go to an extra last cell."""
-        idx = partition.locate_angle(self.theta)
-        idx[~self.far] = len(partition)
-        return idx
+        """(each atom's cell, the far atoms' cell sums of e^{-s d} for each
+        s of DEFAULT_S_GRID_PLANE); near atoms go to an extra last cell.
+
+        Binned once per partition: the last partition asked is kept,
+        compared by equality, with its index as uint16 (uint32 past
+        65535 arcs), so a run of checks on one partition locates its
+        angles once and holds one index at a time."""
+        if self._binned is None or self._binned[0] != partition:
+            self._binned = None  # release the old index before the new
+            n = len(partition)
+            idx = partition.locate_angle(self.theta)
+            idx[~self.far] = n
+            idx = idx.astype(np.promote_types(np.uint16,
+                                              np.min_scalar_type(n)))
+            sums = [np.bincount(idx, weights=np.exp(-s * self.d),
+                                minlength=n + 1)[:n]
+                    for s in DEFAULT_S_GRID_PLANE]
+            self._binned = partition, idx, sums
+        return self._binned[1:]
 
     @functools.cached_property
     def far_totals(self):
@@ -327,10 +344,9 @@ def limit_cell_masses(backend, p, partition, cap=None):
                            for w in partition.cells], dtype=object)
         return masses, 0.0, "exact"
     atoms = _plane_atoms(p, cap)
-    idx, n = atoms.far_cells(partition), len(partition)
-    masses, err = atoms.limit(
-        [np.bincount(idx, weights=np.exp(-s * atoms.d), minlength=n + 1)[:n]
-         / total for s, total in zip(DEFAULT_S_GRID_PLANE, atoms.far_totals)])
+    _, sums = atoms.far_cells(partition)
+    masses, err = atoms.limit([cell / total for cell, total
+                               in zip(sums, atoms.far_totals)])
     return masses, err, "s-fit residual"
 
 
@@ -339,18 +355,17 @@ def _far_log_ratios(atoms, q, partition):
 
     nu_p and nu_q weigh the same orbit atoms by e^{-s d(p, y)} and
     e^{-s d(q, y)}; on the far atoms d(q,y) - d(p,y) has already
-    converged to the Busemann cocycle.  Each cell's log ratio is taken
-    to s = 1 by `_PlaneAtoms.limit`; cells with no far atom are excluded
-    with a warning.
+    converged to the Busemann cocycle.  The nu_p cell sums come binned
+    from `_PlaneAtoms.far_cells`; only the nu_q side is summed here.
+    Each cell's log ratio is taken to s = 1 by `_PlaneAtoms.limit`;
+    cells with no far atom are excluded with a warning.
     """
     n = len(partition)
     dq = halfplane.dist(q, atoms.z)
-    idx = atoms.far_cells(partition)
+    idx, dens = atoms.far_cells(partition)
     rows = []
-    for s in DEFAULT_S_GRID_PLANE:
+    for s, den in zip(DEFAULT_S_GRID_PLANE, dens):
         num = np.bincount(idx, weights=np.exp(-s * dq), minlength=n + 1)[:n]
-        den = np.bincount(idx, weights=np.exp(-s * atoms.d),
-                          minlength=n + 1)[:n]
         # an empty cell gives log 0: it is counted in one warning below
         with np.errstate(divide="ignore", invalid="ignore"):
             rows.append(np.log(num) - np.log(den))
@@ -437,6 +452,12 @@ def shadow(backend, x, p, rho):
     return ("co-cyl", path[-2])
 
 
+def _wrap_angle(x):
+    """np.mod(x, 2 pi), bit for bit, of a difference x of two angles in
+    [-pi, pi): with |x| < 2 pi that mod is x, plus 2 pi where x < 0."""
+    return np.where(x < 0, x + 2.0 * math.pi, x)
+
+
 def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
     """(nu_p(shadow of B(x, rho)), ratio to e^{-h d(p,x)}); the plane
     mass is the limit mass of the far atoms on the shadow arc."""
@@ -451,7 +472,7 @@ def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
         lo, hi = halfplane.direction_toward(
             PLANE_BASE, halfplane.shadow_arc(p, x, rho))
         atoms = _plane_atoms(p, cap)
-        on_arc = atoms.d[atoms.far & (np.mod(atoms.theta - lo, 2.0 * math.pi)
+        on_arc = atoms.d[atoms.far & (_wrap_angle(atoms.theta - lo)
                                       < np.mod(hi - lo, 2.0 * math.pi))]
         mass, _ = atoms.limit([[np.exp(-s * on_arc).sum() / total]
                                for s, total in zip(DEFAULT_S_GRID_PLANE,

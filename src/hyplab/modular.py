@@ -62,12 +62,22 @@ def modular_ball(p, R):
     itself is decided in floating point, not exactly.
 
     With c >= 0, and d = 1 when c = 0, each element of PSL(2, Z) is
-    enumerated exactly once.  Returns the elements as an int64 (n, 4)
-    array of rows (a, b, c, d), first nonzero entry positive, in
-    lexicographic order (stored column by column), sorted by one packed
-    int64 key; a ball whose column spans overflow that key raises
-    ValueError.  The work runs in blocks of BALL_BLOCK_ROWS values of c.
+    enumerated exactly once; it is stored with its first nonzero entry
+    positive, which a and b alone decide (ad - bc = 1 makes b nonzero
+    where a = 0).  The work runs in blocks of BALL_BLOCK_ROWS values of
+    c, each holding a, b, c, d as contiguous 1-D columns, and each block
+    is packed at once into one int64 mixed-radix key whose radices come
+    from the a-priori column bounds of `_ball_column_bounds`; a block
+    with a column outside them raises ValueError rather than wrap, and
+    so does a radius whose bounds overflow the key.  Only the keys are
+    concatenated and sorted.  Returns the elements as an int64 (n, 4)
+    array of rows (a, b, c, d) in lexicographic order, the transpose of
+    the C-ordered (4, n) columns the sorted key decodes into.  A radius
+    that is not finite and >= 0 raises ValueError.
     """
+    if not (math.isfinite(R) and R >= 0):
+        raise ValueError(f"orbit-ball radius must be finite and >= 0, "
+                         f"not {R}")
     p = complex(p)
     y = p.imag
     # |p - gamma p|^2 |c p + d|^2 = |p (c p + d) - (a p + b)|^2 <= nmax
@@ -75,7 +85,14 @@ def modular_ball(p, R):
     # y / Im(gamma p) <= e^R  ->  |c p + d|^2 <= e^R
     bmax = math.exp(0.5 * R)
     cmax = int(math.floor(bmax / y)) + 1
-    blocks = []  # int64 columns a, b, c, d
+    # key = sum of (col - lo) times the spans of the later columns, which
+    # the bounds keep below 2**63 at every step; a >= 0
+    bound = _ball_column_bounds(p, R)
+    lo = (0, -bound[1], -bound[2], -bound[3])
+    span = (bound[0] + 1, *(2 * m + 1 for m in bound[1:]))
+    if math.prod(span) >= 2 ** 63:
+        raise ValueError(f"ball of radius {R} overflows the int64 sort key")
+    keys = []
     for c0 in range(0, cmax + 1, BALL_BLOCK_ROWS):
         rows = np.arange(c0, min(c0 + BALL_BLOCK_ROWS, cmax + 1),
                          dtype=np.int64)
@@ -100,30 +117,50 @@ def modular_ball(p, R):
         c, d = c[pick], d[pick]
         a, b = a0[pick] + t * c, b0[pick] + t * d
         disp = halfplane.dist(p, (a * p + b) / (c * p + d))
-        m = np.stack([a, b, c, d])[:, disp <= R + BALL_SLACK]
-        lead = m[(m != 0).argmax(axis=0), np.arange(m.shape[1])]
-        blocks.append(np.where(lead < 0, -m, m))
-    cols = np.concatenate(blocks, axis=1)
-    del blocks
-    # rows are distinct, so sorting one mixed-radix key over the four
-    # column offsets gives their lexicographic order; lo <= 0 < span
-    lo = cols.min(axis=1, initial=0)
-    span = cols.max(axis=1, initial=0) - lo + 1
-    if math.prod(int(s) for s in span) >= 2 ** 63:
-        raise ValueError(f"ball of radius {R} overflows the int64 sort key")
-    key = cols[0] - lo[0]
-    for col, low, base in zip(cols[1:], lo[1:], span[1:]):
-        key *= base
-        key -= low  # before col, so no partial sum leaves [0, 2**63)
-        key += col
+        inside = disp <= R + BALL_SLACK
+        neg = a < 0
+        neg |= (a == 0) & (b < 0)
+        sign = np.where(neg, -1, 1)[inside]
+        key = np.zeros(len(sign), dtype=np.int64)
+        for col, low, base, m in zip((a, b, c, d), lo, span, bound):
+            col = col[inside] * sign
+            if col.size and (col.min() < low or col.max() > m):
+                raise ValueError(f"ball of radius {R} leaves its a-priori "
+                                 f"column bound {m}")
+            key *= base
+            key += col
+            key -= low
+        keys.append(key)
+    key = np.concatenate(keys)
+    del keys
     key.sort()
+    cols = np.empty((4, len(key)), dtype=np.int64)
+    quo = np.empty_like(key)
     for i in range(3, -1, -1):  # decode the key back into the columns
-        np.divmod(key, span[i], out=(key, cols[i]))
+        np.floor_divide(key, span[i], out=quo)
+        np.multiply(quo, -span[i], out=cols[i])
+        cols[i] += key
         cols[i] += lo[i]
+        key, quo = quo, key
     return BallResult(cols.T, R, p, complete=True,
                       certificate="integer matrix enumeration; sphere "
                                   f"decided in float64 with slack "
                                   f"{BALL_SLACK:g}")
+
+
+def _ball_column_bounds(p, R):
+    """A-priori bounds on |a|, |b|, |c|, |d| over the ball of radius R at
+    p = x + iy, with a margin of 2 each.
+
+    Im(gamma p) >= y e^-R gives |c p + d|^2 <= e^R, so |c| <= e^(R/2)/y
+    and |d| <= |c x| + e^(R/2).  The same for S gamma = (-c, -d; a, b),
+    since d(Sp, S gamma p) = d(p, gamma p) and Im Sp = y / |p|^2, gives
+    |a p + b|^2 <= |p|^2 e^R."""
+    y, ax = p.imag, abs(p.real)
+    e = math.exp(0.5 * (R + BALL_SLACK))
+    c = e / y
+    a = abs(p) * c
+    return tuple(int(v) + 2 for v in (a, a * ax + abs(p) * e, c, c * ax + e))
 
 
 def _coprime_cd(rows, x, bmax):
@@ -180,8 +217,12 @@ def enumerate_conj_classes(T, include_imprimitive=False):
     prenecklace, and the trace of an R/L word never decreases when a
     letter is appended, so no admissible class is lost.  A both-letter
     word of length n has trace >= n + 1, so the length cutoff (which
-    stops the trace-2 chains L^k and R^k) loses none either.
+    stops the trace-2 chains L^k and R^k) loses none either.  Raises
+    ValueError on a T that is not finite and >= 0.
     """
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"closed-geodesic length bound must be finite and "
+                         f">= 0, not {T}")
     trmax = 2.0 * math.cosh(T / 2.0)
 
     def step(m, r):  # int64 rows (a, b, c, d) times R if r = 1, L if 0

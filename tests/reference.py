@@ -169,3 +169,68 @@ def conj_classes(T, include_imprimitive=False):
                lambda w, m: "L" in w and "R" in w, not include_imprimitive)]
     out.sort(key=lambda c: (c.length, c.word))
     return out
+
+
+def modular_ball(p, R):
+    """modular.modular_ball as it was before the sort key was packed
+    per block: int64 blocks (4, k) straight from the displacement mask,
+    a first-nonzero sign pass, and one mixed-radix key over the column
+    spans of the whole ball, packed after the concatenation.  The
+    element oracle of the packed kernel."""
+    p = complex(p)
+    y = p.imag
+    # |p - gamma p|^2 |c p + d|^2 = |p (c p + d) - (a p + b)|^2 <= nmax
+    nmax = (math.cosh(R) - 1.0) * 2.0 * y * y
+    # y / Im(gamma p) <= e^R  ->  |c p + d|^2 <= e^R
+    bmax = math.exp(0.5 * R)
+    cmax = int(math.floor(bmax / y)) + 1
+    slack = modular.BALL_SLACK
+    blocks = []  # int64 columns a, b, c, d
+    for c0 in range(0, cmax + 1, modular.BALL_BLOCK_ROWS):
+        rows = np.arange(c0, min(c0 + modular.BALL_BLOCK_ROWS, cmax + 1),
+                         dtype=np.int64)
+        c, d = modular._coprime_cd(rows, p.real, bmax)
+        g, xg, yg = modular._ext_gcd_rows(c, d)
+        flip = np.where(g < 0, -1, 1)
+        # xg*c + yg*d = 1  ->  a0 = yg, b0 = -xg gives a0 d - b0 c = 1
+        a0, b0 = yg * flip, -xg * flip
+        beta = c * p + d
+        alpha = (a0 * p + b0) - p * beta
+        # |alpha + t beta|^2 <= nmax
+        A = np.abs(beta) ** 2
+        B = 2.0 * (alpha * np.conj(beta)).real
+        C = np.abs(alpha) ** 2 - nmax
+        disc = B * B - 4.0 * A * C
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        tlo = np.ceil((-B - sq) / (2.0 * A) - slack).astype(np.int64)
+        thi = np.floor((-B + sq) / (2.0 * A) + slack).astype(np.int64)
+        n_t = np.where(disc < 0, 0, np.maximum(thi - tlo + 1, 0))
+        pick = np.repeat(np.arange(len(c)), n_t)
+        t = tlo[pick] + words._ramp(n_t)
+        c, d = c[pick], d[pick]
+        a, b = a0[pick] + t * c, b0[pick] + t * d
+        disp = hp.dist(p, (a * p + b) / (c * p + d))
+        m = np.stack([a, b, c, d])[:, disp <= R + slack]
+        lead = m[(m != 0).argmax(axis=0), np.arange(m.shape[1])]
+        blocks.append(np.where(lead < 0, -m, m))
+    cols = np.concatenate(blocks, axis=1)
+    del blocks
+    # rows are distinct, so sorting one mixed-radix key over the four
+    # column offsets gives their lexicographic order; lo <= 0 < span
+    lo = cols.min(axis=1, initial=0)
+    span = cols.max(axis=1, initial=0) - lo + 1
+    if math.prod(int(s) for s in span) >= 2 ** 63:
+        raise ValueError(f"ball of radius {R} overflows the int64 sort key")
+    key = cols[0] - lo[0]
+    for col, low, base in zip(cols[1:], lo[1:], span[1:]):
+        key *= base
+        key -= low  # before col, so no partial sum leaves [0, 2**63)
+        key += col
+    key.sort()
+    for i in range(3, -1, -1):  # decode the key back into the columns
+        np.divmod(key, span[i], out=(key, cols[i]))
+        cols[i] += lo[i]
+    return modular.BallResult(cols.T, R, p, complete=True,
+                              certificate="integer matrix enumeration; "
+                                          f"sphere decided in float64 with "
+                                          f"slack {slack:g}")

@@ -246,6 +246,31 @@ def test_measure_equidist_of_an_empty_census_is_usage_error(tmp_path, capsys):
     assert not (out / "equidistribution.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("backend, flag", [
+    ("tree", "--Rmax"), ("flat", "--Rmax"), ("modular", "--Rmax"),
+    ("tree", "--T"), ("modular", "--T")])
+def test_count_radius_that_is_not_finite_is_usage_error(tmp_path, capsys,
+                                                        backend, flag,
+                                                        value):
+    code, out = run(tmp_path, "count", "--backend", backend, flag, value)
+    assert code == cli.EXIT_USAGE
+    assert (f"error: {flag} must be finite and >= 0, not {value}"
+            in capsys.readouterr().err)
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_measure_equidist_length_that_is_not_finite_is_usage_error(
+        tmp_path, capsys, value):
+    code, out = run(tmp_path, "measure", "--backend", "modular",
+                    "--check", "equidist", "--T", value)
+    assert code == cli.EXIT_USAGE
+    assert (f"error: closed-geodesic length bound must be finite and >= 0, "
+            f"not {value}" in capsys.readouterr().err)
+    assert not (out / "equidistribution.csv").exists()
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("backend=tree\nRmax=8\n")

@@ -628,6 +628,57 @@ def test_plane_checks_build_the_atom_angles_once(monkeypatch):
     assert [n for n in sizes if n > 2] == [n_atoms]
 
 
+def _plane_check_bits(part, cap):
+    """The bytes of every plane number the cell binning feeds."""
+    masses, err, _ = measures.limit_cell_masses(PLANE, 2j, part, cap=cap)
+    pm = measures.pair_measure(PLANE, 2j, part, masses=masses)
+    shadows = [measures.shadow_mass_bounds(
+        PLANE, 2j, 2j * math.exp(1.0 + 0.5 * n), 1.0, cap=cap)
+        for n in (1, 3)]
+    return [np.asarray(v, dtype=float).tobytes() for v in (
+        masses, err,
+        measures.conformal_check(PLANE, 2j, 0.3 + 1.7j, part, cap=cap),
+        measures.pair_invariance_check(pm, (2, 1, 1, 1), cap=cap), shadows)]
+
+
+def test_plane_checks_bin_once_per_partition_to_the_same_bits(monkeypatch):
+    cap = 10.0
+    parts = [measures.plane_partition(n) for n in (64, 256, 64)]
+    calls = []
+    locate = measures.BoundaryPartition.locate_angle
+
+    def counted(part, theta):
+        calls.append(len(part))
+        return locate(part, theta)
+
+    monkeypatch.setattr(measures.BoundaryPartition, "locate_angle", counted)
+    measures._cached_atoms.cache_clear()
+    warm = [_plane_check_bits(part, cap) for part in parts]
+    # one binning per switch of partition, on one cached atom set
+    assert calls == [64, 256, 64]
+    assert measures._cached_atoms.cache_info().misses == 1
+    for part, bits in zip(parts, warm):
+        measures._cached_atoms.cache_clear()
+        assert _plane_check_bits(part, cap) == bits
+
+
+def test_plane_cell_index_is_uint16():
+    atoms = measures._plane_atoms(2j, 10.0)
+    for n in (64, 256):
+        idx, sums = atoms.far_cells(measures.plane_partition(n))
+        assert idx.dtype == np.uint16 and len(idx) == len(atoms.z)
+        assert [len(s) for s in sums] \
+            == [n] * len(measures.DEFAULT_S_GRID_PLANE)
+
+
+def test_shadow_angle_wrap_equals_mod_bit_for_bit():
+    rng = np.random.default_rng(11)
+    theta, lo = rng.uniform(-math.pi, math.pi, (2, 10000))
+    x = np.concatenate([[0.0, math.pi, -math.pi, -1e-300], theta - lo])
+    assert (measures._wrap_angle(x).tobytes()
+            == np.mod(x, 2.0 * math.pi).tobytes())
+
+
 def test_locate_angle_array_matches_scalar_formula():
     part = measures.plane_partition(256)
     n, lo0 = len(part), part.cells[0][0]

@@ -182,6 +182,57 @@ def test_modular_ball_rows_are_sorted_unique_int64():
     assert np.all(el[:, 0] * el[:, 3] - el[:, 1] * el[:, 2] == 1)
 
 
+def _ball_oracle_cases():
+    rng = np.random.default_rng(30)
+    cases = [(complex(x, math.exp(ly)), float(R)) for x, ly, R in zip(
+        rng.uniform(-3.0, 3.0, 40), rng.uniform(-2.5, 1.5, 40),
+        rng.uniform(0.0, 8.0, 40))]
+    values = sorted({4 * a * a + b * b + 16 * c * c + 4 * d * d
+                     for a, b, c, d in _brute_ball_2i(400)})
+    sphere = [(2j, math.acosh(m / 8.0)) for m in (values[10], values[40])]
+    return cases + sphere + [(0.3 + 1.7j, 9.0), (2j, 12.0)]
+
+
+@pytest.mark.parametrize("p, R", _ball_oracle_cases())
+def test_modular_ball_equals_the_unpacked_kernel(p, R):
+    got = modular.modular_ball(p, R).elements
+    want = reference.modular_ball(p, R).elements
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("column", range(4))
+def test_modular_ball_refuses_a_column_outside_its_bound(column,
+                                                         monkeypatch):
+    bounds = modular._ball_column_bounds
+
+    def shrunk(p, R):
+        b = list(bounds(p, R))
+        b[column] = b[column] // 2
+        return tuple(b)
+
+    monkeypatch.setattr(modular, "_ball_column_bounds", shrunk)
+    with pytest.raises(ValueError, match="a-priori column bound"):
+        modular.modular_ball(0.3 + 1.7j, 6.0)
+
+
+def test_modular_ball_refuses_a_key_overflow_before_enumerating():
+    with pytest.raises(ValueError, match="overflows the int64 sort key"):
+        modular.modular_ball(2j, 30.0)
+
+
+@pytest.mark.parametrize("R", [math.inf, math.nan, -1.0])
+def test_modular_ball_refuses_a_radius_that_is_not_finite(R):
+    with pytest.raises(ValueError, match="orbit-ball radius must be finite"):
+        modular.modular_ball(2j, R)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, -1.0])
+def test_census_refuses_a_length_that_is_not_finite(T):
+    with pytest.raises(ValueError, match="length bound must be finite"):
+        modular.enumerate_conj_classes(T)
+
+
 def _brute_census(T):
     """Conjugacy classes via direct R/L-word enumeration with rotation
     dedup, written independently of the library enumeration."""
