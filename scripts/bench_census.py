@@ -8,10 +8,15 @@ PARENT and CHANGE are directories holding a checkout of the repository
 (for example `git archive` copies); the rounds are run by `abbench`.
 Each figure is the median over the rounds:
 
-- `kernel`: `words.necklaces(n)` at n = 11 and 12 and
-  `modular.enumerate_conj_classes(T)` at T = 10..14 (the median of
-  KERNEL_CALLS calls per process), with the sha256 of each list: the
-  words, or every field of every class with the length's bits;
+- `kernel`: `words.necklaces(n)` at n = 11 and 12,
+  `modular.enumerate_conj_classes(T)` at T = 10..14 and
+  `counting.geodesic_census(PLANE, T)` at T = 12 and 14 (the median of
+  KERNEL_CALLS calls per process), with the sha256 of each output: the
+  words, every field of every class with the length's bits (the same
+  tuples from a list of class records or from a census of columns), or
+  the (length bits, word) entries; and `words.necklace_levels.T` for
+  T = 12 and 14, the time spent inside the kernel during those census
+  calls, with the digest of its words;
 - `conformal`: the fastest of 15 x 2000 calls of one tree
   `conformal_check` on `tree_partition(5)`, in microseconds, with the
   defects of four fixed base pairs;
@@ -22,7 +27,9 @@ Each figure is the median over the rounds:
   exact_census --trace 1` at both seeds and `modular.mat_mul.calls` of
   `--workload flow_mc --trace 1` at seed 1; and `wall_s` of
   `exact_census --trace 0` at both seeds (one value per round, with each
-  side's quartiles and the share of rounds the change won).
+  side's quartiles and the share of rounds the change won);
+- `census_over_necklace_levels`: the median over the rounds of each
+  round's census time over its kernel time, at T = 12 and 14.
 
 The result is written as JSON under the key `census`.
 """
@@ -46,6 +53,8 @@ WORKLOADS = {
 NECKLACE_N = (11, 12)
 CLASS_T = (10, 11, 12, 13, 14)
 KERNEL_CALLS = {11: 5, 12: 5, 10: 5, 13: 1, 14: 1}
+CENSUS_T = (12, 14)
+CENSUS_CALLS = {12: 5, 14: 3}
 PAIRS = (("", "a"), ("ab", "Ba"), ("aBA", "b"), ("abA", "BAb"))
 LAYERS = ("words.necklaces.s", "modular.enumerate_conj_classes.s",
           "counting.geodesic_census.s", "modular.mat_mul.calls")
@@ -56,6 +65,18 @@ def digest(items):
     for item in items:
         h.update(repr(item).encode())
     return h.hexdigest()[:16]
+
+
+def class_fields(cs):
+    """(word, matrix, trace, length bits, primitive) per class, from a
+    list of class records or from a census of columns."""
+    if hasattr(cs, "matrices"):
+        m = cs.matrices.tolist()
+        return zip(cs.words, map(tuple, m), (r[0] + r[3] for r in m),
+                   map(float.hex, cs.lengths.tolist()),
+                   cs.primitive.tolist())
+    return ((c.word, c.matrix, c.trace, c.length.hex(), c.primitive)
+            for c in cs)
 
 
 def timed(fn, calls):
@@ -72,8 +93,8 @@ def worker(checkout):
     """Kernel, conformal and stage times in this process, as one JSON
     line."""
     abbench.use_checkout(checkout)
-    from hyplab import measures, modular, words
-    from hyplab.geometry import TREE
+    from hyplab import counting, measures, modular, words
+    from hyplab.geometry import PLANE, TREE
 
     out = {"kernel": {}, "stages": {}}
     for n in NECKLACE_N:
@@ -83,8 +104,25 @@ def worker(checkout):
         s, cs = timed(lambda: modular.enumerate_conj_classes(T),
                       KERNEL_CALLS[T])
         out["kernel"][f"enumerate_conj_classes.T{T}"] = [s, digest(
-            (c.word, c.matrix, c.trace, c.length.hex(), c.primitive)
-            for c in cs)]
+            class_fields(cs))]
+    levels, inner = words.necklace_levels, []
+
+    def timed_levels(*args):
+        t0 = time.perf_counter()
+        res = levels(*args)
+        inner.append((time.perf_counter() - t0, res[0]))
+        return res
+
+    words.necklace_levels = timed_levels
+    for T in CENSUS_T:
+        inner.clear()
+        s, gc = timed(lambda: counting.geodesic_census(PLANE, T),
+                      CENSUS_CALLS[T])
+        out["kernel"][f"geodesic_census.T{T}"] = [s, digest(
+            (length.hex(), w) for length, w in gc.entries)]
+        out["kernel"][f"necklace_levels.T{T}"] = [
+            statistics.median(t for t, _ in inner), digest(inner[0][1])]
+    words.necklace_levels = levels
     part = measures.tree_partition(5)
     best = min(timeit.repeat(
         lambda: measures.conformal_check(TREE, "ab", "Ba", part),
@@ -129,6 +167,10 @@ def summarise(recs):
                 r["flow_mc.modular.mat_mul.calls.seed1"] for r in recs)},
         "exact_census.wall_s": {f"seed{seed}": abbench.runs(
             recs, f"wall_s.seed{seed}") for seed in SEEDS},
+        "census_over_necklace_levels": {f"T{T}": med(
+            r["kernel"][f"geodesic_census.T{T}"][0]
+            / r["kernel"][f"necklace_levels.T{T}"][0] for r in recs)
+            for T in CENSUS_T},
     }
 
 

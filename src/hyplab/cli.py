@@ -148,9 +148,7 @@ def cmd_count(args):
     if T is not None:
         gc = counting.geodesic_census(backend, T, rank=rank)
         write_csv(os.path.join(out, "geodesic_census.csv"),
-                  ("length", "word"),
-                  sorted((length, w) for length, w in gc.entries),
-                  cfg, "thm-2.10")
+                  ("length", "word"), gc.entries, cfg, "thm-2.10")
         table = counting.margulis_table(
             gc, gc.h, [t for t in range(4, int(T) + 1)])
         write_csv(os.path.join(out, "margulis.csv"),

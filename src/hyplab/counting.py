@@ -5,12 +5,13 @@ growth constants, primitive closed-geodesic counts on the exact backends,
 and the Margulis-law ratio P(t)*h*t / e^{h t}.
 """
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import flat, halfplane, modular, words
-from .geometry import FLAT, PLANE, TREE, BackendMismatch
+from .geometry import FLAT, PLANE, TREE, BackendMismatch, GeodesicCensus
 
 
 @dataclass(frozen=True)
@@ -54,38 +55,6 @@ class EntropyEstimate:
     def __post_init__(self):
         if self.C1 > self.C2 + 1e-12:
             raise ValueError("C1 must not exceed C2")
-
-
-@dataclass(frozen=True)
-class GeodesicCensus:
-    """Primitive closed-geodesic lengths sorted increasingly.
-
-    P(t) is the right-continuous counting function of the length list.
-    """
-
-    backend: str
-    entries: tuple  # ((length, label), ...) sorted by length
-    h: float
-    complete: bool = True
-    _lengths: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ls = tuple(l for l, _ in self.entries)
-        if any(b < a for a, b in zip(ls, ls[1:])):
-            raise ValueError("entries must be sorted by length")
-        object.__setattr__(self, "_lengths", ls)
-
-    def count(self, t):
-        """P(t) = number of classes of length <= t."""
-        return bisect.bisect_right(self._lengths, t + 1e-12)
-
-    @property
-    def lengths(self):
-        return list(self._lengths)
-
-    @property
-    def max_length(self):
-        return self._lengths[-1] if self._lengths else 0.0
 
 
 def orbit_count(backend, base, r_grid, rank=2):
@@ -149,30 +118,29 @@ def fit_entropy(census, window=None):
 
 
 def geodesic_census(backend, T, rank=2):
-    """All primitive closed-geodesic classes of length <= T.
+    """All primitive closed-geodesic classes of length <= T, as a
+    GeodesicCensus complete to T.
 
     Tree classes are necklaces (oriented cyclic reduced words up to
     rotation); modular classes come from the exact R/L-word enumeration.
     Both routes are complete.
     """
     if backend == TREE:
-        entries = tuple((float(len(w)), w)
-                        for w in words.necklaces(int(T), rank))
-        return GeodesicCensus(TREE, entries, h=math.log(2 * rank - 1))
+        ws = words.necklaces(int(T), rank)
+        return GeodesicCensus(TREE, tuple(ws),
+                              np.fromiter(map(len, ws), float, len(ws)),
+                              h=math.log(2 * rank - 1), T=float(T))
     if backend == PLANE:
-        classes = modular.enumerate_conj_classes(T)
-        entries = tuple((c.length, c.word) for c in classes if c.primitive)
-        return GeodesicCensus(PLANE, entries, h=1.0)
+        return modular.enumerate_conj_classes(T)
     raise BackendMismatch(f"no closed-geodesic census on backend "
                           f"{backend!r} (no hyperbolic elements)")
 
 
 def margulis_ratio(census, h, t):
-    """P(t) * h * t / e^{h t}, the Margulis-law normalization."""
+    """P(t) * h * t / e^{h t}, the Margulis-law normalization; t beyond
+    the census bound raises ValueError."""
     if h <= 0:
         raise ValueError("need h > 0")
-    if t > census.max_length and not census.complete:
-        raise ValueError("t beyond census completeness")
     return census.count(t) * h * t / math.exp(h * t)
 
 

@@ -683,22 +683,24 @@ def equidistribution_test(census, T):
 
     mu_T averages arc length over all primitive classes of length <= T,
     normalized to a probability measure.  Each geodesic is sampled
-    uniformly along one period [0, ell) of its axis (modular.class_axes),
-    from t = 0 at the top of the semicircle.  The samples are folded into
-    the fundamental domain with their tangent directions and binned into
-    16 position x direction cells.  Whole classes are sampled, folded and
+    uniformly along one period [0, ell) of its axis, which
+    modular.class_axes solves from the census's matrix rows, from t = 0
+    at the top of the semicircle.  The samples are folded into the
+    fundamental domain with their tangent directions and binned into 16
+    position x direction cells.  Whole classes are sampled, folded and
     binned together, in passes of at most _EQUIDIST_CHUNK points.
 
     Returns (mu_masses, liouville_masses, per-cell gaps).  Raises
-    ValueError when no class has length <= T.
+    ValueError when no class has length <= T, or when T exceeds the
+    census bound.
     """
     if census.backend != PLANE:
         raise BackendMismatch("equidistribution runs on the modular census")
-    kept = [(ell, w) for ell, w in census.entries if ell <= T + 1e-12]
-    if not kept:
+    n = census.count(T)
+    if not n:
         raise ValueError(f"no closed geodesic of length <= {T}")
-    ells = np.array([ell for ell, _ in kept])
-    _, us, ends = modular.class_axes([w for _, w in kept])
+    ells = census.lengths[:n]
+    us, ends = modular.class_axes(census.matrices[:n])
     los, his = np.minimum(us, ends), np.maximum(us, ends)
     signs = np.where(ends > us, 1.0, -1.0)
     # log|w| at the top of the semicircle, the axis's origin, is rounding

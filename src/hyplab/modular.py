@@ -5,6 +5,9 @@ its orbit balls are enumerated directly at the matrix level (complete,
 with certificate; the sphere itself is decided in float64) as int64
 arrays, and its primitive hyperbolic conjugacy classes are the
 rotation-canonical cyclic words in R = [[1,1],[0,1]], L = [[1,0],[1,1]].
+The class census is one `geometry.GeodesicCensus` of columns: the
+words, their lengths, their int64 matrix rows and primitive flags, from
+which `class_axes` solves the axes.
 """
 
 import math
@@ -14,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import halfplane, words
+from .geometry import PLANE, GeodesicCensus
 
-R_MAT = (1, 1, 0, 1)
-L_MAT = (1, 0, 1, 1)
 IDENT = (1, 0, 0, 1)
 
 
@@ -30,10 +32,6 @@ def mat_mul(m1, m2):
 def mat_inv(m):
     a, b, c, d = m
     return (d, -b, -c, a)  # valid for det 1
-
-
-def trace(m):
-    return m[0] + m[3]
 
 
 @dataclass
@@ -194,23 +192,13 @@ def _ext_gcd_rows(a, b):
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    word: str            # rotation-canonical word in R, L
-    matrix: tuple        # integer product matrix
-    trace: int
-    length: float        # 2*arccosh(trace/2)
-    primitive: bool = True
-
-    def __repr__(self):
-        return f"ConjClass({self.word}, tr={self.trace}, l={self.length:.4f})"
-
-
 def enumerate_conj_classes(T, include_imprimitive=False):
     """Primitive hyperbolic conjugacy classes of PSL(2, Z) with translation
-    length <= T, in (length, word) order, as canonical cyclic words in R
-    and L (both letters present; least rotation with L < R).  Oriented: a
-    class and its inverse are counted separately unless they coincide.
+    length <= T, as a GeodesicCensus complete to T, in (length, word)
+    order, of canonical cyclic words in R and L (both letters present;
+    least rotation with L < R) with their matrix rows and primitive
+    flags.  Oriented: a class and its inverse are counted separately
+    unless they coincide.
 
     Complete: words.necklace_levels drops, level by level, each prefix
     whose trace exceeds 2*cosh(T/2).  Every prefix of a necklace is a
@@ -233,44 +221,38 @@ def enumerate_conj_classes(T, include_imprimitive=False):
     ws, m, prim = words.necklace_levels(
         "LR", math.ceil(trmax), step, IDENT,
         lambda codes, m: m[:, 0] + m[:, 3] > 2, not include_imprimitive)
-    tr = (m[:, 0] + m[:, 3]).tolist()
-    length = {t: 2.0 * math.acosh(t / 2.0) for t in set(tr)}
-    out = [ConjClass(*c) for c in zip(ws, zip(*m.T.tolist()), tr,
-                                      map(length.get, tr), prim.tolist())]
-    out.sort(key=lambda c: c.word)  # then stably by length: (length, word)
-    out.sort(key=lambda c: c.length)  # order without a tuple key per class
-    return out
+    # the length increases with the trace, so (trace, word) order is
+    # (length, word) order; arccosh once per distinct trace
+    tr = m[:, 0] + m[:, 3]
+    ws = np.array(ws, dtype=object)
+    order = np.lexsort((ws, tr))
+    traces, at = np.unique(tr[order], return_inverse=True)
+    lengths = np.array([2.0 * math.acosh(t / 2.0) for t in traces.tolist()])
+    return GeodesicCensus(PLANE, tuple(ws[order].tolist()), lengths[at],
+                          h=1.0, T=float(T), matrices=m[order],
+                          primitive=prim[order])
 
 
-def class_axes(ws):
-    """Matrices and axes of hyperbolic R/L words, as arrays.
+def class_axes(m):
+    """Axes of hyperbolic classes from their int64 (n, 4) matrix rows
+    (a, b, c, d), as a census holds them.
 
-    The product matrices are built column by column over the words'
-    letter codes, in int64.  A word holding both letters has c >= 1 and
-    trace t > 2, so its fixed points (a - d -+ sqrt(t^2 - 4)) / 2c are
-    finite; the attracting one has |gamma'(x)| = 1 / (c x + d)^2 < 1.
-    Returns (m, u, v): m the int64 (4, n) rows a, b, c, d, and u, v the
+    A both-letter R/L word has c >= 1 and trace t > 2, so its fixed
+    points (a - d -+ sqrt(t^2 - 4)) / 2c are finite; the attracting one
+    has |gamma'(x)| = 1 / (c x + d)^2 < 1.  Returns (u, v), the
     repelling and attracting fixed points, so that each matrix
     translates the axis from u to v forward by its length.  Raises
-    ValueError on a word with another letter or without both.
+    ValueError on a row without c >= 1 and t > 2.
     """
-    m = np.array(IDENT, dtype=np.int64)[:, None].repeat(len(ws), axis=1)
-    a, b, c, d = m  # row views, updated in place
-    for col in np.ascontiguousarray(words._codes(ws).T):
-        by_r, by_l = col == ord("R"), col == ord("L")  # right factors
-        np.add(b, a, out=b, where=by_r)
-        np.add(d, c, out=d, where=by_r)
-        np.add(a, b, out=a, where=by_l)
-        np.add(c, d, out=c, where=by_l)
+    a, b, c, d = m.T
     t = a + d
-    if not (set("".join(ws)) <= set("RL") and (c >= 1).all()
-            and (t > 2).all()):
-        raise ValueError("class_axes needs R/L words with both letters")
+    if not ((c >= 1).all() and (t > 2).all()):
+        raise ValueError("class_axes needs rows with c >= 1 and trace > 2")
     sq = np.sqrt(t * t - 4.0)
     x1 = (a - d - sq) / (2.0 * c)
     x2 = (a - d + sq) / (2.0 * c)
     att = np.abs(c * x1 + d) > 1.0  # x1 is the attracting end
-    return m, np.where(att, x2, x1), np.where(att, x1, x2)
+    return np.where(att, x2, x1), np.where(att, x1, x2)
 
 
 # ---------------------------------------------------------------------------

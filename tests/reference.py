@@ -47,11 +47,19 @@ def normalize(m):
     raise ValueError("zero matrix")
 
 
+R_MAT = (1, 1, 0, 1)
+L_MAT = (1, 0, 1, 1)
+
+
+def trace(m):
+    return m[0] + m[3]
+
+
 def word_matrix(w):
     """The product of R and L over an R/L word, one letter at a time."""
     m = modular.IDENT
     for ch in w:
-        m = modular.mat_mul(m, modular.R_MAT if ch == "R" else modular.L_MAT)
+        m = modular.mat_mul(m, R_MAT if ch == "R" else L_MAT)
     return m
 
 
@@ -155,19 +163,19 @@ def necklaces(max_len, rank=2, primitive_only=True):
 
 def conj_classes(T, include_imprimitive=False):
     """modular.enumerate_conj_classes by the depth-first necklace_words,
-    one tuple mat_mul per prefix."""
+    one tuple mat_mul per prefix: (word, matrix, trace, length,
+    primitive) tuples in (length, word) order."""
     trmax = 2.0 * math.cosh(T / 2.0)
 
     def step(m, ch):
-        m2 = modular.mat_mul(m, modular.R_MAT if ch == "R" else modular.L_MAT)
-        return m2 if modular.trace(m2) <= trmax else None
+        m2 = modular.mat_mul(m, R_MAT if ch == "R" else L_MAT)
+        return m2 if trace(m2) <= trmax else None
 
-    out = [modular.ConjClass(w, m, modular.trace(m),
-                             2.0 * math.acosh(modular.trace(m) / 2.0), prim)
+    out = [(w, m, trace(m), 2.0 * math.acosh(trace(m) / 2.0), prim)
            for w, m, prim in necklace_words(
                "LR", math.ceil(trmax), step, modular.IDENT,
                lambda w, m: "L" in w and "R" in w, not include_imprimitive)]
-    out.sort(key=lambda c: (c.length, c.word))
+    out.sort(key=lambda c: (c[3], c[0]))
     return out
 
 

@@ -1,10 +1,11 @@
 """Orbit censuses, entropy fits, and geodesic counting statistics."""
 
+import bisect
 import math
 
 import pytest
 
-from hyplab import counting, modular, words
+from hyplab import counting, measures, modular, words
 from hyplab.geometry import FLAT, PLANE, TREE, BackendMismatch
 
 import reference
@@ -95,6 +96,39 @@ def test_margulis_table_shape():
     assert counts == sorted(counts)
 
 
+@pytest.mark.parametrize("backend, T", [(TREE, 8), (PLANE, 10.0)])
+def test_census_comes_in_length_then_word_order(backend, T):
+    census = counting.geodesic_census(backend, T)
+    assert list(census.entries) == sorted(census.entries)
+
+
+@pytest.mark.parametrize("backend, T", [(TREE, 8), (PLANE, 10.0)])
+def test_count_is_the_length_bisection_with_slack(backend, T):
+    census = counting.geodesic_census(backend, T)
+    lengths = census.lengths.tolist()
+    for x in sorted(set(lengths)):
+        for y in (x, x - 1e-12):  # at each length and at its slack edge
+            for t in (math.nextafter(y, -math.inf), y,
+                      math.nextafter(y, math.inf)):
+                if t <= T:
+                    assert census.count(t) \
+                        == bisect.bisect_right(lengths, t + 1e-12)
+
+
+@pytest.mark.parametrize("backend", [TREE, PLANE])
+def test_census_refuses_t_beyond_its_bound(backend):
+    census = counting.geodesic_census(backend, 6)
+    assert census.count(6) == len(census)
+    for t in (9, math.nan):
+        with pytest.raises(ValueError, match="beyond the census bound"):
+            census.count(t)
+    with pytest.raises(ValueError, match="beyond the census bound"):
+        counting.margulis_ratio(census, census.h, 9)
+    if backend == PLANE:
+        with pytest.raises(ValueError, match="beyond the census bound"):
+            measures.equidistribution_test(census, 9)
+
+
 def _matrix_root_test(m, k):
     """Integer k-th root of a hyperbolic matrix in PSL(2, Z), if any.
 
@@ -102,7 +136,7 @@ def _matrix_root_test(m, k):
     the trace of m0 and U_j the trace-recurrence coefficients, so a root
     exists iff (m + U_{k-2} I) / U_{k-1} is integral with determinant 1.
     """
-    t = modular.trace(m)
+    t = reference.trace(m)
     for s in range(3, t + 1):
         u_prev, u = 0, 1  # U_{-1}, U_0
         for _ in range(k - 1):
@@ -135,7 +169,7 @@ def primitive_test(element):
             raise ValueError("identity element has no primitivity class")
         return reference.is_primitive(w)
     m = reference.normalize(tuple(int(x) for x in element))
-    t = modular.trace(m)
+    t = reference.trace(m)
     if abs(t) <= 2:
         raise ValueError("only a hyperbolic element has a primitivity class")
     k = 2
@@ -164,8 +198,8 @@ def test_primitive_test_matrices():
 def test_primitive_test_agrees_with_the_necklace_period():
     # the Cayley-Hamilton root test shares no code with the necklace
     # period that enumerate_conj_classes reads primitivity from
-    classes = counting.modular.enumerate_conj_classes(
+    census = counting.modular.enumerate_conj_classes(
         8, include_imprimitive=True)
-    assert any(not c.primitive for c in classes)
-    for c in classes:
-        assert primitive_test(c.matrix) == c.primitive
+    assert not census.primitive.all()
+    for m, prim in zip(census.matrices.tolist(), census.primitive.tolist()):
+        assert primitive_test(m) == prim

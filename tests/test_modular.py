@@ -27,21 +27,22 @@ def test_mat_inverse_and_power():
 
 @pytest.fixture(scope="module")
 def axes_t10():
-    """The T = 10 census classes with their class_axes arrays."""
-    classes = modular.enumerate_conj_classes(10.0)
-    return classes, modular.class_axes([c.word for c in classes])
+    """The T = 10 census with the class_axes of its matrix rows."""
+    census = modular.enumerate_conj_classes(10.0)
+    return census, modular.class_axes(census.matrices)
 
 
-def test_class_axes_matrices_equal_the_word_products(axes_t10):
-    classes, (m, _, _) = axes_t10
-    assert m.dtype == np.int64 and m.shape == (4, len(classes))
-    assert [tuple(r) for r in m.T.tolist()] \
-        == [reference.word_matrix(c.word) for c in classes]
+def test_census_matrices_equal_the_word_products(axes_t10):
+    census, _ = axes_t10
+    m = census.matrices
+    assert m.dtype == np.int64 and m.shape == (len(census), 4)
+    assert [tuple(r) for r in m.tolist()] \
+        == [reference.word_matrix(w) for w in census.words]
 
 
 def test_class_axes_ends_are_fixed_and_v_attracts(axes_t10):
-    _, (m, u, v) = axes_t10
-    a, b, c, d = m
+    census, (u, v) = axes_t10
+    a, b, c, d = census.matrices.T
     for x in (u, v):
         assert np.allclose((a * x + b) / (c * x + d), x, rtol=1e-12)
     # the derivative 1 / (c x + d)^2 of each matrix is < 1 at v only
@@ -50,18 +51,22 @@ def test_class_axes_ends_are_fixed_and_v_attracts(axes_t10):
 
 
 def test_class_axes_translate_axis_points_by_the_class_length(axes_t10):
-    classes, (m, u, v) = axes_t10
-    for i in range(0, len(classes), 7):
-        geo, ell = halfplane.line(u[i], v[i]), classes[i].length
+    census, (u, v) = axes_t10
+    lengths = census.lengths.tolist()
+    for i in range(0, len(census), 7):
+        geo, ell = halfplane.line(u[i], v[i]), lengths[i]
         for t in (-0.3, 1.7):
-            z = halfplane.mobius_apply(tuple(m[:, i].tolist()), geo.point(t))
+            z = halfplane.mobius_apply(tuple(census.matrices[i].tolist()),
+                                       geo.point(t))
             assert halfplane.dist(z, geo.point(t + ell)) < 1e-7
 
 
 def test_class_axes_refuses_words_that_are_not_hyperbolic():
-    for ws in (["RL", "RRR"], ["LL"], ["RLx"]):
+    # R^3 has c = 0 (parabolic) and L^2 has trace 2
+    for ws in (["RL", "RRR"], ["LL"]):
+        m = np.array([reference.word_matrix(w) for w in ws], dtype=np.int64)
         with pytest.raises(ValueError):
-            modular.class_axes(ws)
+            modular.class_axes(m)
 
 
 WORD_BALL_BUFFER = 4.0  # word_ball extends words up to displacement R + this
@@ -79,7 +84,8 @@ def word_ball(p, R):
     completeness claim; it ends when the pruned frontier exhausts itself.
     """
     p = complex(p)
-    gens = [reference.normalize(g) for m in (modular.R_MAT, modular.L_MAT)
+    gens = [reference.normalize(g)
+            for m in (reference.R_MAT, reference.L_MAT)
             for g in (m, modular.mat_inv(m))]
     seen = {modular.IDENT}
     frontier = [modular.IDENT]
@@ -250,9 +256,9 @@ def _brute_census(T):
             key = min(rots)
             m = modular.IDENT
             for c in word:
-                m = modular.mat_mul(m, modular.R_MAT if c == "R"
-                                    else modular.L_MAT)
-            t = modular.trace(m)
+                m = modular.mat_mul(m, reference.R_MAT if c == "R"
+                                    else reference.L_MAT)
+            t = reference.trace(m)
             min_trace = t if min_trace is None else min(min_trace, t)
             if t <= bound + 1e-9:
                 classes[key] = 2.0 * math.acosh(t / 2.0)
@@ -264,7 +270,7 @@ def _brute_census(T):
 
 def test_census_matches_brute_force_at_small_T():
     census = modular.enumerate_conj_classes(4.0)
-    got = sorted(c.length for c in census if c.primitive)
+    got = sorted(census.lengths[census.primitive].tolist())
     want = _brute_census(4.0)
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -272,18 +278,19 @@ def test_census_matches_brute_force_at_small_T():
 
 
 def test_census_lengths_match_traces():
-    for c in modular.enumerate_conj_classes(6.0):
+    census = modular.enumerate_conj_classes(6.0)
+    for w, length in zip(census.words, census.lengths.tolist()):
         m = modular.IDENT
-        for ch in c.word:
-            m = modular.mat_mul(m, modular.R_MAT if ch == "R"
-                                else modular.L_MAT)
-        t = modular.trace(m)
-        assert c.length == pytest.approx(2.0 * math.acosh(t / 2.0), abs=1e-12)
+        for ch in w:
+            m = modular.mat_mul(m, reference.R_MAT if ch == "R"
+                                else reference.L_MAT)
+        t = reference.trace(m)
+        assert length == pytest.approx(2.0 * math.acosh(t / 2.0), abs=1e-12)
 
 
 def test_shortest_class_is_the_commutator_of_the_cusp_generators():
     census = modular.enumerate_conj_classes(3.0)
-    lengths = sorted(c.length for c in census)
+    lengths = sorted(census.lengths.tolist())
     # trace 3 (word RL) gives the systole 2 arccosh(3/2)
     assert lengths[0] == pytest.approx(2.0 * math.acosh(1.5))
 
@@ -301,31 +308,45 @@ def _brute_classes(T, include_imprimitive):
             found.add(min(w[i:] + w[:i] for i in range(len(w))))
         if len(w) < math.ceil(trmax):
             for ch in "LR":
-                if modular.trace(reference.word_matrix(w + ch)) <= trmax:
+                if reference.trace(reference.word_matrix(w + ch)) <= trmax:
                     stack.append(w + ch)
     out = []
     for w in found:
         prim = len({w[i:] + w[:i] for i in range(len(w))}) == len(w)
         if prim or include_imprimitive:
             m = reference.word_matrix(w)
-            t = modular.trace(m)
-            out.append(modular.ConjClass(w, m, t, 2.0 * math.acosh(t / 2.0),
-                                         prim))
-    return sorted(out, key=lambda c: (c.length, c.word))
+            t = reference.trace(m)
+            out.append((w, m, t, 2.0 * math.acosh(t / 2.0), prim))
+    return sorted(out, key=lambda c: (c[3], c[0]))
+
+
+def _census_fields(census):
+    """One tuple per class of a plane census: the word, the matrix row
+    and its trace, the length as its bits and the primitive flag, after
+    checking the columns' dtypes."""
+    m = census.matrices
+    assert m.dtype == np.int64 and m.shape == (len(census), 4)
+    assert census.lengths.dtype == np.float64
+    assert census.primitive.dtype == bool
+    return list(zip(census.words, map(tuple, m.tolist()),
+                    (m[:, 0] + m[:, 3]).tolist(),
+                    map(float.hex, census.lengths.tolist()),
+                    census.primitive.tolist()))
+
+
+def _class_fields(classes):
+    """The same tuples from (word, matrix, trace, length, primitive)
+    tuples, after checking that the integer entries are ints."""
+    assert all(type(x) is int for c in classes for x in (*c[1], c[2]))
+    return [(w, m, t, length.hex(), p) for w, m, t, length, p in classes]
 
 
 @pytest.mark.parametrize("T", [6.0, 8.0])
 @pytest.mark.parametrize("include_imprimitive", [False, True])
 def test_census_equals_rotation_brute_force(T, include_imprimitive):
-    assert (modular.enumerate_conj_classes(T, include_imprimitive)
-            == _brute_classes(T, include_imprimitive))
-
-
-def _fields(c):
-    """Every field of a class, the length as its bits and the integer
-    entries with their types."""
-    return (c.word, c.matrix, tuple(map(type, c.matrix)), c.trace,
-            type(c.trace), c.length.hex(), c.primitive)
+    got = modular.enumerate_conj_classes(T, include_imprimitive)
+    want = _brute_classes(T, include_imprimitive)
+    assert _census_fields(got) == _class_fields(want)
 
 
 @pytest.mark.parametrize("T", [6.0, 7.0, 8.0, 9.0, 10.0, 11.0])
@@ -333,7 +354,7 @@ def _fields(c):
 def test_census_equals_the_depth_first_oracle(T, include_imprimitive):
     got = modular.enumerate_conj_classes(T, include_imprimitive)
     want = reference.conj_classes(T, include_imprimitive)
-    assert [_fields(c) for c in got] == [_fields(c) for c in want]
+    assert _census_fields(got) == _class_fields(want)
 
 
 def test_census_size_at_T12():

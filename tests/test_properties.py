@@ -50,7 +50,8 @@ rl_words = st.lists(st.sampled_from(["R", "L"]), min_size=1, max_size=8)
 def _word_to_matrix(letters):
     m = modular.IDENT
     for c in letters:
-        m = modular.mat_mul(m, modular.R_MAT if c == "R" else modular.L_MAT)
+        m = modular.mat_mul(m, reference.R_MAT if c == "R"
+                            else reference.L_MAT)
     return m
 
 
