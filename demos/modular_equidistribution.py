@@ -1,10 +1,11 @@
 """Closed geodesics on the modular surface equidistribute toward
 Liouville measure.
 
-Enumerates all primitive classes up to length T, spreads each closed
-geodesic uniformly over its period, folds into the fundamental domain,
-and compares cell masses against the Liouville reference, which splits
-the 16 position-by-angle cells exactly evenly.
+Enumerates all primitive classes up to length T, walks one period of
+each closed geodesic through the fundamental domain excursion by
+excursion, takes the exact time it spends in each of the 16
+position-by-angle cells, and compares the cell masses against the
+Liouville reference, which splits the cells exactly evenly.
 """
 
 from hyplab import counting, measures

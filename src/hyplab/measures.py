@@ -641,58 +641,31 @@ def pair_invariance_check(pm, gamma, cap=None):
 # hyperbolic area pi/12 (area above height Y is 1/Y for Y >= 1)
 _Y_CUTS = (4.0 / math.pi, 6.0 / math.pi, 12.0 / math.pi)
 _N_THETA = 4  # direction bins per height band
-_SAMPLES_PER_UNIT = 40  # samples per unit length along a closed geodesic
-# sample points per equidistribution pass: enough to amortise the numpy
-# calls over many classes, small enough that the pass's temporaries stay
-# a few hundred KB (2**16 points was slower and raised the peak RSS)
-_EQUIDIST_CHUNK = 4096
-
-
-def _cell_index(z, theta):
-    ybin = np.digitize(z.imag, _Y_CUTS)
-    tbin = np.minimum((theta / (2.0 * math.pi / _N_THETA)).astype(int),
-                      _N_THETA - 1)
-    return ybin * _N_THETA + tbin
 
 
 def liouville_cell_masses():
-    """Reference masses of the 16 position x direction cells.
-
-    Liouville measure is the product of the normalized hyperbolic area
-    and the uniform angle; the y cuts are chosen so each of the 4 x 4
-    cells carries exactly 1/16.  Verified here by quadrature on the area
-    factor rather than asserted.
-    """
-    area = []
-    xs = np.linspace(-0.5, 0.5, 4001)[:-1] + 1.0 / 8000
-    floor = np.sqrt(1.0 - xs ** 2)
-    cuts = (0.0,) + _Y_CUTS + (np.inf,)
-    for lo, hi in zip(cuts, cuts[1:]):
-        ylo = np.maximum(floor, lo)
-        yhi = np.full_like(xs, hi)
-        col = np.clip(1.0 / ylo - (0.0 if np.isinf(hi) else 1.0 / yhi),
-                      0.0, None)
-        area.append(col.mean())
-    area = np.array(area)
-    area /= area.sum()
-    return np.repeat(area, _N_THETA) / _N_THETA
+    """Liouville masses of the 16 position x direction cells: area times
+    uniform angle.  The domain's area above y = Y >= 1 is 1/Y out of
+    pi/3, so the cuts 4/pi, 6/pi and 12/pi make four bands of pi/12."""
+    area = -np.diff((math.pi / 3, *(1.0 / y for y in _Y_CUTS), 0.0))
+    return np.repeat(area / (math.pi / 3), _N_THETA) / _N_THETA
 
 
 def equidistribution_test(census, T):
     """Cell masses of the closed-geodesic measure mu_T against Liouville.
 
     mu_T averages arc length over all primitive classes of length <= T,
-    normalized to a probability measure.  Each geodesic is sampled
-    uniformly along one period [0, ell) of its axis, which
-    modular.class_axes solves from the census's matrix rows, from t = 0
-    at the top of the semicircle.  The samples are folded into the
-    fundamental domain with their tangent directions and binned into 16
-    position x direction cells.  Whole classes are sampled, folded and
-    binned together, in passes of at most _EQUIDIST_CHUNK points.
+    normalized to a probability measure.  modular.strip_walk cuts each
+    period into pieces in the strip F_inf; y and the direction are
+    translation invariant, so a piece is one excursion in the domain.
+    On an axis of radius r, y = r / cosh(t) at distance t from the top,
+    so the time above Y is the overlap with |t| <= arccosh(r / Y), and
+    the quadrant is fixed by the side of the top and the travel.
 
     Returns (mu_masses, liouville_masses, per-cell gaps).  Raises
-    ValueError when no class has length <= T, or when T exceeds the
-    census bound.
+    RuntimeError unless the piece times of each class add up to its
+    length (to a divisor of it if imprimitive), and ValueError when no
+    class has length <= T or T exceeds the census bound.
     """
     if census.backend != PLANE:
         raise BackendMismatch("equidistribution runs on the modular census")
@@ -700,48 +673,29 @@ def equidistribution_test(census, T):
     if not n:
         raise ValueError(f"no closed geodesic of length <= {T}")
     ells = census.lengths[:n]
-    us, ends = modular.class_axes(census.matrices[:n])
-    los, his = np.minimum(us, ends), np.maximum(us, ends)
-    signs = np.where(ends > us, 1.0, -1.0)
-    # log|w| at the top of the semicircle, the axis's origin, is rounding
-    # noise around 0; it is taken in Python complex arithmetic, as
-    # halfplane.Geodesic takes it
-    tops = map(complex, (0.5 * (los + his)).tolist(),
-               (0.5 * (his - los)).tolist())
-    sigma0s = np.array([math.log(abs((z - lo) / (hi - z))) for z, lo, hi
-                        in zip(tops, los.tolist(), his.tolist())])
-    ks = np.maximum(32, np.ceil(ells * _SAMPLES_PER_UNIT).astype(np.int64))
-    steps = ells / ks
-    rows = []  # per class: cell counts x (ell / k), in census order
-    for a, b in _class_chunks(ks):
-        at = np.repeat(np.arange(a, b), ks[a:b])  # each point's class
-        t = (words._ramp(ks[a:b]) + 0.5) * steps[at]
-        z = halfplane._AxisChart(los[at], his[at], None).from_w(
-            1j * np.exp(sigma0s[at] + signs[at] * t))
-        # fold from [0, 2 pi): an angle on a cell edge keeps its bin
-        theta = np.mod(halfplane.direction_toward(z, ends[at]),
-                       2.0 * math.pi)
-        zf, tf = modular.fold_points(z, theta)
-        idx = (at - a) * (4 * _N_THETA) + _cell_index(zf, tf)
-        counts = np.bincount(idx, minlength=(b - a) * 4 * _N_THETA)
-        rows.append(counts.reshape(b - a, 4 * _N_THETA) * steps[a:b, None])
-    # accumulate adds row after row, as a running per-class sum would
-    hist = np.add.accumulate(np.concatenate(rows))[-1]
-    mu = hist / np.add.accumulate(ells)[-1]
+    cls, lo, hi, radius, right = modular.strip_walk(census.matrices[:n])
+    walked = np.bincount(cls, hi - lo, n)
+    reps = np.rint(ells / walked)
+    bad = (np.abs(reps * walked - ells) > 1e-12 * ells) | (
+        census.primitive[:n] & (reps != 1))
+    if bad.any():
+        raise RuntimeError(f"equidistribution_test: {int(bad.sum())} "
+                           f"classes walk a period other than their length")
+    # distance from the top to each cut
+    reach = [np.arccosh(np.maximum(radius / y, 1.0)) for y in _Y_CUTS]
+    weight, hist = reps[cls], np.zeros(4 * _N_THETA)
+    for a, b, quad in ((lo, np.minimum(hi, 0.0), np.where(right, 0, 2)),
+                       (np.maximum(lo, 0.0), hi, np.where(right, 3, 1))):
+        above = np.maximum(b - a, 0.0)  # time above y = 0
+        for band, r in enumerate(reach):
+            higher = np.clip(np.minimum(b, r) - np.maximum(a, -r), 0.0, None)
+            hist += np.bincount(quad + band * _N_THETA,
+                                (above - higher) * weight, hist.size)
+            above = higher
+        hist += np.bincount(quad + 3 * _N_THETA, above * weight, hist.size)
+    mu = hist / ells.sum()
     ref = liouville_cell_masses()
     return mu, ref, mu - ref
-
-
-def _class_chunks(ks):
-    """(start, stop) runs of consecutive classes with at most
-    _EQUIDIST_CHUNK sample points in all; a larger class runs alone."""
-    start, filled = 0, 0
-    for i, k in enumerate(ks.tolist()):
-        if filled and filled + k > _EQUIDIST_CHUNK:
-            yield start, i
-            start, filled = i, 0
-        filled += k
-    yield start, len(ks)
 
 
 # ---------------------------------------------------------------------------

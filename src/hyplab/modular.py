@@ -7,7 +7,7 @@ arrays, and its primitive hyperbolic conjugacy classes are the
 rotation-canonical cyclic words in R = [[1,1],[0,1]], L = [[1,0],[1,1]].
 The class census is one `geometry.GeodesicCensus` of columns: the
 words, their lengths, their int64 matrix rows and primitive flags, from
-which `class_axes` solves the axes.
+which `class_axes` solves the axes and `strip_walk` their excursions.
 """
 
 import math
@@ -234,64 +234,110 @@ def enumerate_conj_classes(T, include_imprimitive=False):
 
 
 def class_axes(m):
-    """Axes of hyperbolic classes from their int64 (n, 4) matrix rows
-    (a, b, c, d), as a census holds them.
-
-    A both-letter R/L word has c >= 1 and trace t > 2, so its fixed
-    points (a - d -+ sqrt(t^2 - 4)) / 2c are finite; the attracting one
-    has |gamma'(x)| = 1 / (c x + d)^2 < 1.  Returns (u, v), the
-    repelling and attracting fixed points, so that each matrix
-    translates the axis from u to v forward by its length.  Raises
-    ValueError on a row without c >= 1 and t > 2.
-    """
-    a, b, c, d = m.T
+    """(u, v), the repelling and attracting fixed points of int64 (n, 4)
+    rows (a, b, c, d) with c != 0 and |t| > 2 (else ValueError), so that
+    each translates its axis from u to v by its length.  With the sign
+    that makes t > 2 they are (a - d -+ sqrt(t^2 - 4)) / 2c, and v
+    attracts: c v + d = (t + sqrt(t^2 - 4)) / 2 > 1."""
+    a, b, c, d = (m * np.sign(m[:, :1] + m[:, 3:])).T
     t = a + d
-    if not ((c >= 1).all() and (t > 2).all()):
-        raise ValueError("class_axes needs rows with c >= 1 and trace > 2")
+    if not ((c != 0).all() and (t > 2).all()):
+        raise ValueError("class_axes needs rows with c != 0 and |trace| > 2")
     sq = np.sqrt(t * t - 4.0)
-    x1 = (a - d - sq) / (2.0 * c)
-    x2 = (a - d + sq) / (2.0 * c)
-    att = np.abs(c * x1 + d) > 1.0  # x1 is the attracting end
-    return np.where(att, x2, x1), np.where(att, x1, x2)
+    return (a - d - sq) / (2.0 * c), (a - d + sq) / (2.0 * c)
 
 
 # ---------------------------------------------------------------------------
-# modular surface: fundamental domain folding
+# modular surface: fundamental domain folding and the cusp strip walk
 
 FUND_DOMAIN_TOL = 1e-12
 
 
-def fold_points(z, theta, max_iter=200):
-    """Fold points of the upper half-plane (with tangent angles) into the
-    standard fundamental domain |Re z| <= 1/2, |z| >= 1 of PSL(2, Z).
+def fold_points(z, max_iter=200):
+    """(w, g): the points z of the upper half-plane folded into the
+    domain |Re z| <= 1/2, |z| >= 1 of PSL(2, Z), as a complex array, and
+    the int64 (n, 4) rows (a, b, c, d) of the elements applied, w = g z.
 
-    Vectorized; angles are transported by the derivative of the applied
-    Mobius maps.  Returns (z_folded, theta_folded in [0, 2*pi)).  Points
-    still outside the domain after max_iter rounds are returned as they
-    are, with a RuntimeWarning that counts them.
+    Each round translates the live points into |Re z| <= 1/2 and inverts
+    those inside |z| = 1, which alone stay live; max_iter rounds at most,
+    with a RuntimeWarning counting the points still live.
     """
-    scalar = np.ndim(z) == 0 and np.ndim(theta) == 0
-    z = np.atleast_1d(np.array(z, dtype=complex))
-    theta = np.atleast_1d(np.array(theta, dtype=float))
+    w = np.atleast_1d(np.array(z, dtype=complex))
+    g = np.tile(np.array(IDENT, dtype=np.int64), (len(w), 1))
+    live = np.arange(len(w))
     for _ in range(max_iter):
-        shift = np.round(z.real)
-        z = z - shift
-        inside = np.abs(z) >= 1.0 - FUND_DOMAIN_TOL
-        if inside.all() and (np.abs(shift) == 0).all():
+        zl, gl = w[live], g[live]
+        shift = np.round(zl.real)
+        zl -= shift
+        gl[:, :2] -= shift.astype(np.int64)[:, None] * gl[:, 2:]  # T^-n
+        flip = np.abs(zl) < 1.0 - FUND_DOMAIN_TOL
+        zl[flip] = -1.0 / zl[flip]
+        gl[flip] = gl[flip][:, [2, 3, 0, 1]] * np.array([-1, -1, 1, 1])  # S
+        w[live], g[live] = zl, gl
+        live = live[flip]
+        if not live.size:
             break
-        flip = ~inside
-        if flip.any():
-            zf = z[flip]
-            theta[flip] = theta[flip] - 2.0 * np.angle(zf)
-            z[flip] = -1.0 / zf
     else:
-        outside = ((np.round(z.real) != 0)
-                   | (np.abs(z) < 1.0 - FUND_DOMAIN_TOL))
-        if outside.any():
-            warnings.warn(f"fold_points: {int(outside.sum())} points outside "
-                          f"the fundamental domain after {max_iter} rounds",
-                          RuntimeWarning, stacklevel=2)
-    theta = np.mod(theta, 2.0 * math.pi)
-    if scalar:
-        return complex(z[0]), float(theta[0])
-    return z, theta
+        warnings.warn(f"fold_points: {live.size} points outside the "
+                      f"fundamental domain after {max_iter} rounds",
+                      RuntimeWarning, stacklevel=2)
+    return w, g
+
+
+def strip_walk(m):
+    """One period of each closed geodesic of int64 rows m, cut into its
+    pieces in the strip F_inf = {|z - n| >= 1 for all integers n}.
+
+    Each row is conjugated by the element that folds the top of its axis
+    and stepped by _strip_step until it is its first piece's row up to a
+    translation (c equal, a - d equal mod 2c).  Returns per piece (cls,
+    lo, hi, radius, right): the class, the signed distances (growing with
+    x) of its ends from the top of the axis, lo < hi, the radius and c >
+    0.  Raises ValueError unless 2 < t < 2**18, where the fractions fit
+    int64, and RuntimeError if a class takes more steps than its trace.
+    """
+    t = m[:, 0] + m[:, 3]
+    if not ((t > 2) & (t < 2 ** 18)).all():
+        raise ValueError("strip_walk needs traces in (2, 2**18)")
+    u, v = class_axes(m)
+    _, g = fold_points(0.5 * (u + v) + 0.5j * np.abs(v - u))
+    g_inv = g[:, [3, 1, 2, 0]] * np.array([1, -1, -1, 1])
+    m = (g.reshape(-1, 2, 2) @ m.reshape(-1, 2, 2) @ g_inv.reshape(-1, 2, 2))
+    first = m = _strip_step(m.reshape(-1, 4))[0]
+    live, out = np.arange(len(m)), []
+    for _ in range(int(t.max(initial=1))):
+        a, b, c, d = m.T
+        cen, x_in = (a - d) / (2.0 * c), (c - b) / (a - d)  # x_in on U_0
+        radius = np.sqrt((a + d) ** 2 - 4.0) / (2.0 * np.abs(c))
+        m, k, xi = _strip_step(m)  # leaves through U_k at k + xi
+        t_in = np.arcsinh((x_in - cen) / np.sqrt(1.0 - x_in * x_in))
+        t_out = np.arcsinh((xi + k - cen) / np.sqrt(1.0 - xi * xi))
+        out.append((live, np.minimum(t_in, t_out), np.maximum(t_in, t_out),
+                    radius, c > 0))
+        f = first[live]
+        moving = (m[:, 2] != f[:, 2]) | (
+            (m[:, 0] - m[:, 3] - f[:, 0] + f[:, 3]) % (2 * f[:, 2]) != 0)
+        m, live = m[moving], live[moving]
+        if not live.size:
+            return tuple(np.concatenate(col) for col in zip(*out))
+    raise RuntimeError(f"strip_walk: {live.size} classes did not close")
+
+
+def _strip_step(m):
+    """(next rows, k, xi): a row's axis, entering F_inf on U_0, leaves
+    through the U_k = {|z - k| = 1}, k = floor(v) or floor(v) + 1, that
+    it meets first, at x = k + xi = (b - c + c k^2) / (2 k c + d - a),
+    compared as integer fractions; at a tie, a corner, the circle on the
+    side of travel maps the tile entered into F_inf.  The next row is
+    S T^-k gamma T^k S^-1."""
+    a, b, c, d = m.T
+    k = np.floor(class_axes(m)[1]).astype(np.int64)
+    num = [b - c + c * j * j for j in (k, k + 1)]
+    den = [2 * j * c + d - a for j in (k, k + 1)]
+    # sign(x_k - x_k+1) times the direction of travel: > 0 if U_k+1 first
+    ahead = np.sign(num[0] * den[1] - num[1] * den[0]) * np.sign(
+        den[0] * den[1]) * np.sign(c)
+    k = k + ((ahead > 0) | ((ahead == 0) & (c > 0)))
+    bk = b + k * (a - d) - k * k * c  # T^-k gamma T^k = (a-kc, bk, c, d+kc)
+    xi = (bk - c) / (2 * k * c + d - a)
+    return np.stack([d + k * c, -c, -bk, a - k * c], axis=1), k, xi

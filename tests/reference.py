@@ -6,11 +6,13 @@ directory on the import path.
 """
 
 import math
+import warnings
 
 import numpy as np
 
 from hyplab import halfplane as hp
-from hyplab import modular, words
+from hyplab import measures, modular, words
+from hyplab.geometry import PLANE, BackendMismatch
 
 
 def ray(p, xi):
@@ -242,3 +244,123 @@ def modular_ball(p, R):
                               certificate="integer matrix enumeration; "
                                           f"sphere decided in float64 with "
                                           f"slack {slack:g}")
+
+
+# ---------------------------------------------------------------------------
+# the sampled closed-geodesic equidistribution route: the oracle of the
+# exact strip walk in measures.equidistribution_test
+
+_SAMPLES_PER_UNIT = 40  # samples per unit length along a closed geodesic
+# sample points per equidistribution pass: enough to amortise the numpy
+# calls over many classes, small enough that the pass's temporaries stay
+# a few hundred KB (2**16 points was slower and raised the peak RSS)
+_EQUIDIST_CHUNK = 4096
+
+
+def _cell_index(z, theta):
+    ybin = np.digitize(z.imag, measures._Y_CUTS)
+    tbin = np.minimum((theta / (2.0 * math.pi / measures._N_THETA))
+                      .astype(int), measures._N_THETA - 1)
+    return ybin * measures._N_THETA + tbin
+
+
+def equidistribution_test(census, T):
+    """Cell masses of the closed-geodesic measure mu_T against Liouville.
+
+    mu_T averages arc length over all primitive classes of length <= T,
+    normalized to a probability measure.  Each geodesic is sampled
+    uniformly along one period [0, ell) of its axis, which
+    modular.class_axes solves from the census's matrix rows, from t = 0
+    at the top of the semicircle.  The samples are folded into the
+    fundamental domain with their tangent directions and binned into 16
+    position x direction cells.  Whole classes are sampled, folded and
+    binned together, in passes of at most _EQUIDIST_CHUNK points.
+
+    Returns (mu_masses, liouville_masses, per-cell gaps).  Raises
+    ValueError when no class has length <= T, or when T exceeds the
+    census bound.
+    """
+    if census.backend != PLANE:
+        raise BackendMismatch("equidistribution runs on the modular census")
+    n = census.count(T)
+    if not n:
+        raise ValueError(f"no closed geodesic of length <= {T}")
+    ells = census.lengths[:n]
+    us, ends = modular.class_axes(census.matrices[:n])
+    los, his = np.minimum(us, ends), np.maximum(us, ends)
+    signs = np.where(ends > us, 1.0, -1.0)
+    # log|w| at the top of the semicircle, the axis's origin, is rounding
+    # noise around 0; it is taken in Python complex arithmetic, as
+    # halfplane.Geodesic takes it
+    tops = map(complex, (0.5 * (los + his)).tolist(),
+               (0.5 * (his - los)).tolist())
+    sigma0s = np.array([math.log(abs((z - lo) / (hi - z))) for z, lo, hi
+                        in zip(tops, los.tolist(), his.tolist())])
+    ks = np.maximum(32, np.ceil(ells * _SAMPLES_PER_UNIT).astype(np.int64))
+    steps = ells / ks
+    rows = []  # per class: cell counts x (ell / k), in census order
+    for a, b in _class_chunks(ks):
+        at = np.repeat(np.arange(a, b), ks[a:b])  # each point's class
+        t = (words._ramp(ks[a:b]) + 0.5) * steps[at]
+        z = hp._AxisChart(los[at], his[at], None).from_w(
+            1j * np.exp(sigma0s[at] + signs[at] * t))
+        # fold from [0, 2 pi): an angle on a cell edge keeps its bin
+        theta = np.mod(hp.direction_toward(z, ends[at]), 2.0 * math.pi)
+        zf, tf = fold_points(z, theta)
+        idx = (at - a) * (4 * measures._N_THETA) + _cell_index(zf, tf)
+        counts = np.bincount(idx, minlength=(b - a) * 4 * measures._N_THETA)
+        rows.append(counts.reshape(b - a, 4 * measures._N_THETA)
+                    * steps[a:b, None])
+    # accumulate adds row after row, as a running per-class sum would
+    hist = np.add.accumulate(np.concatenate(rows))[-1]
+    mu = hist / np.add.accumulate(ells)[-1]
+    ref = measures.liouville_cell_masses()
+    return mu, ref, mu - ref
+
+
+def _class_chunks(ks):
+    """(start, stop) runs of consecutive classes with at most
+    _EQUIDIST_CHUNK sample points in all; a larger class runs alone."""
+    start, filled = 0, 0
+    for i, k in enumerate(ks.tolist()):
+        if filled and filled + k > _EQUIDIST_CHUNK:
+            yield start, i
+            start, filled = i, 0
+        filled += k
+    yield start, len(ks)
+
+
+def fold_points(z, theta, max_iter=200):
+    """Fold points of the upper half-plane (with tangent angles) into the
+    standard fundamental domain |Re z| <= 1/2, |z| >= 1 of PSL(2, Z).
+
+    Vectorized; angles are transported by the derivative of the applied
+    Mobius maps.  Returns (z_folded, theta_folded in [0, 2*pi)).  Points
+    still outside the domain after max_iter rounds are returned as they
+    are, with a RuntimeWarning that counts them.
+    """
+    tol = modular.FUND_DOMAIN_TOL
+    scalar = np.ndim(z) == 0 and np.ndim(theta) == 0
+    z = np.atleast_1d(np.array(z, dtype=complex))
+    theta = np.atleast_1d(np.array(theta, dtype=float))
+    for _ in range(max_iter):
+        shift = np.round(z.real)
+        z = z - shift
+        inside = np.abs(z) >= 1.0 - tol
+        if inside.all() and (np.abs(shift) == 0).all():
+            break
+        flip = ~inside
+        if flip.any():
+            zf = z[flip]
+            theta[flip] = theta[flip] - 2.0 * np.angle(zf)
+            z[flip] = -1.0 / zf
+    else:
+        outside = (np.round(z.real) != 0) | (np.abs(z) < 1.0 - tol)
+        if outside.any():
+            warnings.warn(f"fold_points: {int(outside.sum())} points outside "
+                          f"the fundamental domain after {max_iter} rounds",
+                          RuntimeWarning, stacklevel=2)
+    theta = np.mod(theta, 2.0 * math.pi)
+    if scalar:
+        return complex(z[0]), float(theta[0])
+    return z, theta

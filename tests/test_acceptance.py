@@ -239,6 +239,20 @@ def test_09_equidistribution(modular_census):
             f"{improving}/16 cells from T=7 (need 12)")
 
 
+def test_09_equidistribution_rate():
+    # measured only: indicator cells are not smooth test functions, so
+    # no rate is proven for them, and test_09 keeps its bar
+    census = counting.geodesic_census(PLANE, 12.0)
+    ts = (8, 9, 10, 11, 12)
+    l1 = [float(np.abs(measures.equidistribution_test(census, T)[2]).sum())
+          for T in ts]
+    slope = float(np.polyfit(ts, np.log(l1), 1)[0])
+    _report("equidistribution rate",
+            all(map(math.isfinite, l1 + [slope])),
+            "L1 gap at T=8..12: " + ", ".join(f"{g:.4f}" for g in l1)
+            + f"; fitted log-slope {slope:.3f} per unit T (measured only)")
+
+
 # -- 10 ---------------------------------------------------------------------
 
 def test_10_fellow_traveling():

@@ -1,6 +1,7 @@
 """Boundary measures: Poincare series, conformal densities, shadows,
 pair measures, equidistribution, and the flow-mass validators."""
 
+import dataclasses
 import math
 import random
 import re
@@ -12,6 +13,8 @@ import pytest
 
 from hyplab import counting, halfplane, measures, modular, words
 from hyplab.geometry import FLAT, PLANE, TREE, BackendMismatch
+
+import reference
 
 
 def test_tree_series_matches_truncation():
@@ -706,8 +709,23 @@ def test_plane_atom_cache_keeps_at_most_two_sets():
 
 
 def test_liouville_cells_are_uniform():
+    # oracle: the area of each height band by a 4000-column midpoint
+    # quadrature over |x| <= 1/2, above the unit circle
+    area = []
+    xs = np.linspace(-0.5, 0.5, 4001)[:-1] + 1.0 / 8000
+    floor = np.sqrt(1.0 - xs ** 2)
+    cuts = (0.0,) + measures._Y_CUTS + (np.inf,)
+    for lo, hi in zip(cuts, cuts[1:]):
+        ylo = np.maximum(floor, lo)
+        yhi = np.full_like(xs, hi)
+        col = np.clip(1.0 / ylo - (0.0 if np.isinf(hi) else 1.0 / yhi),
+                      0.0, None)
+        area.append(col.mean())
+    area = np.array(area)
+    quad = np.repeat(area / area.sum(), 4) / 4
     ms = measures.liouville_cell_masses()
     assert len(ms) == 16
+    assert np.abs(ms - quad).max() <= 1e-6
     for m in ms:
         assert m == pytest.approx(1.0 / 16.0, abs=1e-6)
 
@@ -732,7 +750,7 @@ EQUIDIST_MASSES_T10 = [
 
 
 def test_equidistribution_masses_are_pinned():
-    mu, _, _ = measures.equidistribution_test(
+    mu, _, _ = reference.equidistribution_test(
         counting.geodesic_census(PLANE, 10), 10)
     assert mu.tolist() == EQUIDIST_MASSES_T10
 
@@ -741,10 +759,82 @@ def test_equidistribution_masses_are_pinned():
 def test_equidistribution_masses_do_not_depend_on_the_pass_size(
         monkeypatch, chunk):
     # one class per pass, or the whole census in one pass
-    monkeypatch.setattr(measures, "_EQUIDIST_CHUNK", chunk)
-    mu, _, _ = measures.equidistribution_test(
+    monkeypatch.setattr(reference, "_EQUIDIST_CHUNK", chunk)
+    mu, _, _ = reference.equidistribution_test(
         counting.geodesic_census(PLANE, 10), 10)
     assert mu.tolist() == EQUIDIST_MASSES_T10
+
+
+def _midpoint_bound(census, T):
+    """The error bound of the sampled route's midpoint rule on each cell.
+
+    It puts each of k = max(32, ceil(40 ell)) midpoints along a period in
+    one cell.  On an indicator, each breakpoint of the period (a piece
+    end, the top of an axis, a crossing of a height cut) moves at most
+    one step ell / k of mass between two cells."""
+    n = census.count(T)
+    ells = census.lengths[:n]
+    cls, lo, hi, radius, _ = modular.strip_walk(census.matrices[:n])
+    inside = [(lo < 0.0) & (hi > 0.0)]
+    for y in measures._Y_CUTS:
+        r = np.arccosh(np.maximum(radius / y, 1.0))
+        inside += [(lo < s) & (hi > s) for s in (-r, r)]
+    # an imprimitive class's period walks its root's pieces repeatedly
+    reps = np.rint(ells / np.bincount(cls, hi - lo, n))
+    ks = np.maximum(32, np.ceil(ells * reference._SAMPLES_PER_UNIT))
+    breaks = np.bincount(cls, 1 + sum(inside), n) * reps
+    return (breaks * ells / ks).sum() / ells.sum()
+
+
+@pytest.mark.parametrize("T", [7, 10, 11])
+def test_exact_equidistribution_is_within_the_midpoint_bound(T):
+    census = counting.geodesic_census(PLANE, T)
+    mu, ref, gaps = measures.equidistribution_test(census, T)
+    sampled, _, _ = reference.equidistribution_test(census, T)
+    assert np.abs(mu - sampled).max() <= _midpoint_bound(census, T)
+    assert gaps.tolist() == (mu - ref).tolist()
+
+
+def test_every_class_walks_exactly_its_period():
+    census = counting.geodesic_census(PLANE, 13)
+    cls, lo, hi, radius, _ = modular.strip_walk(census.matrices)
+    assert (hi > lo).all() and (radius > 0).all()
+    walked = np.bincount(cls, hi - lo, len(census))
+    assert (np.abs(walked - census.lengths) <= 1e-12 * census.lengths).all()
+
+
+@pytest.mark.parametrize("word,pieces", [("LLR", 1), ("LLLLRLR", 2)])
+def test_corner_classes_close(word, pieces):
+    # LLR's axis runs from corner to corner of the fundamental domain
+    m = np.array([reference.word_matrix(word)], dtype=np.int64)
+    cls, lo, hi, _, _ = modular.strip_walk(m)
+    ell = 2.0 * math.acosh((m[0, 0] + m[0, 3]) / 2.0)
+    assert len(cls) == pieces
+    assert abs((hi - lo).sum() - ell) <= 1e-12 * ell
+
+
+def test_equidistribution_masses_sum_to_one():
+    for T in (7, 10):
+        mu, ref, _ = measures.equidistribution_test(
+            counting.geodesic_census(PLANE, T), T)
+        assert abs(mu.sum() - 1.0) <= 1e-12
+        assert abs(ref.sum() - 1.0) <= 1e-12
+
+
+def test_equidistribution_weighs_an_imprimitive_class_by_its_length():
+    census = modular.enumerate_conj_classes(7.0, include_imprimitive=True)
+    assert not census.primitive.all()
+    mu, _, _ = measures.equidistribution_test(census, 7.0)
+    sampled, _, _ = reference.equidistribution_test(census, 7.0)
+    assert abs(mu.sum() - 1.0) <= 1e-12
+    assert np.abs(mu - sampled).max() <= _midpoint_bound(census, 7.0)
+
+
+def test_equidistribution_refuses_a_class_whose_walk_misses_its_length():
+    census = counting.geodesic_census(PLANE, 6)
+    bad = dataclasses.replace(census, lengths=census.lengths * 1.5, T=9.0)
+    with pytest.raises(RuntimeError, match="classes walk a period"):
+        measures.equidistribution_test(bad, 9.0)
 
 
 def test_validate_D_mass_exact_fractions():

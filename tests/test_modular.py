@@ -61,6 +61,28 @@ def test_class_axes_translate_axis_points_by_the_class_length(axes_t10):
             assert halfplane.dist(z, geo.point(t + ell)) < 1e-7
 
 
+def test_class_axes_takes_conjugated_rows_with_c_below_zero(axes_t10):
+    census, (u, v) = axes_t10
+    m = census.matrices
+    # S gamma S^-1 = (d, -c, -b, a): c < 0 wherever b > 0
+    conj = m[:, [3, 2, 1, 0]] * np.array([1, -1, -1, 1])
+    conj = conj[conj[:, 2] < 0]
+    assert len(conj) > len(m) // 2
+    for rows in (-m, conj):
+        ends = modular.class_axes(rows)
+        assert [x.tolist() for x in ends] \
+            == [x.tolist() for x in modular.class_axes(-rows)]
+    # negated rows are the same elements of PSL(2, Z)
+    assert [x.tolist() for x in modular.class_axes(-m)] \
+        == [u.tolist(), v.tolist()]
+    cu, cv = modular.class_axes(conj)
+    a, b, c, d = conj.T
+    for x in (cu, cv):
+        assert np.allclose((a * x + b) / (c * x + d), x, rtol=1e-12)
+    assert np.all(np.abs(c * cv + d) > 1.0)
+    assert np.all(np.abs(c * cu + d) < 1.0)
+
+
 def test_class_axes_refuses_words_that_are_not_hyperbolic():
     # R^3 has c = 0 (parabolic) and L^2 has trace 2
     for ws in (["RL", "RRR"], ["LL"]):
@@ -368,17 +390,34 @@ def test_census_at_T14_needs_no_recursion():
 
 def test_fold_points_lands_in_fundamental_domain():
     for z in (7.3 + 0.2j, -4.1 + 0.05j, 0.49 + 0.6j):
-        w, _ = modular.fold_points(z, 0.3)
+        (w,), (g,) = modular.fold_points(z)
         assert -0.5 - 1e-9 <= w.real <= 0.5 + 1e-9
         assert abs(w) >= 1.0 - 1e-9
+        # w is the image of z under the applied element, of determinant 1
+        assert g.dtype == np.int64 and reference.det(tuple(g.tolist())) == 1
+        assert abs(halfplane.mobius_apply(tuple(g.tolist()), z) - w) < 1e-9
+
+
+def test_fold_points_equals_the_sampled_routes_fold():
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-6, 6, 500) + 1j * rng.uniform(0.02, 3, 500)
+    theta = rng.uniform(0, 2 * math.pi, 500)
+    w, g = modular.fold_points(z)
+    w_ref, theta_ref = reference.fold_points(z, theta)
+    assert np.abs(w - w_ref).max() < 1e-9
+    # the angle moves by -2 arg(c z + d) under the applied element
+    turn = np.mod(theta - 2.0 * np.angle(g[:, 2] * z + g[:, 3]),
+                  2.0 * math.pi)
+    gap = np.abs(turn - theta_ref)
+    assert np.minimum(gap, 2.0 * math.pi - gap).max() < 1e-9
 
 
 def test_fold_points_reports_non_convergence():
     z = 0.05 + 0.01j  # needs a flip, then a shift, then more flips
     with pytest.warns(RuntimeWarning, match="1 points outside"):
-        w, _ = modular.fold_points(z, 0.3, max_iter=1)
+        (w,), _ = modular.fold_points(z, max_iter=1)
     assert abs(w) < 1.0 or abs(w.real) > 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w, _ = modular.fold_points(z, 0.3)
+        (w,), _ = modular.fold_points(z)
     assert abs(w) >= 1.0 - 1e-9 and abs(w.real) <= 0.5 + 1e-9

@@ -1,5 +1,6 @@
 """Property-based invariants over randomized inputs."""
 
+import cmath
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -79,7 +80,14 @@ def test_mobius_action_is_isometric(letters, p, q):
        st.floats(min_value=0.0, max_value=6.28))
 @settings(max_examples=80)
 def test_fold_points_reaches_fundamental_domain(x, y, theta):
-    z, th = modular.fold_points(complex(x, y), theta)
+    (z,), (g,) = modular.fold_points(complex(x, y))
     assert -0.5 - 1e-9 <= z.real <= 0.5 + 1e-9
     assert abs(z) >= 1.0 - 1e-9
+    # the applied element carries the tangent angle as the sampled fold
+    a, b, c, d = g.tolist()
+    assert a * d - b * c == 1
+    th = (theta - 2.0 * cmath.phase(c * complex(x, y) + d)) % (2.0 * math.pi)
     assert 0.0 <= th < 2.0 * math.pi + 1e-12
+    z_ref, th_ref = reference.fold_points(complex(x, y), theta)
+    assert abs(z - z_ref) < 1e-9
+    assert min(abs(th - th_ref), 2.0 * math.pi - abs(th - th_ref)) < 1e-9
