@@ -11,11 +11,12 @@ shadow,pair-invariance`, `--seed 5 validate`, `count --backend flat`,
 `--probe fiber`), tree `measure` with every check but equidist and
 with `--cells depth=3 --gamma ab`, modular `measure` with `--cells`,
 `--cap` and `--gamma` set, `count --backend modular --Rmax 6 --T 6`,
-`entropy --backend tree --probe fiber`, tree `entropy` at delta
-1.5 and, with rank 3 and n = 1..4, at delta 2, and `measure --backend
-modular --check equidist --T 12` (14904 classes, words of up to 402
-letters, where the README command stops at 2451 classes and 147
-letters).  It prints one line per output file and per standard output,
+`count --backend tree --rank 3 --Rmax 8 --T 8` (whose `margulis.csv`
+carries the rank-3 h = log 5), `entropy --backend tree --probe fiber`,
+tree `entropy` at delta 1.5 and, with rank 3 and n = 1..4, at delta 2,
+and `measure --backend modular --check equidist --T 12` (14904
+classes, words of up to 402 letters, where the README command stops
+at 2451 classes and 147 letters).  It prints one line per output file and per standard output,
 `<sha256>  <label>`, sorted by label, plus each command's exit code.
 Two checkouts whose printouts are equal produce byte-identical outputs
 on these runs.
@@ -57,6 +58,7 @@ COMMANDS = {
                    "--check conformal,shadow,pair-invariance "
                    "--gamma 2,1,1,1",
     "count-mod-6": "count --backend modular --Rmax 6 --T 6",
+    "count-tree-r3": "count --backend tree --rank 3 --Rmax 8 --T 8",
     "fiber-tree": "entropy --backend tree --probe fiber",
     "ent-tree-d1.5": "entropy --backend tree --delta 1.5",
     "ent-tree-r3": "entropy --backend tree --rank 3 --n 1..4 --delta 2",

@@ -20,14 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import counting, entropy, geometry, halfplane, measures, words
-from .geometry import FLAT, PLANE, TREE
+from .geometry import FLAT, PLANE, TREE, Backend
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_INCOMPLETE = 3
-
-_BACKENDS = {"tree": TREE, "modular": PLANE, "flat": FLAT}
 
 
 def fmt(x):
@@ -78,12 +76,12 @@ def load_config(path):
     return cfg
 
 
-def effective_config(args, keys):
+def effective_config(args, keys, hyperbolic=False):
     """Merge config file values with flag overrides into a flat dict.
 
     An explicit flag beats a file value, and a file value beats the
-    default.  The merged seed (and backend, when it is one of `keys`)
-    are written back to args, which the commands read.
+    default.  Written back to args: the merged seed and, for a "backend"
+    key, its record, built once (at rank 2 unless "rank" is a key).
     """
     cfg = {}
     if args.config:
@@ -94,10 +92,9 @@ def effective_config(args, keys):
             cfg[k] = v
     cfg["seed"] = args.seed = int(cfg.get("seed", 0))
     if "backend" in keys:
-        cfg.setdefault("backend", "tree")
-        if cfg["backend"] not in _BACKENDS:
-            raise ValueError(f"unknown backend {cfg['backend']!r}")
-        args.backend = cfg["backend"]
+        rank = int(cfg.get("rank", 2)) if "rank" in keys else 2
+        args.backend = Backend.of(cfg.setdefault("backend", "tree"), rank,
+                                  hyperbolic, cli=True)
     return cfg
 
 
@@ -113,28 +110,15 @@ def _parse_range(text):
 
 def cmd_count(args):
     cfg = effective_config(args, ("backend", "rank", "Rmax", "T"))
-    backend = _BACKENDS[args.backend]
-    rank = int(cfg.get("rank", 2))
-    out = args.out
+    b, out = args.backend, args.out
     for key in ("Rmax", "T"):
         if key in cfg and not (math.isfinite(float(cfg[key]))
                                and float(cfg[key]) >= 0):
             raise ValueError(f"--{key} must be finite and >= 0, "
                              f"not {cfg[key]}")
-    if backend == TREE:
-        base = ""
-        grid = list(range(2, int(cfg.get("Rmax", 12)) + 1))
-        T = float(cfg.get("T", 12))
-    elif backend == FLAT:
-        base = (0.0, 0.0)
-        grid = list(range(4, int(cfg.get("Rmax", 80)) + 1, 4))
-        T = None
-    else:
-        base = 2j
-        grid = [float(r)
-                for r in range(2, int(float(cfg.get("Rmax", 8))) + 1)]
-        T = float(cfg.get("T", 10))
-    census = counting.orbit_count(backend, base, grid, rank=rank)
+    T = None if b.T is None else float(cfg.get("T", b.T))
+    census = counting.orbit_count(b.name, b.base, b.radii(cfg.get("Rmax")),
+                                  rank=b.rank)
     write_csv(os.path.join(out, "orbit_census.csv"),
               ("R", "count", "complete"),
               [(r, c, f) for (r, c), f in zip(census.entries,
@@ -146,7 +130,7 @@ def cmd_count(args):
                 "window": list(fit.window), "residual": fit.residual},
                cfg, "eq-co93")
     if T is not None:
-        gc = counting.geodesic_census(backend, T, rank=rank)
+        gc = counting.geodesic_census(b.name, T, rank=b.rank)
         write_csv(os.path.join(out, "geodesic_census.csv"),
                   ("length", "word"), gc.entries, cfg, "thm-2.10")
         table = counting.margulis_table(
@@ -161,25 +145,24 @@ def cmd_count(args):
 
 def cmd_measure(args):
     cfg = effective_config(args, ("backend", "cells", "check", "s", "cap",
-                                  "gamma", "T"))
-    backend = _BACKENDS[args.backend]
-    out = args.out
+                                  "gamma", "T"), hyperbolic=True)
+    b, out = args.backend, args.out
     checks = ([c for c in str(cfg.get("check", "")).split(",") if c]
               or ["conformal"])
     code = EXIT_OK
     cap = float(cfg.get("cap", 12))
     # plane checks default to their own caps unless --cap is given
     check_cap = float(cfg["cap"]) if "cap" in cfg else None
-    if backend == TREE:
-        base, s, gamma, parse_gamma = "", math.log(3) + 0.2, "a", str
+    if b.name == TREE:
+        gamma, parse_gamma = "a", str
         cells = str(cfg.get("cells", "depth=4"))
         if not cells.startswith("depth="):
             raise ValueError(f"tree --cells takes depth=<n>, not {cells!r}")
         partition = measures.tree_partition(int(cells.split("=", 1)[1]))
         pairs = [(p, q) for p in ("", "a", "ab") for q in "abB" if p != q]
         shadows = [(n, "a" * n, 0.5) for n in range(2, 9)]
-    elif backend == PLANE:
-        base, s, gamma = 2j, 1.2, "1,1,0,1"
+    else:
+        gamma = "1,1,0,1"
         cells = str(cfg.get("cells", "256"))
         if not cells.isdigit():
             raise ValueError(f"modular --cells is an arc count, not {cells!r}")
@@ -190,15 +173,11 @@ def cmd_measure(args):
 
         def parse_gamma(text):
             return tuple(int(v) for v in text.split(","))
-    else:
-        raise ValueError("measure requires a hyperbolic backend (tree or "
-                         "modular); the flat lattice grows polynomially, "
-                         "with critical exponent 0")
-    s = float(cfg.get("s", s))
+    s = float(cfg.get("s", b.h + 0.2))
     gamma = cfg.get("gamma", gamma)
-    mu = measures.ps_measure(backend, base, s, cap=min(cap, 10.0))
+    mu = measures.ps_measure(b.name, b.base, s, cap=min(cap, 10.0))
     write_json(os.path.join(out, "measure.json"),
-               {"backend": args.backend, "s": s,
+               {"backend": b.cli, "s": s,
                 "total_mass": float(mu.total_mass),
                 "tail_bound": float(mu.tail_bound),
                 "atoms": len(mu.atoms)},
@@ -206,7 +185,7 @@ def cmd_measure(args):
     for check in checks:
         if check == "conformal":
             rows = [(str(p), str(q),
-                     measures.conformal_check(backend, p, q, partition,
+                     measures.conformal_check(b.name, p, q, partition,
                                               cap=check_cap))
                     for p, q in pairs]
             write_csv(os.path.join(out, "conformal_defect.csv"),
@@ -214,13 +193,13 @@ def cmd_measure(args):
             if any(r[2] > 0.1 for r in rows):
                 code = max(code, EXIT_VIOLATION)
         elif check == "shadow":
-            rows = [(n, *measures.shadow_mass_bounds(backend, base, x, rho,
-                                                     cap=check_cap))
+            rows = [(n, *measures.shadow_mass_bounds(b.name, b.base, x,
+                                                     rho, cap=check_cap))
                     for n, x, rho in shadows]
             write_csv(os.path.join(out, "shadow_bounds.csv"),
                       ("n", "mass", "ratio"), rows, cfg, "prop-3.3")
         elif check == "pair-invariance":
-            pm = measures.pair_measure(backend, base, partition,
+            pm = measures.pair_measure(b.name, b.base, partition,
                                        cap=check_cap)
             defect = measures.pair_invariance_check(pm, parse_gamma(gamma),
                                                     cap=check_cap)
@@ -230,11 +209,11 @@ def cmd_measure(args):
             if defect > 0.05:
                 code = max(code, EXIT_VIOLATION)
         elif check == "equidist":
-            if backend != PLANE:
+            if b.name != PLANE:
                 print("equidistribution runs on the modular backend",
                       file=sys.stderr)
                 return EXIT_USAGE
-            T = float(cfg.get("T", 10))
+            T = float(cfg.get("T", b.T))
             census = counting.geodesic_census(PLANE, T)
             mu_cells, ref, gaps = measures.equidistribution_test(census, T)
             write_csv(os.path.join(out, "equidistribution.csv"),
@@ -262,22 +241,12 @@ def cmd_measure(args):
 def cmd_entropy(args):
     cfg = effective_config(args, ("backend", "n", "delta", "probe", "rho",
                                   "xi", "eta", "rank"))
-    backend = _BACKENDS[args.backend]
-    out = args.out
-    # a flat fiber's eta (None here) defaults to xi + pi, the backward end
-    if backend == TREE:
-        v = entropy.FlowPoint(TREE, "", "ab" * 12, "BA" * 12)
-        xi, eta, parse_end = "a", "b", str
-    elif backend == FLAT:
-        v = entropy.FlowPoint(FLAT, pos=(0.2, 0.5), theta=0.0)
-        xi, eta, parse_end = 0.0, None, float
-    else:
-        v = entropy.FlowPoint(PLANE, pos=0.1 + 1.3j, theta=0.7)
-        xi, eta, parse_end = 0.0, math.inf, float
+    b, out = args.backend, args.out
     probe = cfg.get("probe")
     if probe == "z-set":
         rho = float(cfg.get("rho", 0.4))
-        rep = entropy.z_set_probe(v, rho, seed=args.seed or 11)
+        rep = entropy.z_set_probe(entropy.FlowPoint(b.name, **b.flow), rho,
+                                  seed=args.seed or 11)
         write_json(os.path.join(out, "z_set_probe.json"),
                    {"classification": rep.classification, "rho": rep.rho,
                     "certificate": rep.certificate, "detail": rep.detail,
@@ -285,18 +254,18 @@ def cmd_entropy(args):
                    cfg, "def-4.1")
         return EXIT_OK
     if probe == "fiber":
-        xi = parse_end(cfg.get("xi", xi))
-        eta = parse_end(cfg.get("eta", xi + math.pi if eta is None else eta))
-        count, detail = entropy.endpoint_fiber_probe(backend, xi, eta)
+        xi, eta = b.ends  # a flat eta (None) is xi + pi, the backward end
+        xi = type(xi)(cfg.get("xi", xi))
+        eta = type(xi)(cfg.get("eta", xi + math.pi if eta is None else eta))
+        count, detail = entropy.endpoint_fiber_probe(b.name, xi, eta)
         write_json(os.path.join(out, "fiber_probe.json"),
                    {"count": count, "detail": repr(detail)},
                    cfg, "def-2.14")
         return EXIT_OK
     n_grid = _parse_range(str(cfg.get("n", "1..6")))
     delta = float(cfg.get("delta", 0.5))
-    rank = int(cfg.get("rank", 2))
-    est = entropy.estimate_htop(backend, n_grid=n_grid,
-                                delta_grid=(delta,), rank=rank)
+    est = entropy.estimate_htop(b.name, n_grid=n_grid, delta_grid=(delta,),
+                                rank=b.rank)
     write_csv(os.path.join(out, "spanning.csv"),
               ("n", "delta", "lower", "upper", "method"),
               [(r.n, r.delta, r.lower, r.upper, r.method)
@@ -352,7 +321,7 @@ def _validate_records(args):
     rec("lemma-2.5-thin-triangles", "plane", measured, bound,
         measured <= bound)
 
-    s = math.log(3) + 0.2
+    s = Backend.of(TREE).h + 0.2
     mu = measures.ps_measure(TREE, "", s, cap=8)
     _, tail = measures.poincare_series(TREE, s, cap=8)
     rec("eq-nu-weight-mass", "tree", float(mu.total_mass), 1.0,
@@ -401,6 +370,7 @@ def cmd_validate(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    names = sorted(Backend.of(n).cli for n in (TREE, PLANE, FLAT))
     ap = argparse.ArgumentParser(
         prog="hyplab",
         description="geodesic counting, Patterson-Sullivan measures and "
@@ -411,14 +381,14 @@ def build_parser():
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("count", help="orbit and geodesic censuses")
-    p.add_argument("--backend", choices=sorted(_BACKENDS))
+    p.add_argument("--backend", choices=names)
     p.add_argument("--rank", type=int)
     p.add_argument("--Rmax", type=float)
     p.add_argument("--T", type=float)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("measure", help="Patterson-Sullivan pipeline")
-    p.add_argument("--backend", choices=sorted(_BACKENDS))
+    p.add_argument("--backend", choices=names)
     p.add_argument("--cells")
     p.add_argument("--check")
     p.add_argument("--s", type=float)
@@ -428,7 +398,7 @@ def build_parser():
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("entropy", help="spanning counts and probes")
-    p.add_argument("--backend", choices=sorted(_BACKENDS))
+    p.add_argument("--backend", choices=names)
     p.add_argument("--n")
     p.add_argument("--delta", type=float)
     p.add_argument("--rank", type=int)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flat, halfplane, modular, words
-from .geometry import FLAT, PLANE, TREE, BackendMismatch, GeodesicCensus
+from .geometry import FLAT, PLANE, TREE, Backend, GeodesicCensus
 
 
 @dataclass(frozen=True)
@@ -64,24 +64,22 @@ def orbit_count(backend, base, r_grid, rank=2):
     hyperbolic-plane route builds the certified integer-matrix ball of
     the modular group once, at the largest R, and counts each R in it.
     """
+    name = Backend.of(backend, rank).name
     r_grid = [float(r) for r in r_grid]
-    if backend == TREE:
+    if name == TREE:
         entries = tuple((r, words.ball_count(int(math.floor(r + 1e-9)), rank))
                         for r in r_grid)
         return OrbitCensus(TREE, base, entries, (True,) * len(entries))
-    if backend == FLAT:
+    if name == FLAT:
         entries = tuple((r, len(flat.lattice_ball(r))) for r in r_grid)
         return OrbitCensus(FLAT, base, entries, (True,) * len(entries))
-    if backend == PLANE:
-        p = complex(base)
-        ball = modular.modular_ball(p, max(r_grid, default=0.0))
-        # modular_ball's own test: each count is the radius-r ball's size
-        d = halfplane.dist(p, halfplane.mobius_apply(ball.elements.T, p))
-        entries = tuple((r, int((d <= r + modular.BALL_SLACK).sum()))
-                        for r in r_grid)
-        flags = (ball.complete,) * len(entries)
-        return OrbitCensus(PLANE, base, entries, flags)
-    raise BackendMismatch(f"unknown backend {backend!r}")
+    p = complex(base)
+    ball = modular.modular_ball(p, max(r_grid, default=0.0))
+    # modular_ball's own test: each count is the radius-r ball's size
+    d = halfplane.dist(p, halfplane.mobius_apply(ball.elements.T, p))
+    entries = tuple((r, int((d <= r + modular.BALL_SLACK).sum()))
+                    for r in r_grid)
+    return OrbitCensus(PLANE, base, entries, (ball.complete,) * len(entries))
 
 
 def fit_entropy(census, window=None):
@@ -125,15 +123,13 @@ def geodesic_census(backend, T, rank=2):
     rotation); modular classes come from the exact R/L-word enumeration.
     Both routes are complete.
     """
-    if backend == TREE:
+    b = Backend.of(backend, rank, hyperbolic=True)
+    if b.name == TREE:
         ws = words.necklaces(int(T), rank)
         return GeodesicCensus(TREE, tuple(ws),
                               np.fromiter(map(len, ws), float, len(ws)),
-                              h=math.log(2 * rank - 1), T=float(T))
-    if backend == PLANE:
-        return modular.enumerate_conj_classes(T)
-    raise BackendMismatch(f"no closed-geodesic census on backend "
-                          f"{backend!r} (no hyperbolic elements)")
+                              h=b.h, T=float(T))
+    return modular.enumerate_conj_classes(T)
 
 
 def margulis_ratio(census, h, t):

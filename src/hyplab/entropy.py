@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import counting, flat, halfplane, words
-from .geometry import FLAT, PLANE, TREE, BackendMismatch
+from .geometry import FLAT, PLANE, TREE, Backend
 
 SAMPLES_PER_UNIT = 4  # d_n grid points per unit time, continuous backends
 
@@ -41,7 +41,8 @@ class FlowPoint:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.backend == TREE:
+        name = Backend.of(self.backend).name
+        if name == TREE:
             if not self.future or not self.past:
                 raise ValueError("tree flow point needs both directions")
             for w in (self.origin, self.future, self.past):
@@ -50,7 +51,7 @@ class FlowPoint:
             if self.future[0] == self.past[0]:
                 raise ValueError("flow line backtracks at time 0")
             vars(self).update(point=self._tree_point)
-        elif self.backend == PLANE:
+        elif name == PLANE:
             p = complex(self.pos)
             if p.imag <= 0:
                 raise ValueError(f"{p} is not a point of the upper "
@@ -60,13 +61,11 @@ class FlowPoint:
                 halfplane.forward_endpoint(p, self.theta), p))
             vars(self).update(metric=halfplane.dist,
                               point=self.geodesic.point)
-        elif self.backend == FLAT:
+        else:
             object.__setattr__(self, "pos",
                                np.mod(np.asarray(self.pos, dtype=float),
                                       1.0))
             vars(self).update(metric=flat.torus_dist, point=self._flat_point)
-        else:
-            raise BackendMismatch(f"unknown backend {self.backend!r}")
 
     def _tree_point(self, t):
         n = int(round(t))
@@ -257,25 +256,15 @@ def estimate_htop(backend, n_grid=None, delta_grid=None, rank=2,
     The slope is fitted to the cover upper bounds (the separated lower
     bounds give the same slope when the sandwich is tight), over at
     least two distinct n (ValueError otherwise), and is compared with
-    the volume entropy from the orbit-count fit.
-    """
+    the volume entropy from the orbit-count fit; defaults are the
+    backend record's."""
+    b = Backend.of(backend, rank)
     delta_grid = (0.5,) if delta_grid is None else tuple(delta_grid)
-    if backend == TREE:
-        n_grid = list(range(1, 7)) if n_grid is None else list(n_grid)
-        sample = (tree_flow_sample(max(n_grid), rank)
-                  if sample is None else sample)
-        fit_grid, base = list(range(2, 11)), None
-    elif backend == FLAT:
-        n_grid = (list(range(12, 41, 4)) if n_grid is None
-                  else list(n_grid))
-        sample = flat_flow_sample() if sample is None else sample
-        fit_grid, base = list(range(4, 81, 4)), None
-    elif backend == PLANE:
-        n_grid = list(range(1, 6)) if n_grid is None else list(n_grid)
-        sample = plane_flow_sample() if sample is None else sample
-        fit_grid, base = [float(r) for r in range(2, 9)], 2j
-    else:
-        raise BackendMismatch(f"unknown backend {backend!r}")
+    n_grid = list(b.n if n_grid is None else n_grid)
+    if sample is None:
+        sample = (tree_flow_sample(max(n_grid), rank) if b.name == TREE
+                  else flat_flow_sample() if b.name == FLAT
+                  else plane_flow_sample())
     if len(set(n_grid)) < 2:
         raise ValueError(f"n grid {n_grid} has no two distinct n to fit")
     slopes, all_reports = {}, []
@@ -288,7 +277,8 @@ def estimate_htop(backend, n_grid=None, delta_grid=None, rank=2,
     h = vals[0]  # finest delta
     spread = max(vals) - min(vals) if len(vals) > 1 else 0.0
     stable = spread <= 0.1 * max(abs(h), 1e-9) + 1e-9
-    census = counting.orbit_count(backend, base, fit_grid, rank=rank)
+    census = counting.orbit_count(backend, b.base, b.radii(b.grid[3]),
+                                  rank=rank)
     fit = counting.fit_entropy(census)
     return HtopEstimate(h, slopes, all_reports, fit.h,
                         abs(h - fit.h), stable)
@@ -375,7 +365,8 @@ def endpoint_fiber_probe(backend, xi, eta):
     has eta = xi + pi (mod 2 pi) as its backward direction, and that
     pair carries a continuum of parallels, of which two are returned.
     """
-    if backend == TREE:
+    name = Backend.of(backend).name
+    if name == TREE:
         xi = xi if isinstance(xi, words.BoundaryWord) else \
             words.BoundaryWord(xi)
         eta = eta if isinstance(eta, words.BoundaryWord) else \
@@ -383,17 +374,15 @@ def endpoint_fiber_probe(backend, xi, eta):
         if xi == eta:
             raise ValueError("endpoints must differ")
         return 1, "unique reduced bi-infinite word through the tree"
-    if backend == PLANE:
-        if xi == eta:
-            raise ValueError("endpoints must differ")
-        g = halfplane.line(xi, eta)
-        kind = "vertical line" if g.vert else "semicircle"
-        return 1, f"unique geodesic ({kind}) determined by its endpoints"
-    if backend == FLAT:
+    if name == FLAT:
         gap = (float(eta) - float(xi) - math.pi) % (2 * math.pi)
         if not min(gap, 2 * math.pi - gap) <= 1e-9:
             raise ValueError("flat endpoints must be opposite directions")
         a = FlowPoint(FLAT, pos=(0.0, 0.0), theta=float(xi))
         b = FlowPoint(FLAT, pos=(0.37, 0.41), theta=float(xi))
         return 2, [a, b]
-    raise BackendMismatch(f"unknown backend {backend!r}")
+    if xi == eta:
+        raise ValueError("endpoints must differ")
+    g = halfplane.line(xi, eta)
+    kind = "vertical line" if g.vert else "semicircle"
+    return 1, f"unique geodesic ({kind}) determined by its endpoints"

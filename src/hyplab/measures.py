@@ -5,9 +5,9 @@ nu_{p,s} at one base point p, the limit s -> h of boundary-cell masses
 (exact on the tree, one least-squares fit on the plane), conformal-density
 and shadow-lemma checks, the pair measure on the double boundary with its
 invariance test, closed-geodesic equidistribution, and the two
-flow-measure validators (forward-cone mass and separated sets).  Tree
-routes that take a partition read the rank, and with it h, from the
-partition.
+flow-measure validators (forward-cone mass and separated sets).  The
+exact h of every route is the backend record's (`geometry.Backend`);
+tree routes that take a partition read the rank from the partition.
 """
 
 import functools
@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import halfplane, modular, words
-from .geometry import PLANE, TREE, BackendMismatch
+from .geometry import PLANE, TREE, Backend, BackendMismatch
 
 PAIR_WEIGHT_CAP = 1e6  # e^{h beta} above this: diagonal band, excluded
 PLANE_BASE = 1j  # every plane partition's arcs are angles at i
@@ -144,9 +144,9 @@ def poincare_series(backend, s, p=None, cap=30.0, rank=2):
     hyperbolic backends.  The tree tail is an exact geometric sum; the
     plane sum and tail are `_PlaneAtoms.series` of the orbit atoms at p.
     """
-    if backend == TREE:
-        h = math.log(2 * rank - 1)
-        if s <= h:
+    b = Backend.of(backend, rank, hyperbolic=True)
+    if b.name == TREE:
+        if s <= b.h:
             raise ValueError(f"series diverges for s <= log({2 * rank - 1})")
         # homogeneous: d(p, gamma q) sweeps each vertex distance once
         x = math.exp(-s)
@@ -157,9 +157,7 @@ def poincare_series(backend, s, p=None, cap=30.0, rank=2):
         tail = (2 * rank * (2 * rank - 1) ** n * x ** (n + 1)
                 / (1.0 - ratio))
         return partial, tail
-    if backend == PLANE:
-        return _plane_atoms(2j if p is None else p, cap).series(s)
-    raise BackendMismatch(f"no Poincare series on backend {backend!r}")
+    return _plane_atoms(b.base if p is None else p, cap).series(s)
 
 
 def ps_measure(backend, p, s, cap, rank=2):
@@ -167,7 +165,7 @@ def ps_measure(backend, p, s, cap, rank=2):
     orbit points gamma p, normalized by the Poincare series at p.  The
     tree route is rooted at the identity vertex; its cap must be finite
     and >= 1, as the plane atoms' cap."""
-    if backend == TREE:
+    if Backend.of(backend, rank, hyperbolic=True).name == TREE:
         if p not in ("", None):
             raise BackendMismatch("tree orbital measures are rooted at the "
                                   "identity vertex")
@@ -182,19 +180,17 @@ def ps_measure(backend, p, s, cap, rank=2):
         total = sum(w for _, w in atoms)
         return AtomicMeasure(TREE, tuple(atoms), total, tail_num / norm,
                              (("s", s), ("cap", cap), ("d_px", 0.0)))
-    if backend == PLANE:
-        atoms = _plane_atoms(p, cap)
-        npart, ntail = atoms.series(s)
-        # the atoms at p, kept apart by the cache, come first
-        z = np.concatenate((atoms.base_z, atoms.z))
-        d = np.concatenate((halfplane.dist(atoms.p, atoms.base_z), atoms.d))
-        w = np.exp(-s * d) / npart
-        total = float(w.sum())
-        tail = ntail / npart + total * ntail / npart
-        atoms = tuple(zip(z.tolist(), w.tolist()))
-        return AtomicMeasure(PLANE, atoms, total, tail,
-                             (("s", s), ("cap", cap), ("d_px", 0.0)))
-    raise BackendMismatch(f"unknown backend {backend!r}")
+    atoms = _plane_atoms(p, cap)
+    npart, ntail = atoms.series(s)
+    # the atoms at p, kept apart by the cache, come first
+    z = np.concatenate((atoms.base_z, atoms.z))
+    d = np.concatenate((halfplane.dist(atoms.p, atoms.base_z), atoms.d))
+    w = np.exp(-s * d) / npart
+    total = float(w.sum())
+    tail = ntail / npart + total * ntail / npart
+    atoms = tuple(zip(z.tolist(), w.tolist()))
+    return AtomicMeasure(PLANE, atoms, total, tail,
+                         (("s", s), ("cap", cap), ("d_px", 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +317,11 @@ def _check_tree_word(name, w, rank):
 
 
 def _check_partition(backend, partition):
+    """The backend's h, once the partition is checked to be its own."""
     if backend != partition.backend:
         raise BackendMismatch(f"{backend!r} route on a "
                               f"{partition.backend!r} partition")
+    return Backend.of(backend, partition.rank).h
 
 
 def limit_cell_masses(backend, p, partition, cap=None):
@@ -394,7 +392,7 @@ def conformal_check(backend, p, q, partition, cap=None):
     s = 1 (`_far_log_ratios`) and compares it with the closed-form
     Busemann function at the arc's representative direction.
     """
-    _check_partition(backend, partition)
+    h = _check_partition(backend, partition)
     if backend == TREE:
         rank = partition.rank
         _check_tree_word("p", p, rank)
@@ -413,11 +411,9 @@ def conformal_check(backend, p, q, partition, cap=None):
                      / words.visual_measure(p, w, rank))
             # exact check: nu_q/nu_p must equal (2k-1)^{-b}
             if ratio != Fraction(2 * rank - 1) ** -b_i:
-                worst = max(worst, abs(math.log(float(ratio))
-                                       + math.log(2 * rank - 1) * b_i))
+                worst = max(worst, abs(math.log(float(ratio)) + h * b_i))
         return worst
     p, q = complex(p), complex(q)
-    h = 1.0
     log_ratio, usable = _far_log_ratios(_plane_atoms(p, cap), q, partition)
     b = halfplane.busemann(
         q, p, np.asarray(partition.representatives)[usable])
@@ -461,24 +457,22 @@ def _wrap_angle(x):
 def shadow_mass_bounds(backend, p, x, rho, cap=None, rank=2):
     """(nu_p(shadow of B(x, rho)), ratio to e^{-h d(p,x)}); the plane
     mass is the limit mass of the far atoms on the shadow arc."""
-    if backend == TREE:
+    if Backend.of(backend, rank, hyperbolic=True).name == TREE:
         desc = shadow(TREE, p, x, rho)  # shadow of B(x,.) seen from p
         if desc[0] != "cyl":
             raise ValueError("mass bound route expects a proper shadow")
         mass = float(words.visual_measure(p, desc[1], rank))
         return mass, mass * float(2 * rank - 1) ** words.distance(p, x)
-    if backend == PLANE:
-        p, x = complex(p), complex(x)
-        lo, hi = halfplane.direction_toward(
-            PLANE_BASE, halfplane.shadow_arc(p, x, rho))
-        atoms = _plane_atoms(p, cap)
-        on_arc = atoms.d[atoms.far & (_wrap_angle(atoms.theta - lo)
-                                      < np.mod(hi - lo, 2.0 * math.pi))]
-        mass, _ = atoms.limit([[np.exp(-s * on_arc).sum() / total]
-                               for s, total in zip(DEFAULT_S_GRID_PLANE,
-                                                   atoms.far_totals)])
-        return float(mass[0]), float(mass[0] * math.exp(halfplane.dist(p, x)))
-    raise BackendMismatch(f"unknown backend {backend!r}")
+    p, x = complex(p), complex(x)
+    lo, hi = halfplane.direction_toward(
+        PLANE_BASE, halfplane.shadow_arc(p, x, rho))
+    atoms = _plane_atoms(p, cap)
+    on_arc = atoms.d[atoms.far & (_wrap_angle(atoms.theta - lo)
+                                  < np.mod(hi - lo, 2.0 * math.pi))]
+    mass, _ = atoms.limit([[np.exp(-s * on_arc).sum() / total]
+                           for s, total in zip(DEFAULT_S_GRID_PLANE,
+                                               atoms.far_totals)])
+    return float(mass[0]), float(mass[0] * math.exp(halfplane.dist(p, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +506,7 @@ def pair_measure(backend, p, partition, masses=None, cap=None):
     per lcp, and it takes no `masses`.  Plane masses, when not given,
     are `limit_cell_masses` at p of the orbit atoms of radius `cap`
     (default DEFAULT_PAIR_CAP)."""
-    _check_partition(backend, partition)
+    h = _check_partition(backend, partition)
     i, j = np.triu_indices(len(partition), 1)
     if backend == TREE:
         if masses is not None:
@@ -527,9 +521,8 @@ def pair_measure(backend, p, partition, masses=None, cap=None):
         band = factor > PAIR_WEIGHT_CAP
         return PairMeasure(backend, p, partition, i, j,
                            np.where(band, 0, factor)[lcp], band[lcp],
-                           (2 * rank) ** 2 * base ** (2 * depth - 2),
-                           math.log(base))
-    p, h = complex(p), 1.0
+                           (2 * rank) ** 2 * base ** (2 * depth - 2), h)
+    p = complex(p)
     if masses is None:
         masses = limit_cell_masses(backend, p, partition, DEFAULT_PAIR_CAP
                                    if cap is None else cap)[0]

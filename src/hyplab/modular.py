@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import halfplane, words
-from .geometry import PLANE, GeodesicCensus
+from .geometry import PLANE, Backend, GeodesicCensus
 
 IDENT = (1, 0, 0, 1)
 
@@ -229,8 +229,8 @@ def enumerate_conj_classes(T, include_imprimitive=False):
     traces, at = np.unique(tr[order], return_inverse=True)
     lengths = np.array([2.0 * math.acosh(t / 2.0) for t in traces.tolist()])
     return GeodesicCensus(PLANE, tuple(ws[order].tolist()), lengths[at],
-                          h=1.0, T=float(T), matrices=m[order],
-                          primitive=prim[order])
+                          h=Backend.of(PLANE).h, T=float(T),
+                          matrices=m[order], primitive=prim[order])
 
 
 def class_axes(m):

@@ -231,9 +231,43 @@ def test_entropy_single_n_is_usage_error(tmp_path, capsys, argv):
     assert not os.listdir(out)
 
 
-def test_measure_flat_refused(tmp_path):
-    code, _ = run(tmp_path, "measure", "--backend", "flat")
+def test_measure_flat_refused(tmp_path, capsys):
+    code, out = run(tmp_path, "measure", "--backend", "flat")
     assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'flat' is not hyperbolic" in err
+    assert "grows polynomially, critical exponent 0" in err
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("command", ["count", "entropy"])
+@pytest.mark.parametrize("rank", ["1", "0", "27"])
+def test_tree_rank_outside_two_to_26_is_refused_before_any_file(
+        tmp_path, capsys, command, rank):
+    code, out = run(tmp_path, command, "--backend", "tree", "--rank", rank)
+    assert code == cli.EXIT_USAGE
+    assert (f"error: tree rank must be in 2..26, not {rank}"
+            in capsys.readouterr().err)
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("backend, rmax, top", [
+    ("tree", "10.5", b"10,"), ("flat", "20.5", b"20,"),
+    ("modular", "6.5", b"6,")])
+def test_config_rmax_parses_as_the_flag_does(tmp_path, backend, rmax, top):
+    # a fractional Rmax tops the grid at its floor, from a file or a flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"backend={backend}\nRmax={rmax}\nT=4\n")
+
+    def census(name, *argv):
+        code = cli.main(["--out", str(tmp_path / name)] + list(argv))
+        assert code == cli.EXIT_OK
+        return (tmp_path / name / "orbit_census.csv").read_bytes()
+
+    from_file = census("file", "--config", str(cfg), "count")
+    assert from_file == census("flag", "count", "--backend", backend,
+                               "--Rmax", rmax, "--T", "4")
+    assert from_file.splitlines()[-1].startswith(top)
 
 
 def test_measure_equidist_of_an_empty_census_is_usage_error(tmp_path, capsys):

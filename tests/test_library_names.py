@@ -1,8 +1,10 @@
-"""Every top-level library name has a caller outside the tests."""
+"""Every top-level library name has a caller outside the tests, and the
+backend is chosen, and h written, in as few places as the code allows."""
 
 import ast
 import collections
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "hyplab"
@@ -65,3 +67,35 @@ def test_every_library_function_and_class_has_a_caller():
     unused = [".".join(keys[0]) for keys in defined
               if not any(uses[k] > 0 for k in keys)]
     assert not unused, f"no caller outside the tests: {unused}"
+
+
+# `backend ==/!= TREE/PLANE/FLAT` lines outside `geometry.Backend.of`, the
+# one lookup that maps a name to its record; lower it when a route drops one
+MAX_BACKEND_COMPARISONS = 26
+BACKEND_COMPARISON = re.compile(r"(==|!=) (TREE|PLANE|FLAT)\b")
+# the closed forms of the critical exponent: log(2k - 1) and 1
+H_CLOSED_FORM = re.compile(
+    r"math\.log\((3|2 \* rank - 1|base)\)|\bh *= *1(\.0)?\b")
+
+
+def _outside_the_lookup(pattern):
+    """file:line of each library line matching pattern, leaving out the
+    lines of `geometry.Backend.of`."""
+    tree = ast.parse((LIBRARY / "geometry.py").read_text())
+    (of,) = [n for c in tree.body if isinstance(c, ast.ClassDef)
+             and c.name == "Backend" for n in c.body
+             if isinstance(n, ast.FunctionDef) and n.name == "of"]
+    return [f"{path.name}:{i}" for path in sorted(LIBRARY.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line) and not (
+                path.name == "geometry.py"
+                and of.lineno <= i <= of.end_lineno)]
+
+
+def test_the_backend_is_chosen_in_few_places():
+    found = _outside_the_lookup(BACKEND_COMPARISON)
+    assert len(found) <= MAX_BACKEND_COMPARISONS, found
+
+
+def test_h_closed_forms_are_written_only_in_the_record():
+    assert not _outside_the_lookup(H_CLOSED_FORM)
