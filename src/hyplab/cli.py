@@ -80,12 +80,18 @@ def effective_config(args, keys, hyperbolic=False):
     """Merge config file values with flag overrides into a flat dict.
 
     An explicit flag beats a file value, and a file value beats the
-    default.  Written back to args: the merged seed and, for a "backend"
-    key, its record, built once (at rank 2 unless "rank" is a key).
+    default; a file key the command does not read, or a rank off the
+    tree, raises ValueError.  Written back to args: the merged seed and,
+    for a "backend" key, its record, built once (at rank 2 unless "rank"
+    is a key).
     """
     cfg = {}
     if args.config:
         cfg.update(load_config(args.config))
+        unread = sorted(set(cfg) - set(keys) - {"seed"})
+        if unread:
+            raise ValueError(f"{args.command} does not read the --config "
+                             f"key(s) {', '.join(unread)}")
     for k in keys + ("seed",):
         v = getattr(args, k.replace("-", "_"), None)
         if v is not None:
@@ -95,6 +101,9 @@ def effective_config(args, keys, hyperbolic=False):
         rank = int(cfg.get("rank", 2)) if "rank" in keys else 2
         args.backend = Backend.of(cfg.setdefault("backend", "tree"), rank,
                                   hyperbolic, cli=True)
+        if "rank" in cfg and args.backend.rank is None:  # not the tree
+            raise ValueError(f"--rank is read on the tree backend alone, "
+                             f"not on {args.backend.cli}")
     return cfg
 
 
@@ -180,7 +189,7 @@ def cmd_measure(args):
                {"backend": b.cli, "s": s,
                 "total_mass": float(mu.total_mass),
                 "tail_bound": float(mu.tail_bound),
-                "atoms": len(mu.atoms)},
+                "atoms": len(mu.weights)},
                cfg, "eq-nupxs eq-nu-weight")
     for check in checks:
         if check == "conformal":

@@ -89,33 +89,14 @@ def forward_endpoint(z, theta):
 
 def direction_toward(p, xi):
     """Initial tangent angle in [-pi, pi) at interior point p of the
-    geodesic ray toward boundary point xi (real or inf).
-
-    Broadcasts over arrays of p and xi, in blocks of _ANGLE_BLOCK points
-    so that the temporaries stay a fixed size however many points come
-    in; returns a float for scalar input.
-    """
+    geodesic ray toward boundary point xi (real or inf).  Broadcasts over
+    arrays of p and xi; returns a float for scalar input."""
     scalar = np.ndim(p) == 0 and np.ndim(xi) == 0
-    p = np.asarray(p, dtype=complex)
-    xi = np.asarray(xi, dtype=float)
-    out = np.empty(np.broadcast_shapes(p.shape, xi.shape, (1,)))
-    flat = out.reshape(-1)
-    # a scalar p stays scalar: no full-length copy of one base point
-    p = p if p.ndim == 0 else np.broadcast_to(p, out.shape).reshape(-1)
-    xi = np.broadcast_to(xi, out.shape).reshape(-1)
-    for k in range(0, len(flat), _ANGLE_BLOCK):
-        block = slice(k, k + _ANGLE_BLOCK)
-        flat[block] = _direction_block(p[block] if p.ndim else p, xi[block])
-    return float(out[0]) if scalar else out
-
-
-_ANGLE_BLOCK = 1 << 16  # points per block of direction_toward
-
-
-def _direction_block(p, xi):
+    p, xi = np.broadcast_arrays(np.atleast_1d(np.asarray(p, dtype=complex)),
+                                np.atleast_1d(np.asarray(xi, dtype=float)))
     out = np.full(xi.shape, 0.5 * math.pi)
     fin = ~np.isinf(xi)
-    p, x = p[fin] if p.ndim else p, xi[fin]
+    p, x = p[fin], xi[fin]
     same = np.abs(x - p.real) < 1e-13
     # circle center c on the real axis with |p - c| = |xi - c|
     c = 0.5 * (x + (np.abs(p) ** 2 - x * p.real)
@@ -125,7 +106,7 @@ def _direction_block(p, xi):
     th = np.where(x > c, phi - 0.5 * math.pi, phi + 0.5 * math.pi)
     th = np.where(same, -0.5 * math.pi, th)
     out[fin] = np.mod(th + math.pi, 2.0 * math.pi) - math.pi
-    return out
+    return float(out[0]) if scalar else out
 
 
 class _AxisChart:

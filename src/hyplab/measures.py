@@ -105,19 +105,21 @@ def plane_partition(n_arcs):
 # ---------------------------------------------------------------------------
 # atomic orbital measures
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure:
     """Finitely many weighted atoms at orbit points, with the truncation
-    tail of the defining series bounded explicitly."""
+    tail of the defining series bounded explicitly, held as columns:
+    points (complex array on the plane, words on the tree), weights."""
 
     backend: str
-    atoms: tuple  # ((point, weight), ...)
+    points: object
+    weights: np.ndarray
     total_mass: float
     tail_bound: float
     params: tuple  # ((name, value), ...)
 
     def __post_init__(self):
-        if any(w < 0 for _, w in self.atoms):
+        if (self.weights < 0).any():
             raise ValueError("atom weights must be nonnegative")
         p = dict(self.params)
         if "s" in p and "d_px" in p:
@@ -126,6 +128,12 @@ class AtomicMeasure:
             if not (lo - 1e-9 <= self.total_mass <= hi + 1e-9):
                 raise ValueError("total mass outside the conformal-weight "
                                  f"bounds [{lo}, {hi}]")
+
+    @property
+    def atoms(self):
+        """((point, weight), ...) in Python types, built on each use."""
+        return tuple(zip(np.asarray(self.points).tolist(),
+                         self.weights.tolist()))
 
 
 def tree_series_closed_form(s, rank=2):
@@ -173,12 +181,14 @@ def ps_measure(backend, p, s, cap, rank=2):
             raise ValueError(f"tree orbital-measure cap must be finite and "
                              f">= 1, not {cap}")
         norm = tree_series_closed_form(s, rank)
-        weight = [math.exp(-s * n) / norm for n in range(int(cap) + 1)]
+        weight = np.array([math.exp(-s * n) / norm
+                           for n in range(int(cap) + 1)])
         # the orbit point u lies at distance |u| from the root
-        atoms = [(u, weight[len(u)]) for u in words.ball_words(int(cap), rank)]
+        points = tuple(words.ball_words(int(cap), rank))
+        weights = weight[[len(u) for u in points]]
         _, tail_num = poincare_series(TREE, s, cap=cap, rank=rank)
-        total = sum(w for _, w in atoms)
-        return AtomicMeasure(TREE, tuple(atoms), total, tail_num / norm,
+        return AtomicMeasure(TREE, points, weights, sum(weights.tolist()),
+                             tail_num / norm,
                              (("s", s), ("cap", cap), ("d_px", 0.0)))
     atoms = _plane_atoms(p, cap)
     npart, ntail = atoms.series(s)
@@ -188,8 +198,7 @@ def ps_measure(backend, p, s, cap, rank=2):
     w = np.exp(-s * d) / npart
     total = float(w.sum())
     tail = ntail / npart + total * ntail / npart
-    atoms = tuple(zip(z.tolist(), w.tolist()))
-    return AtomicMeasure(PLANE, atoms, total, tail,
+    return AtomicMeasure(PLANE, z, w, total, tail,
                          (("s", s), ("cap", cap), ("d_px", 0.0)))
 
 
@@ -224,7 +233,8 @@ class _PlaneAtoms:
         # measured upper growth constant C2 of the orbit counts over the
         # outer half of the ball, for the tail C2 e^{R} of the series
         grid = np.arange(max(1.0, cap / 2.0), cap + 0.5, 1.0)
-        counts = np.searchsorted(np.sort(self.d), grid + 1e-12)
+        counts = np.array([np.count_nonzero(self.d < g + 1e-12)
+                           for g in grid])
         self.c2 = float(max(counts * np.exp(-grid)))
         self.far = self.d >= 0.5 * cap
         self._binned = None  # (partition, cell index, cell sums)
@@ -241,15 +251,22 @@ class _PlaneAtoms:
 
     @functools.cached_property
     def theta(self):
-        """Angle at PLANE_BASE of the ray toward each atom's boundary
-        point, the endpoint of the geodesic from p through the atom.
-        Computed in blocks of _THETA_BLOCK atoms, so that the temporaries
-        stay a fixed size however large the ball."""
-        xi = np.empty(len(self.z))
+        """Angle in [-pi, pi) at PLANE_BASE of the ray toward the endpoint
+        of the geodesic from p through each atom z: the endpoint is u =
+        w/|w|, w = (z - p)/(z - conj p), on the disc chart at p, and v on
+        the chart at i, where the ray leaves at arg v + pi/2 = arg iv.
+        In blocks of _THETA_BLOCK atoms, so that the temporaries stay a
+        fixed size however large the ball."""
+        p, pc, i = self.p, self.p.conjugate(), PLANE_BASE
+        out = np.empty(len(self.z))
         for k in range(0, len(self.z), _THETA_BLOCK):
-            xi[k:k + _THETA_BLOCK] = halfplane.geodesic_endpoints(
-                self.p, self.z[k:k + _THETA_BLOCK])[1]
-        return halfplane.direction_toward(PLANE_BASE, xi)
+            z = self.z[k:k + _THETA_BLOCK]
+            u = (z - p) / (z - pc)
+            u /= np.abs(u)
+            v = ((p - i) - (pc - i) * u) / ((p + i) - (pc + i) * u)
+            th = np.angle(1j * v)
+            out[k:k + _THETA_BLOCK] = np.where(th == math.pi, -math.pi, th)
+        return out
 
     def far_cells(self, partition):
         """(each atom's cell, the far atoms' cell sums of e^{-s d} for each

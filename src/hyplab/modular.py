@@ -94,11 +94,7 @@ def modular_ball(p, R):
     for c0 in range(0, cmax + 1, BALL_BLOCK_ROWS):
         rows = np.arange(c0, min(c0 + BALL_BLOCK_ROWS, cmax + 1),
                          dtype=np.int64)
-        c, d = _coprime_cd(rows, p.real, bmax)
-        g, xg, yg = _ext_gcd_rows(c, d)
-        flip = np.where(g < 0, -1, 1)
-        # xg*c + yg*d = 1  ->  a0 = yg, b0 = -xg gives a0 d - b0 c = 1
-        a0, b0 = yg * flip, -xg * flip
+        c, d, a0, b0 = _unimodular_rows(rows, p.real, bmax)
         beta = c * p + d
         alpha = (a0 * p + b0) - p * beta
         # |alpha + t beta|^2 <= nmax
@@ -114,14 +110,16 @@ def modular_ball(p, R):
         t = tlo[pick] + words._ramp(n_t)
         c, d = c[pick], d[pick]
         a, b = a0[pick] + t * c, b0[pick] + t * d
-        disp = halfplane.dist(p, (a * p + b) / (c * p + d))
-        inside = disp <= R + BALL_SLACK
+        inside = halfplane.dist(p, (a * p + b) / (c * p + d)) \
+            <= R + BALL_SLACK
+        if not inside.all():  # only blocks the sphere cuts are gathered
+            a, b, c, d = a[inside], b[inside], c[inside], d[inside]
         neg = a < 0
         neg |= (a == 0) & (b < 0)
-        sign = np.where(neg, -1, 1)[inside]
+        sign = np.where(neg, -1, 1)
         key = np.zeros(len(sign), dtype=np.int64)
         for col, low, base, m in zip((a, b, c, d), lo, span, bound):
-            col = col[inside] * sign
+            col = col * sign
             if col.size and (col.min() < low or col.max() > m):
                 raise ValueError(f"ball of radius {R} leaves its a-priori "
                                  f"column bound {m}")
@@ -161,35 +159,45 @@ def _ball_column_bounds(p, R):
     return tuple(int(v) + 2 for v in (a, a * ax + abs(p) * e, c, c * ax + e))
 
 
-def _coprime_cd(rows, x, bmax):
-    """Coprime (c, d) with |c x + d| <= bmax + 1 for c in rows, ordered
-    by c then d.  c = 0 gives (0, 1) alone: those rows are translations,
-    whose negatives are the same element of PSL(2, Z)."""
+def _unimodular_rows(rows, x, bmax):
+    """(c, d, a0, b0): the coprime (c, d) with |c x + d| <= bmax + 1 for
+    c in rows, ordered by c then d, with a0 d - b0 c = 1.  c = 0 gives
+    (0, 1) alone: translations, whose negatives are the same elements.
+    a0 = d^-1 mod c depends on d mod c alone, so Euclid runs on the m =
+    max(c, 1) residues of each c, not on every d: b0 = (a0 d - 1) / m."""
     dmid = -rows * x
     dr = bmax + 1.0
     lo = np.ceil(dmid - dr).astype(np.int64)
     n = np.floor(dmid + dr).astype(np.int64) - lo + 1
     lo[rows == 0], n[rows == 0] = 1, 1
+    m = np.maximum(rows, 1)
+    g, inv = _residue_inverses(np.repeat(m, m), words._ramp(m))
     c = np.repeat(rows, n)
     d = np.repeat(lo, n) + words._ramp(n)
-    keep = np.gcd(c, d) == 1
-    return c[keep], d[keep]
+    # each d's slot in the table: its row's offset plus d mod m
+    at = np.repeat(np.cumsum(m) - m, n) + d % np.repeat(m, n)
+    keep = g[at] == 1
+    c, d = c[keep], d[keep]
+    a0 = inv[at[keep]]
+    return c, d, a0, (a0 * d - 1) // np.maximum(c, 1)
 
 
-def _ext_gcd_rows(a, b):
-    """Extended Euclid row by row: (g, s, t) with s a + t b = g, with
-    Python's floor-division steps (g may come out negative)."""
-    old_r, r = a.copy(), b.copy()
-    old_s, s = np.ones_like(a), np.zeros_like(a)
-    old_t, t = np.zeros_like(a), np.ones_like(a)
-    live = np.flatnonzero(r)
+def _residue_inverses(m, r):
+    """Row by row, for 0 <= r < m: (g, x), g = gcd(m, r) and, where g = 1,
+    x in [1, m] with x r = 1 mod m, by extended Euclid on the live rows."""
+    g, x = np.empty_like(m), np.empty_like(m)
+    live = np.arange(len(m))
+    old_r, old_t, t = m, np.zeros_like(m), np.ones_like(m)
     while live.size:
-        quo = old_r[live] // r[live]
-        old_r[live], r[live] = r[live], old_r[live] - quo * r[live]
-        old_s[live], s[live] = s[live], old_s[live] - quo * s[live]
-        old_t[live], t[live] = t[live], old_t[live] - quo * t[live]
-        live = live[r[live] != 0]
-    return old_r, old_s, old_t
+        end = r == 0
+        g[live[end]], x[live[end]] = old_r[end], old_t[end]
+        go = ~end
+        live, old_r, r, old_t, t = (v[go] for v in (live, old_r, r,
+                                                     old_t, t))
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_t, t = t, old_t - quo * t
+    return g, (x - 1) % m + 1
 
 
 def enumerate_conj_classes(T, include_imprimitive=False):

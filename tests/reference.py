@@ -24,6 +24,19 @@ def ray(p, xi):
         hp.forward_endpoint(p, hp.direction_toward(p, xi) + math.pi), xi, p)
 
 
+def atom_angles(p, z):
+    """Angle at measures.PLANE_BASE of the ray toward the endpoint of the
+    geodesic from p through each point z, by the two-step route: the
+    circle-centre endpoint (halfplane.geodesic_endpoints), then the
+    direction toward it (halfplane.direction_toward), in blocks of 2**16
+    points.  The angle oracle of measures._PlaneAtoms.theta."""
+    out = np.empty(len(z))
+    for k in range(0, len(z), 1 << 16):
+        xi = hp.geodesic_endpoints(p, z[k:k + (1 << 16)])[1]
+        out[k:k + (1 << 16)] = hp.direction_toward(measures.PLANE_BASE, xi)
+    return out
+
+
 def segment_dist(seg, z):
     """Distance from z (shape (m, n)) to the segments of the chart seg in
     the log domain: arccosh at every point, and the foot's arclength
@@ -181,12 +194,43 @@ def conj_classes(T, include_imprimitive=False):
     return out
 
 
+def _coprime_cd(rows, x, bmax):
+    """Coprime (c, d) with |c x + d| <= bmax + 1 for c in rows, ordered
+    by c then d, by np.gcd over every pair.  c = 0 gives (0, 1) alone."""
+    dmid = -rows * x
+    dr = bmax + 1.0
+    lo = np.ceil(dmid - dr).astype(np.int64)
+    n = np.floor(dmid + dr).astype(np.int64) - lo + 1
+    lo[rows == 0], n[rows == 0] = 1, 1
+    c = np.repeat(rows, n)
+    d = np.repeat(lo, n) + words._ramp(n)
+    keep = np.gcd(c, d) == 1
+    return c[keep], d[keep]
+
+
+def _ext_gcd_rows(a, b):
+    """Extended Euclid on every (a, b) row: (g, s, t) with s a + t b = g,
+    with Python's floor-division steps (g may come out negative)."""
+    old_r, r = a.copy(), b.copy()
+    old_s, s = np.ones_like(a), np.zeros_like(a)
+    old_t, t = np.zeros_like(a), np.ones_like(a)
+    live = np.flatnonzero(r)
+    while live.size:
+        quo = old_r[live] // r[live]
+        old_r[live], r[live] = r[live], old_r[live] - quo * r[live]
+        old_s[live], s[live] = s[live], old_s[live] - quo * s[live]
+        old_t[live], t[live] = t[live], old_t[live] - quo * t[live]
+        live = live[r[live] != 0]
+    return old_r, old_s, old_t
+
+
 def modular_ball(p, R):
     """modular.modular_ball as it was before the sort key was packed
-    per block: int64 blocks (4, k) straight from the displacement mask,
-    a first-nonzero sign pass, and one mixed-radix key over the column
-    spans of the whole ball, packed after the concatenation.  The
-    element oracle of the packed kernel."""
+    per block and before the residue table: extended Euclid on every
+    coprime (c, d) pair, int64 blocks (4, k) straight from the
+    displacement mask, a first-nonzero sign pass, and one mixed-radix
+    key over the column spans of the whole ball, packed after the
+    concatenation.  The element oracle of the kernel."""
     p = complex(p)
     y = p.imag
     # |p - gamma p|^2 |c p + d|^2 = |p (c p + d) - (a p + b)|^2 <= nmax
@@ -199,8 +243,8 @@ def modular_ball(p, R):
     for c0 in range(0, cmax + 1, modular.BALL_BLOCK_ROWS):
         rows = np.arange(c0, min(c0 + modular.BALL_BLOCK_ROWS, cmax + 1),
                          dtype=np.int64)
-        c, d = modular._coprime_cd(rows, p.real, bmax)
-        g, xg, yg = modular._ext_gcd_rows(c, d)
+        c, d = _coprime_cd(rows, p.real, bmax)
+        g, xg, yg = _ext_gcd_rows(c, d)
         flip = np.where(g < 0, -1, 1)
         # xg*c + yg*d = 1  ->  a0 = yg, b0 = -xg gives a0 d - b0 c = 1
         a0, b0 = yg * flip, -xg * flip

@@ -251,6 +251,40 @@ def test_tree_rank_outside_two_to_26_is_refused_before_any_file(
     assert not os.listdir(out)
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("measure", "backend=tree\nrank=3\n", "rank"),
+    ("count", "backend=tree\ncells=64\nRmax=8\n", "cells"),
+    ("validate", "seed=5\nbackend=tree\n", "backend")])
+def test_config_key_the_command_does_not_read_is_refused_before_any_file(
+        tmp_path, capsys, command, text, key):
+    # measure once hashed rank=3 into config_hash and ran at rank 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out = run(tmp_path, "--config", str(cfg), command)
+    assert code == cli.EXIT_USAGE
+    assert (f"error: {command} does not read the --config key(s) {key}"
+            in capsys.readouterr().err)
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("command", ["count", "entropy"])
+@pytest.mark.parametrize("backend", ["modular", "flat"])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_rank_off_the_tree_is_refused_before_any_file(
+        tmp_path, capsys, command, backend, from_file):
+    if from_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"backend={backend}\nrank=5\n")
+        argv = ["--config", str(cfg), command]
+    else:
+        argv = [command, "--backend", backend, "--rank", "5"]
+    code, out = run(tmp_path, *argv)
+    assert code == cli.EXIT_USAGE
+    assert (f"error: --rank is read on the tree backend alone, not on "
+            f"{backend}" in capsys.readouterr().err)
+    assert not os.listdir(out)
+
+
 @pytest.mark.parametrize("backend, rmax, top", [
     ("tree", "10.5", b"10,"), ("flat", "20.5", b"20,"),
     ("modular", "6.5", b"6,")])

@@ -2,9 +2,11 @@
 pair measures, equidistribution, and the flow-mass validators."""
 
 import dataclasses
+import functools
 import math
 import random
 import re
+import types
 import warnings
 from fractions import Fraction
 
@@ -188,9 +190,7 @@ def _per_arc_plane_conformal(p, q, part, cap):
     h, svals = 1.0, np.asarray(measures.DEFAULT_S_GRID_PLANE)
     atoms = measures._plane_atoms(p, cap)
     dq = halfplane.dist(q, atoms.z)
-    xi = halfplane.geodesic_endpoints(p, atoms.z)[1]
-    idx = part.locate_angle(halfplane.direction_toward(measures.PLANE_BASE,
-                                                       xi))
+    idx = part.locate_angle(reference.atom_angles(p, atoms.z))
     far = atoms.d >= 0.5 * cap
     worst = 0.0
     for i in range(len(part)):
@@ -611,14 +611,21 @@ def test_plane_pair_routes_equal_per_pair_loops(weight_cap, monkeypatch):
 
 def test_plane_checks_build_the_atom_angles_once(monkeypatch):
     measures._cached_atoms.cache_clear()
-    sizes = []
-    toward = halfplane.direction_toward
+    builds, sizes = [], []
+    build, toward = measures._PlaneAtoms.theta.func, halfplane.direction_toward
 
-    def counted(p, xi):
+    def counted_build(atoms):
+        builds.append(len(atoms.z))
+        return build(atoms)
+
+    def counted_toward(p, xi):
         sizes.append(np.size(xi))
         return toward(p, xi)
 
-    monkeypatch.setattr(halfplane, "direction_toward", counted)
+    theta = functools.cached_property(counted_build)
+    theta.__set_name__(measures._PlaneAtoms, "theta")
+    monkeypatch.setattr(measures._PlaneAtoms, "theta", theta)
+    monkeypatch.setattr(halfplane, "direction_toward", counted_toward)
     cap, part = 10.0, measures.plane_partition(64)
     measures.conformal_check(PLANE, 2j, 1 + 1j, part, cap=cap)
     for n in range(1, 6):
@@ -626,9 +633,46 @@ def test_plane_checks_build_the_atom_angles_once(monkeypatch):
                                     1.0, cap=cap)
     pm = measures.pair_measure(PLANE, 2j, part, masses=np.ones(len(part)))
     measures.pair_invariance_check(pm, (1, 1, 0, 1), cap=cap)
-    n_atoms = len(measures._plane_atoms(2j, cap).z)
+    assert builds == [len(measures._plane_atoms(2j, cap).z)]
     # the shadow arcs' two endpoints are the only other angles taken
-    assert [n for n in sizes if n > 2] == [n_atoms]
+    assert sizes and max(sizes) <= 2
+
+
+@pytest.mark.parametrize("cap", [10.0, 12.0, 14.0])
+def test_atom_angles_bin_as_the_two_step_route(cap):
+    # the disc-chart angles differ from the circle-centre route's in the
+    # last bits only: no atom changes cell or shadow arc
+    atoms = measures._PlaneAtoms(2j, cap)
+    theta, want = atoms.theta, reference.atom_angles(2j, atoms.z)
+    assert np.all((theta >= -math.pi) & (theta < math.pi))
+    assert np.max(np.abs(theta - want)) <= 1e-11
+    for n in (64, 256):
+        part = measures.plane_partition(n)
+        assert np.array_equal(part.locate_angle(theta),
+                              part.locate_angle(want))
+    for n in range(1, 6):  # the shadows of `measure` and the benchmark
+        lo, hi = halfplane.direction_toward(measures.PLANE_BASE,
+                                            halfplane.shadow_arc(
+                                                2j, 2j * math.exp(
+                                                    1.0 + 0.5 * n), 1.0))
+        width = np.mod(hi - lo, 2.0 * math.pi)
+        assert np.array_equal(measures._wrap_angle(theta - lo) < width,
+                              measures._wrap_angle(want - lo) < width)
+
+
+@pytest.mark.parametrize("p", [2j, 0.3 + 1.7j, -0.45 + 0.9j])
+def test_atom_angles_off_the_axis_and_on_vertical_geodesics(p):
+    # near-vertical geodesics cost the circle-centre route the most bits
+    # (5e-12 at -0.45 + 0.9i, against 4e-15 here, by a 50-digit check)
+    atoms = measures._PlaneAtoms(p, 6.0)
+    assert np.max(np.abs(atoms.theta
+                         - reference.atom_angles(p, atoms.z))) <= 1e-11
+    # straight up from p ends at infinity, straight down at Re p
+    rays = types.SimpleNamespace(p=p, z=np.array([p + 1j, p - 0.5j * p.imag]))
+    theta = measures._PlaneAtoms.theta.func(rays)
+    want = reference.atom_angles(p, rays.z)
+    assert theta[0] == want[0] == 0.5 * math.pi
+    assert abs(theta[1] - want[1]) <= 1e-12
 
 
 def _plane_check_bits(part, cap):

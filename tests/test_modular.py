@@ -1,5 +1,6 @@
 """PSL(2, Z): matrix algebra, orbit balls, and the closed-geodesic census."""
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -227,6 +228,115 @@ def test_modular_ball_equals_the_unpacked_kernel(p, R):
     want = reference.modular_ball(p, R).elements
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x, bmax", [(0.0, 1.0), (0.0, 54.6), (0.3, 20.1),
+                                     (-0.45, 37.0), (2.7, 9.5)])
+@pytest.mark.parametrize("c0", [0, 1, 16, 208])
+def test_unimodular_rows_solve_ad_minus_bc(x, bmax, c0):
+    rows = np.arange(c0, c0 + modular.BALL_BLOCK_ROWS, dtype=np.int64)
+    c, d, a0, b0 = modular._unimodular_rows(rows, x, bmax)
+    assert a0.dtype == b0.dtype == np.int64
+    assert np.all(a0 * d - b0 * c == 1)
+    # the same coprime pairs as np.gcd over every (c, d), in its order
+    want_c, want_d = reference._coprime_cd(rows, x, bmax)
+    assert np.array_equal(c, want_c) and np.array_equal(d, want_d)
+    assert (d < 0).any() or x < 0  # x < 0 drives d up
+    # c = 0 gives the translations (1, b, 0, 1); c = 1 every d, a0 = 1
+    one = c <= 1
+    assert np.all(a0[one] == 1) and np.all(b0[one] == d[one] - 1)
+    if c0 == 0:
+        assert (c[0], d[0], a0[0], b0[0]) == (0, 1, 1, 0)
+        assert np.array_equal(d[c == 1], np.arange(
+            math.ceil(-x - bmax - 1.0), math.floor(-x + bmax + 1.0) + 1))
+
+
+def test_residue_inverses_are_the_modular_inverses():
+    m = np.repeat(np.arange(1, 60), np.arange(1, 60))
+    r = np.concatenate([np.arange(k) for k in range(1, 60)])
+    g, x = modular._residue_inverses(m, r)
+    assert g.tolist() == [math.gcd(int(a), int(b)) for a, b in zip(m, r)]
+    unit = g == 1
+    assert x[unit].tolist() == [pow(int(b), -1, int(a)) if a > 1 else 1
+                                for a, b in zip(m[unit], r[unit])]
+
+
+# sha256 (first 16 hex digits) of modular_ball(p, R).elements.tobytes()
+# as the kernel with extended Euclid on every (c, d) pair computed them
+PARENT_BALLS = [
+    (2j, 0.5, 3, "8d65fdce345d16b0"),
+    (2j, 3.0, 58, "ce59425ab4d97fb8"),
+    (2j, 7.3, 4442, "9b21d9dba7491dee"),
+    (2j, 10.0, 66044, "a074b3472b2d4e5a"),
+    (2j, 12.0, 488372, "14a53018a32c46f0"),
+    (2j, 13.0, 1327632, "dbaa9e5b89bf542e"),
+    (0.3 + 1.7j, 0.5, 1, "33679eedd86f9637"),
+    (0.3 + 1.7j, 3.0, 57, "f15eaae68b6e01d7"),
+    (0.3 + 1.7j, 7.3, 4450, "cf3b50379a12a163"),
+    (0.3 + 1.7j, 10.0, 66230, "6a6a8bc4a29d08dd"),
+    (0.3 + 1.7j, 12.0, 488388, "72051c8bc767a065"),
+    (0.3 + 1.7j, 13.0, 1327541, "92e2dfc5873639c1"),
+    (-0.45 + 0.9j, 0.5, 3, "39cb45e2fd67cce0"),
+    (-0.45 + 0.9j, 3.0, 59, "669dc5cc922433cd"),
+    (-0.45 + 0.9j, 7.3, 4454, "a9ed91ab0c47f7ad"),
+    (-0.45 + 0.9j, 10.0, 66070, "f9e92ac70ce1861d"),
+    (-0.45 + 0.9j, 12.0, 488280, "2ef1d592d1779d6e"),
+    (-0.45 + 0.9j, 13.0, 1327738, "b1b425f342186581"),
+]
+
+
+@pytest.mark.parametrize("p, R, n, digest", PARENT_BALLS)
+def test_modular_ball_equals_the_per_pair_euclid_arrays(p, R, n, digest):
+    el = modular.modular_ball(p, R).elements
+    assert el.shape == (n, 4)
+    assert hashlib.sha256(el.tobytes()).hexdigest()[:16] == digest
+
+
+def _integer_ball_2i(bound):
+    """Rows (a, b, c, d) of PSL(2, Z) with 4a^2 + b^2 + 16c^2 + 4d^2 <=
+    bound, first nonzero entry positive, in lexicographic order, decided
+    in exact integers: c = 0 gives (1, b, 0, 1); for c > 0 and each
+    coprime d, a0 = pow(d, -1, c), and the t with (a0 + tc, b0 + td, c,
+    d) inside are those the float roots of the quadratic form in t give,
+    widened by one each side and then checked exactly."""
+    M = math.floor(bound)
+    bs = np.arange(-math.isqrt(M - 8), math.isqrt(M - 8) + 1)
+    rows = [np.stack([np.ones_like(bs), bs, 0 * bs, np.ones_like(bs)], 1)]
+    c, d = (v.ravel() for v in np.meshgrid(
+        np.arange(1, math.isqrt(M // 16) + 1),
+        np.arange(-math.isqrt(M // 4), math.isqrt(M // 4) + 1),
+        indexing="ij"))
+    keep = (np.gcd(c, d) == 1) & (16 * c * c + 4 * d * d <= M)
+    c, d = c[keep], d[keep]
+    a0 = np.array([pow(int(v), -1, int(m)) for v, m in zip(d, c)],
+                  dtype=np.int64)
+    b0 = (a0 * d - 1) // c
+    # form(t) = A t^2 + B t + C
+    A, B = 4 * c * c + d * d, 2 * (4 * a0 * c + b0 * d)
+    C = 4 * a0 * a0 + b0 * b0 + 16 * c * c + 4 * d * d - M
+    sq = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
+    tlo = np.floor((-B - sq) / (2.0 * A)).astype(np.int64) - 1
+    n = np.ceil((-B + sq) / (2.0 * A)).astype(np.int64) + 1 - tlo + 1
+    pick = np.repeat(np.arange(len(c)), n)
+    t = tlo[pick] + (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+    m = np.stack([a0[pick] + t * c[pick], b0[pick] + t * d[pick],
+                  c[pick], d[pick]], 1)
+    form = 4 * m[:, 0] ** 2 + m[:, 1] ** 2 + 16 * m[:, 2] ** 2 \
+        + 4 * m[:, 3] ** 2
+    m = m[form <= M]
+    flip = (m[:, 0] < 0) | ((m[:, 0] == 0) & (m[:, 1] < 0))
+    m[flip] *= -1
+    rows.append(m)
+    m = np.concatenate(rows)
+    return m[np.lexsort(m.T[::-1])]
+
+
+@pytest.mark.parametrize("R", [0.5, 3.0, 7.3, 10.0, 12.0, 14.0])
+def test_modular_ball_equals_the_exact_integer_ball_at_2i(R):
+    bound = 8.0 * math.cosh(R)
+    assert abs(bound - round(bound)) > 1e-6  # no element on the sphere
+    want = _integer_ball_2i(bound)
+    assert np.array_equal(modular.modular_ball(2j, R).elements, want)
 
 
 @pytest.mark.parametrize("column", range(4))
