@@ -11,6 +11,7 @@ writes the result as JSON under the script's key.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -18,6 +19,17 @@ import subprocess
 import sys
 import tempfile
 import time
+
+# the README's heaviest modular command, and the timer run around it
+PAIR = ("measure", "--backend", "modular", "--check",
+        "shadow,pair-invariance")
+PAIR_RUN = ("import json, resource, sys, time\n"
+            "from hyplab.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "wall = time.perf_counter() - t0\n"
+            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(json.dumps([code, wall, rss / 1024]))\n")
 
 
 def use_checkout(checkout):
@@ -68,6 +80,20 @@ def bench_metrics(checkout, workload, seed, trace, seconds=8):
     return json.loads(out.strip().splitlines()[-1])["metrics"]
 
 
+def pair_command(checkout):
+    """[wall seconds (import excluded), peak RSS in MB, {file: sha256}]
+    of `hyplab --out DIR measure --backend modular --check
+    shadow,pair-invariance` in its own process."""
+    with tempfile.TemporaryDirectory() as out:
+        res = run_py(checkout, ["-c", PAIR_RUN, "--out", out, *PAIR])
+        code, wall, rss = json.loads(res.strip().splitlines()[-1])
+        files = {"exit": code}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as f:
+                files[name] = hashlib.sha256(f.read()).hexdigest()[:16]
+    return [wall, rss, files]
+
+
 def quartiles(values):
     if len(values) < 2:
         return {"median": values[0]}
@@ -91,7 +117,8 @@ def medians(recs, section):
 
 def main(key, default_out, worker, one_round, summarise, identical,
          won=None, note="medians"):
-    """Run the rounds and write {key: result}.
+    """Run the rounds and write {key: result} into the output file, over
+    that key alone: the file's other keys are kept.
 
     worker(checkout) is the `--worker` mode, one_round(checkout) gives
     one round's record of a side, summarise(records) a side's summary
@@ -123,7 +150,11 @@ def main(key, default_out, worker, one_round, summarise, identical,
     result["what"] = (
         f"{args.rounds} rounds, alternating which side runs first; {note}; "
         f"python {sys.version.split()[0]}, {os.cpu_count()} cpus")
+    kept = {}
+    if os.path.exists(args.out):
+        with open(args.out) as f:
+            kept = json.load(f)
     with open(args.out, "w") as f:
-        json.dump({key: result}, f, indent=1, sort_keys=True)
+        json.dump({**kept, key: result}, f, indent=1, sort_keys=True)
         f.write("\n")
     print(json.dumps(shown))

@@ -32,7 +32,6 @@ The result is written as JSON under the key `plane_atoms`.
 
 import hashlib
 import json
-import os
 import resource
 import statistics
 import tempfile
@@ -57,16 +56,6 @@ LAYERS = ("modular.modular_ball.s",
           "measures.limit_cell_masses.s", "measures.shadow_mass_bounds.s",
           "measures.conformal_check.plane.s",
           "measures.pair_invariance_check.plane.s")
-PAIR = ("measure", "--backend", "modular", "--check",
-        "shadow,pair-invariance")
-PAIR_RUN = ("import json, resource, sys, time\n"
-            "from hyplab.cli import main\n"
-            "t0 = time.perf_counter()\n"
-            "code = main(sys.argv[1:])\n"
-            "wall = time.perf_counter() - t0\n"
-            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(json.dumps([code, wall, rss / 1024]))\n")
-
 
 def worker(checkout):
     """Stage RSS, kernel and stage times in this process, as one JSON
@@ -101,19 +90,6 @@ def worker(checkout):
     print(json.dumps(out))
 
 
-def pair_command(checkout):
-    """[wall seconds, peak RSS in MB, {file: sha256}] of the pair
-    command in its own process."""
-    with tempfile.TemporaryDirectory() as out:
-        res = abbench.run_py(checkout, ["-c", PAIR_RUN, "--out", out, *PAIR])
-        code, wall, rss = json.loads(res.strip().splitlines()[-1])
-        files = {"exit": code}
-        for name in sorted(os.listdir(out)):
-            with open(os.path.join(out, name), "rb") as f:
-                files[name] = hashlib.sha256(f.read()).hexdigest()[:16]
-    return [wall, rss, files]
-
-
 def one_round(checkout):
     rec = abbench.worker_record(__file__, checkout)
     traced = abbench.bench_metrics(checkout, "modular_ps", 1, 1, seconds=4)
@@ -123,7 +99,7 @@ def one_round(checkout):
         metrics = abbench.bench_metrics(checkout, "modular_ps", seed, 0)
         for name in ("wall_s", "peak_rss_mb"):
             rec[f"{name}.seed{seed}"] = metrics[name]["value"]
-    rec["pair_command"] = pair_command(checkout)
+    rec["pair_command"] = abbench.pair_command(checkout)
     return rec
 
 
@@ -136,7 +112,7 @@ def summarise(recs):
         "stages": abbench.medians(recs, "stages"),
         "traced": {k: med(r[k] for r in recs) for k in LAYERS},
         "pair_command": {
-            "command": "hyplab --out DIR " + " ".join(PAIR),
+            "command": "hyplab --out DIR " + " ".join(abbench.PAIR),
             "wall_s": med(r["pair_command"][0] for r in recs),
             "peak_rss_mb": med(r["pair_command"][1] for r in recs),
             "outputs": recs[0]["pair_command"][2]},

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flat, halfplane, modular, words
+from . import flat, modular, words
 from .geometry import FLAT, PLANE, TREE, Backend, GeodesicCensus
 
 
@@ -61,8 +61,8 @@ def orbit_count(backend, base, r_grid, rank=2):
     """Census of card{gamma : d(x, gamma x) <= R} over an R grid.
 
     Tree and flat counts are exact closed-form/lattice enumerations; the
-    hyperbolic-plane route builds the certified integer-matrix ball of
-    the modular group once, at the largest R, and counts each R in it.
+    hyperbolic-plane route streams the distances of the certified modular
+    orbit ball once, at the largest R, and counts each R in them.
     """
     name = Backend.of(backend, rank).name
     r_grid = [float(r) for r in r_grid]
@@ -73,13 +73,11 @@ def orbit_count(backend, base, r_grid, rank=2):
     if name == FLAT:
         entries = tuple((r, len(flat.lattice_ball(r))) for r in r_grid)
         return OrbitCensus(FLAT, base, entries, (True,) * len(entries))
-    p = complex(base)
-    ball = modular.modular_ball(p, max(r_grid, default=0.0))
+    pts = modular.orbit_points(base, max(r_grid, default=0.0))
     # modular_ball's own test: each count is the radius-r ball's size
-    d = halfplane.dist(p, halfplane.mobius_apply(ball.elements.T, p))
-    entries = tuple((r, int((d <= r + modular.BALL_SLACK).sum()))
+    entries = tuple((r, int((pts.dist <= r + modular.BALL_SLACK).sum()))
                     for r in r_grid)
-    return OrbitCensus(PLANE, base, entries, (ball.complete,) * len(entries))
+    return OrbitCensus(PLANE, base, entries, (pts.complete,) * len(entries))
 
 
 def fit_entropy(census, window=None):

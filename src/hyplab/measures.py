@@ -210,26 +210,24 @@ _THETA_BLOCK = 1 << 16  # atoms per block of _PlaneAtoms.theta
 
 class _PlaneAtoms:
     """Cached orbit atoms around a base point, reused across the s grid:
-    positions and distances, the Poincare series with its tail, and,
-    built on first use, each atom's boundary angle at PLANE_BASE.  The
-    atoms at p itself are kept apart: they have no boundary angle.  The
-    s -> h routes read only the `far` atoms, d(p, y) >= cap/2: the limit
-    gives any bounded region no mass, but at finite cap the heavy atoms
-    near p would dominate small cells.  The atoms are binned into cells
-    once per partition (`far_cells`), for the last partition asked."""
+    positions and distances streamed by `modular.orbit_points` (no int64
+    ball), the Poincare series with its tail, and, on first use, each
+    atom's boundary angle at PLANE_BASE.  The atoms at p itself are kept
+    apart: they have no boundary angle.  The s -> h routes read only the
+    `far` atoms, d(p, y) >= cap/2: the limit gives any bounded region no
+    mass, but at finite cap the heavy atoms near p would dominate small
+    cells.  The atoms are binned into cells once per partition
+    (`far_cells`), for the last partition asked."""
 
     def __init__(self, p, cap):
         if not (math.isfinite(cap) and cap >= 1.0):
             raise ValueError(f"plane orbit-atom cap must be finite and "
                              f">= 1, not {cap}")
         self.p, self.cap = complex(p), cap
-        # the ball is dropped as soon as its orbit points are known
-        z = halfplane.mobius_apply(
-            modular.modular_ball(self.p, cap).elements.T, self.p)
-        base = np.abs(z - self.p) <= 1e-12
-        self.base_z = z[base]
-        self.z = z[~base]
-        self.d = halfplane.dist(self.p, self.z)
+        pts = modular.orbit_points(self.p, cap)
+        base = np.abs(pts.z - self.p) <= 1e-12
+        self.base_z, self.z, self.d = pts.z[base], pts.z[~base], \
+            pts.dist[~base]
         # measured upper growth constant C2 of the orbit counts over the
         # outer half of the ball, for the tail C2 e^{R} of the series
         grid = np.arange(max(1.0, cap / 2.0), cap + 0.5, 1.0)

@@ -1,9 +1,10 @@
 """Fuchsian groups on the upper half-plane.
 
 The modular group PSL(2, Z) is built in with exact integer arithmetic:
-its orbit balls are enumerated directly at the matrix level (complete,
-with certificate; the sphere itself is decided in float64) as int64
-arrays, and its primitive hyperbolic conjugacy classes are the
+its orbit balls are enumerated by matrix blocks, sorted into int64 rows
+(`modular_ball`) or streamed as orbit points and distances
+(`orbit_points`), complete with certificate, the sphere decided in
+float64; its primitive hyperbolic conjugacy classes are the
 rotation-canonical cyclic words in R = [[1,1],[0,1]], L = [[1,0],[1,1]].
 The class census is one `geometry.GeodesicCensus` of columns: the
 words, their lengths, their int64 matrix rows and primitive flags, from
@@ -36,61 +37,84 @@ def mat_inv(m):
 
 @dataclass
 class BallResult:
-    # matrices gamma with d(p, gamma p) <= R: an int64 (n, 4) array of
-    # rows (a, b, c, d)
+    # gamma with d(p, gamma p) <= R as int64 rows (a, b, c, d); from
+    # orbit_points, None, with their gamma p and d(p, gamma p) in z, dist
     elements: object
     radius: float
     base: complex
     complete: bool
     certificate: str
+    z: object = None
+    dist: object = None
 
 
 BALL_BLOCK_ROWS = 16  # rows c of the (c, d) enumeration handled per block
 BALL_SLACK = 1e-9  # float64 tolerance of the sphere d = R
+BALL_CERTIFICATE = ("integer matrix enumeration; sphere decided in float64 "
+                    f"with slack {BALL_SLACK:g}")
 
 
 def modular_ball(p, R):
-    """All gamma in PSL(2, Z) with d(p, gamma p) <= R, complete.
-
-    Enumerates matrices directly: for each coprime (c, d) with
-    |c p + d| bounded, the displacement along the solution family
-    (a0 + t c, b0 + t d, c, d) is quadratic in t, so the admissible t
-    form an interval solved in closed form.  Every candidate then passes
-    a float64 displacement check d <= R + BALL_SLACK, so the sphere
-    itself is decided in floating point, not exactly.
-
-    With c >= 0, and d = 1 when c = 0, each element of PSL(2, Z) is
-    enumerated exactly once; it is stored with its first nonzero entry
-    positive, which a and b alone decide (ad - bc = 1 makes b nonzero
-    where a = 0).  The work runs in blocks of BALL_BLOCK_ROWS values of
-    c, each holding a, b, c, d as contiguous 1-D columns, and each block
-    is packed at once into one int64 mixed-radix key whose radices come
-    from the a-priori column bounds of `_ball_column_bounds`; a block
-    with a column outside them raises ValueError rather than wrap, and
-    so does a radius whose bounds overflow the key.  Only the keys are
-    concatenated and sorted.  Returns the elements as an int64 (n, 4)
-    array of rows (a, b, c, d) in lexicographic order, the transpose of
-    the C-ordered (4, n) columns the sorted key decodes into.  A radius
-    that is not finite and >= 0 raises ValueError.
-    """
-    if not (math.isfinite(R) and R >= 0):
-        raise ValueError(f"orbit-ball radius must be finite and >= 0, "
-                         f"not {R}")
+    """All gamma in PSL(2, Z) with d(p, gamma p) <= R, complete, as the
+    int64 rows (a, b, c, d) in lexicographic order: each `_ball_blocks`
+    block packed into its key, the keys sorted and decoded into C-ordered
+    (4, n) columns.  Raises ValueError as `_ball_key_radices` does."""
     p = complex(p)
+    lo, span, _ = _ball_key_radices(p, R)
+    keys = []
+    for *cols, _, _ in _ball_blocks(p, R):
+        key = np.zeros(len(cols[0]), dtype=np.int64)
+        for col, low, base in zip(cols, lo, span):
+            key *= base
+            key += col
+            key -= low
+        keys.append(key)
+    key = np.concatenate(keys)
+    del keys
+    key.sort()
+    cols = np.empty((4, len(key)), dtype=np.int64)
+    quo = np.empty_like(key)
+    for i in range(3, -1, -1):  # decode the key back into the columns
+        np.floor_divide(key, span[i], out=quo)
+        np.multiply(quo, -span[i], out=cols[i])
+        cols[i] += key
+        cols[i] += lo[i]
+        key, quo = quo, key
+    return BallResult(cols.T, R, p, True, BALL_CERTIFICATE)
+
+
+def orbit_points(p, R):
+    """gamma p and d(p, gamma p) over `modular_ball(p, R)` in block order,
+    as its sphere test computed them, in the `z` and `dist` of a
+    BallResult without elements; refuses what `modular_ball` does."""
+    p, z, dist, n = complex(p), np.empty(0, complex), np.empty(0), 0
+    for *_, zb, db in _ball_blocks(p, R):
+        # grown in place by realloc: no block's arrays stay on the heap
+        for col, blk in (z, zb), (dist, db):
+            col.resize(n + len(blk), refcheck=False)
+            col[n:] = blk
+        n += len(zb)
+    return BallResult(None, R, p, True, BALL_CERTIFICATE, z, dist)
+
+
+def _ball_blocks(p, R):
+    """Per BALL_BLOCK_ROWS values of c, the int64 columns a, b, c, d of
+    the ball's elements, z = gamma p and dist = d(p, z).  For each
+    coprime (c, d) with |c p + d| bounded, the displacement along the
+    solution family (a0 + t c, b0 + t d, c, d) is quadratic in t, so the
+    admissible t form an interval solved in closed form; the sphere is
+    decided in float64, by dist <= R + BALL_SLACK.  With c >= 0, and d =
+    1 when c = 0, each element is enumerated once, signed with its first
+    nonzero entry positive, which a and b alone decide (ad - bc = 1 makes
+    b nonzero where a = 0).  A column outside its a-priori bound raises
+    ValueError rather than wrap."""
+    lo, _, bound = _ball_key_radices(p, R)
     y = p.imag
     # |p - gamma p|^2 |c p + d|^2 = |p (c p + d) - (a p + b)|^2 <= nmax
     nmax = (math.cosh(R) - 1.0) * 2.0 * y * y
     # y / Im(gamma p) <= e^R  ->  |c p + d|^2 <= e^R
     bmax = math.exp(0.5 * R)
     cmax = int(math.floor(bmax / y)) + 1
-    # key = sum of (col - lo) times the spans of the later columns, which
-    # the bounds keep below 2**63 at every step; a >= 0
-    bound = _ball_column_bounds(p, R)
-    lo = (0, -bound[1], -bound[2], -bound[3])
-    span = (bound[0] + 1, *(2 * m + 1 for m in bound[1:]))
-    if math.prod(span) >= 2 ** 63:
-        raise ValueError(f"ball of radius {R} overflows the int64 sort key")
-    keys = []
     for c0 in range(0, cmax + 1, BALL_BLOCK_ROWS):
         rows = np.arange(c0, min(c0 + BALL_BLOCK_ROWS, cmax + 1),
                          dtype=np.int64)
@@ -110,38 +134,36 @@ def modular_ball(p, R):
         t = tlo[pick] + words._ramp(n_t)
         c, d = c[pick], d[pick]
         a, b = a0[pick] + t * c, b0[pick] + t * d
-        inside = halfplane.dist(p, (a * p + b) / (c * p + d)) \
-            <= R + BALL_SLACK
+        sign = np.where((a < 0) | ((a == 0) & (b < 0)), -1, 1)
+        a, b, c, d = (col * sign for col in (a, b, c, d))
+        z = (a * p + b) / (c * p + d)  # as mobius_apply on the element
+        dist = halfplane.dist(p, z)
+        inside = dist <= R + BALL_SLACK
         if not inside.all():  # only blocks the sphere cuts are gathered
-            a, b, c, d = a[inside], b[inside], c[inside], d[inside]
-        neg = a < 0
-        neg |= (a == 0) & (b < 0)
-        sign = np.where(neg, -1, 1)
-        key = np.zeros(len(sign), dtype=np.int64)
-        for col, low, base, m in zip((a, b, c, d), lo, span, bound):
-            col = col * sign
+            a, b, c, d, z, dist = (v[inside] for v in (a, b, c, d, z, dist))
+        for col, low, m in zip((a, b, c, d), lo, bound):
             if col.size and (col.min() < low or col.max() > m):
                 raise ValueError(f"ball of radius {R} leaves its a-priori "
                                  f"column bound {m}")
-            key *= base
-            key += col
-            key -= low
-        keys.append(key)
-    key = np.concatenate(keys)
-    del keys
-    key.sort()
-    cols = np.empty((4, len(key)), dtype=np.int64)
-    quo = np.empty_like(key)
-    for i in range(3, -1, -1):  # decode the key back into the columns
-        np.floor_divide(key, span[i], out=quo)
-        np.multiply(quo, -span[i], out=cols[i])
-        cols[i] += key
-        cols[i] += lo[i]
-        key, quo = quo, key
-    return BallResult(cols.T, R, p, complete=True,
-                      certificate="integer matrix enumeration; sphere "
-                                  f"decided in float64 with slack "
-                                  f"{BALL_SLACK:g}")
+        yield a, b, c, d, z, dist
+
+
+def _ball_key_radices(p, R):
+    """(lo, span, bound) of the int64 key sum of (col - lo) times the later
+    spans; ValueError on a radius not finite and >= 0, a base point not in
+    the upper half-plane, or a key overflow."""
+    if not (math.isfinite(R) and R >= 0):
+        raise ValueError(f"orbit-ball radius must be finite and >= 0, "
+                         f"not {R}")
+    if not (p.imag > 0 and math.isfinite(abs(p))):
+        raise ValueError(f"orbit-ball base point must be a finite point of "
+                         f"the upper half-plane, not {p}")
+    bound = _ball_column_bounds(p, R)
+    lo = (0, -bound[1], -bound[2], -bound[3])
+    span = (bound[0] + 1, *(2 * m + 1 for m in bound[1:]))
+    if math.prod(span) >= 2 ** 63:
+        raise ValueError(f"ball of radius {R} overflows the int64 sort key")
+    return lo, span, bound
 
 
 def _ball_column_bounds(p, R):

@@ -290,6 +290,27 @@ def modular_ball(p, R):
                                           f"slack {slack:g}")
 
 
+def plane_atoms(p, cap):
+    """measures._PlaneAtoms(p, cap) as it was built before the orbit
+    points were streamed: gamma p by halfplane.mobius_apply over the
+    sorted modular_ball elements, then d(p, gamma p) by halfplane.dist,
+    the atoms at p split off, and C2 and the far mask from those
+    distances.  The atom oracle of modular.orbit_points."""
+    atoms = object.__new__(measures._PlaneAtoms)
+    atoms.p, atoms.cap = complex(p), cap
+    z = hp.mobius_apply(modular.modular_ball(atoms.p, cap).elements.T,
+                        atoms.p)
+    base = np.abs(z - atoms.p) <= 1e-12
+    atoms.base_z, atoms.z = z[base], z[~base]
+    atoms.d = hp.dist(atoms.p, atoms.z)
+    grid = np.arange(max(1.0, cap / 2.0), cap + 0.5, 1.0)
+    counts = np.array([np.count_nonzero(atoms.d < g + 1e-12) for g in grid])
+    atoms.c2 = float(max(counts * np.exp(-grid)))
+    atoms.far = atoms.d >= 0.5 * cap
+    atoms._binned = None
+    return atoms
+
+
 # ---------------------------------------------------------------------------
 # the sampled closed-geodesic equidistribution route: the oracle of the
 # exact strip walk in measures.equidistribution_test

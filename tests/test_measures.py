@@ -638,6 +638,25 @@ def test_plane_checks_build_the_atom_angles_once(monkeypatch):
     assert sizes and max(sizes) <= 2
 
 
+@pytest.mark.parametrize("cap", [10.0, 12.0])
+def test_streamed_atoms_equal_the_atoms_of_the_sorted_ball(cap):
+    # the same atoms in block order, not the ball's lexicographic order:
+    # every count is equal, and the cell sums move by rounding alone
+    atoms = measures._PlaneAtoms(2j, cap)
+    want = reference.plane_atoms(2j, cap)
+    assert atoms.c2 == want.c2
+    assert np.array_equal(atoms.base_z, want.base_z)
+    assert np.count_nonzero(atoms.far) == np.count_nonzero(want.far)
+    assert np.array_equal(np.sort(atoms.d), np.sort(want.d))
+    part = measures.plane_partition(256)
+    idx, sums = atoms.far_cells(part)
+    want_idx, want_sums = want.far_cells(part)
+    assert np.array_equal(np.bincount(idx), np.bincount(want_idx))
+    for got, ref in zip(sums, want_sums):
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+    assert np.all(want_sums[-1] > 0)  # no empty cell hides a difference
+
+
 @pytest.mark.parametrize("cap", [10.0, 12.0, 14.0])
 def test_atom_angles_bin_as_the_two_step_route(cap):
     # the disc-chart angles differ from the circle-centre route's in the

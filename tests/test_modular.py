@@ -339,9 +339,7 @@ def test_modular_ball_equals_the_exact_integer_ball_at_2i(R):
     assert np.array_equal(modular.modular_ball(2j, R).elements, want)
 
 
-@pytest.mark.parametrize("column", range(4))
-def test_modular_ball_refuses_a_column_outside_its_bound(column,
-                                                         monkeypatch):
+def _shrink_column_bound(monkeypatch, column):
     bounds = modular._ball_column_bounds
 
     def shrunk(p, R):
@@ -350,8 +348,22 @@ def test_modular_ball_refuses_a_column_outside_its_bound(column,
         return tuple(b)
 
     monkeypatch.setattr(modular, "_ball_column_bounds", shrunk)
+
+
+@pytest.mark.parametrize("column", range(4))
+def test_modular_ball_refuses_a_column_outside_its_bound(column,
+                                                         monkeypatch):
+    _shrink_column_bound(monkeypatch, column)
     with pytest.raises(ValueError, match="a-priori column bound"):
         modular.modular_ball(0.3 + 1.7j, 6.0)
+
+
+@pytest.mark.parametrize("column", range(4))
+def test_orbit_points_refuses_a_column_outside_its_bound(column,
+                                                         monkeypatch):
+    _shrink_column_bound(monkeypatch, column)
+    with pytest.raises(ValueError, match="a-priori column bound"):
+        modular.orbit_points(0.3 + 1.7j, 6.0)
 
 
 def test_modular_ball_refuses_a_key_overflow_before_enumerating():
@@ -363,6 +375,47 @@ def test_modular_ball_refuses_a_key_overflow_before_enumerating():
 def test_modular_ball_refuses_a_radius_that_is_not_finite(R):
     with pytest.raises(ValueError, match="orbit-ball radius must be finite"):
         modular.modular_ball(2j, R)
+
+
+@pytest.mark.parametrize("R, match", [
+    (math.inf, "radius must be finite"), (math.nan, "radius must be finite"),
+    (-1.0, "radius must be finite"), (30.0, "overflows the int64 sort key")])
+def test_orbit_points_refuses_the_radii_the_ball_refuses(R, match):
+    with pytest.raises(ValueError, match=match):
+        modular.orbit_points(2j, R)
+
+
+@pytest.mark.parametrize("entry", [modular.modular_ball,
+                                   modular.orbit_points])
+@pytest.mark.parametrize("p", [-2j, 1 + 0j, complex(math.nan, 1.0),
+                               complex(0.5, math.nan),
+                               complex(math.inf, 1.0), complex(0.0, math.inf)])
+def test_ball_refuses_a_base_point_off_the_upper_half_plane(entry, p):
+    with pytest.raises(ValueError, match="base point must be a finite point "
+                                         "of the upper half-plane"):
+        entry(p, 3.0)
+
+
+def _sorted_points(z, d):
+    """The (z, d) pairs in lexicographic order, as bytes: equal bytes are
+    equal multisets, bit for bit, signed zeros included."""
+    order = np.lexsort((d, z.imag, z.real))
+    return np.stack([z.real[order], z.imag[order], d[order]]).tobytes()
+
+
+@pytest.mark.parametrize("R", [0.3, 6.0, 10.0, 12.0])
+@pytest.mark.parametrize("p", [2j, 0.3 + 1.7j, -0.45 + 0.9j])
+def test_orbit_points_are_the_mobius_images_of_the_ball(p, R):
+    pts = modular.orbit_points(p, R)
+    ball = modular.modular_ball(p, R)
+    z = halfplane.mobius_apply(ball.elements.T, p)
+    assert pts.elements is None
+    assert pts.z.dtype == complex and pts.dist.dtype == float
+    assert len(pts.z) == len(pts.dist) == len(ball.elements)
+    assert _sorted_points(pts.z, pts.dist) \
+        == _sorted_points(z, halfplane.dist(p, z))
+    assert (pts.complete, pts.certificate) \
+        == (ball.complete, ball.certificate)
 
 
 @pytest.mark.parametrize("T", [math.inf, math.nan, -1.0])
