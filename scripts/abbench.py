@@ -11,6 +11,7 @@ writes the result as JSON under the script's key.
 """
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -136,6 +137,8 @@ def main(key, default_out, worker, one_round, summarise, identical,
     if args.worker:
         return worker(args.worker)
     recs = {"parent": [], "change": []}
+    for side in recs:  # fresh bytecode on both sides, whatever was cached
+        compileall.compile_dir(getattr(args, side), quiet=1, force=True)
     for k in range(args.rounds):
         for side in sorted(recs, reverse=not k % 2):
             recs[side].append(one_round(os.path.abspath(getattr(args, side))))
@@ -148,7 +151,8 @@ def main(key, default_out, worker, one_round, summarise, identical,
                                                       recs["change"]))
             / args.rounds for name, k in won.items()}
     result["what"] = (
-        f"{args.rounds} rounds, alternating which side runs first; {note}; "
+        f"{args.rounds} rounds, alternating which side runs first, after "
+        f"byte-compiling both checkouts afresh (compileall, force); {note}; "
         f"python {sys.version.split()[0]}, {os.cpu_count()} cpus")
     kept = {}
     if os.path.exists(args.out):

@@ -118,15 +118,15 @@ def geodesic_census(backend, T, rank=2):
     GeodesicCensus complete to T.
 
     Tree classes are necklaces (oriented cyclic reduced words up to
-    rotation); modular classes come from the exact R/L-word enumeration.
-    Both routes are complete.
+    rotation); modular classes come from the exact L^b R^a pair
+    enumeration.  Both routes are complete.  Raises ValueError as
+    `GeodesicCensus.bound` does.
     """
-    b = Backend.of(backend, rank, hyperbolic=True)
+    b, T = Backend.of(backend, rank, hyperbolic=True), GeodesicCensus.bound(T)
     if b.name == TREE:
-        ws = words.necklaces(int(T), rank)
-        return GeodesicCensus(TREE, tuple(ws),
-                              np.fromiter(map(len, ws), float, len(ws)),
-                              h=b.h, T=float(T))
+        ws = tuple(words.necklaces(int(T), rank))
+        lengths = np.array([len(w) for w in ws], float)
+        return GeodesicCensus(TREE, ws, lengths, b.h, T)
     return modular.enumerate_conj_classes(T)
 
 

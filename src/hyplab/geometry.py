@@ -115,6 +115,14 @@ class GeodesicCensus:
             raise ValueError(f"t = {t} beyond the census bound T = {self.T}")
         return int(np.searchsorted(self.lengths, t + 1e-12, side="right"))
 
+    @staticmethod
+    def bound(T):
+        """T as a float, or ValueError unless it is finite and >= 0."""
+        if not (math.isfinite(T) and T >= 0):
+            raise ValueError(f"closed-geodesic length bound must be finite "
+                             f"and >= 0, not {T}")
+        return float(T)
+
     @property
     def entries(self):
         """((length, word), ...) as Python floats and strings."""

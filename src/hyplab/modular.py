@@ -4,11 +4,11 @@ The modular group PSL(2, Z) is built in with exact integer arithmetic:
 its orbit balls are enumerated by matrix blocks, sorted into int64 rows
 (`modular_ball`) or streamed as orbit points and distances
 (`orbit_points`), complete with certificate, the sphere decided in
-float64; its primitive hyperbolic conjugacy classes are the
-rotation-canonical cyclic words in R = [[1,1],[0,1]], L = [[1,0],[1,1]].
-The class census is one `geometry.GeodesicCensus` of columns: the
-words, their lengths, their int64 matrix rows and primitive flags, from
-which `class_axes` solves the axes and `strip_walk` their excursions.
+float64; its primitive hyperbolic conjugacy classes are the necklaces
+of pairs L^b R^a, R = [[1,1],[0,1]], L = [[1,0],[1,1]], enumerated a
+pair at a time into one `geometry.GeodesicCensus` of words, lengths,
+int64 matrix rows and primitive flags, from which `class_axes` solves
+the axes and `strip_walk` their excursions.
 """
 
 import math
@@ -228,39 +228,56 @@ def enumerate_conj_classes(T, include_imprimitive=False):
     order, of canonical cyclic words in R and L (both letters present;
     least rotation with L < R) with their matrix rows and primitive
     flags.  Oriented: a class and its inverse are counted separately
-    unless they coincide.
-
-    Complete: words.necklace_levels drops, level by level, each prefix
-    whose trace exceeds 2*cosh(T/2).  Every prefix of a necklace is a
-    prenecklace, and the trace of an R/L word never decreases when a
-    letter is appended, so no admissible class is lost.  A both-letter
-    word of length n has trace >= n + 1, so the length cutoff (which
-    stops the trace-2 chains L^k and R^k) loses none either.  Raises
-    ValueError on a T that is not finite and >= 0.
+    unless they coincide.  Raises ValueError as `GeodesicCensus.bound`.
+    Such a word is a necklace of pairs L^b R^a, a, b >= 1: ordered (b
+    descending, then a) as their letters are, so its least rotation
+    starts at a pair and `words.necklaces` runs on pairs, complete as
+    every prefix of a necklace is a prenecklace and tr(M L^b R^a) = p + s
+    + q b + r a + s a b, M = (p, q, r, s) >= 0, is at least tr M and
+    rises in a and b, so each level's children are two ranges.
     """
-    if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"closed-geodesic length bound must be finite and "
-                         f">= 0, not {T}")
-    trmax = 2.0 * math.cosh(T / 2.0)
-
-    def step(m, r):  # int64 rows (a, b, c, d) times R if r = 1, L if 0
-        m[:, 1::2] += m[:, ::2] * r[:, None]  # R: b += a, d += c
-        m[:, ::2] += m[:, 1::2] * (1 - r[:, None])  # L: a += b, c += d
-        return m, m[:, 0] + m[:, 3] <= trmax
-
-    ws, m, prim = words.necklace_levels(
-        "LR", math.ceil(trmax), step, IDENT,
-        lambda codes, m: m[:, 0] + m[:, 3] > 2, not include_imprimitive)
-    # the length increases with the trace, so (trace, word) order is
-    # (length, word) order; arccosh once per distinct trace
+    T = GeodesicCensus.bound(T)
+    X = math.floor(2.0 * math.cosh(T / 2.0))
+    dt = np.min_scalar_type(-X - 1)  # every b, a and trace, and -X - 1
+    # the frontier: the prenecklaces of t pairs in lexicographic order,
+    # their runs b1, a1, ..., bt, at, periods and int64 rows (p, q, r, s)
+    runs, period = np.zeros((1, 0), dt), np.ones(1, np.int64)
+    m, ws, out = np.array([IDENT], np.int64), [], []
+    b0, a0 = np.array([[X], [1]])  # pair one period back; (X, 1) <= all
+    while len(m):
+        t = runs.shape[1] // 2
+        # b from min(b0, its bound at a = 1) down, each b's a from a0 or 1
+        top = np.clip((X - m[:, [0, 2, 3]].sum(1)) // m[:, 1::2].sum(1), 0, b0)
+        par = np.repeat(np.arange(len(m)), top)
+        b = top[par] - words._ramp(top)
+        lo = np.where(b == b0[par], a0[par], 1)
+        m = m[par]
+        m[:, ::2] += m[:, 1::2] * b[:, None]  # M L^b: tr M L^b R^a = p+s+ra
+        na = np.maximum((X - m[:, 0] - m[:, 3]) // m[:, 2] - lo + 1, 0)
+        at = np.repeat(np.arange(len(par)), na)
+        m, b, par, a = m[at], b[at], par[at], lo[at] + words._ramp(na)
+        m[:, 1::2] += m[:, ::2] * a[:, None]
+        period = np.where((b == b0[par]) & (a == a0[par]), period[par], t + 1)
+        runs = np.column_stack((runs[par], b.astype(dt), a.astype(dt)))
+        b0, a0 = runs[np.arange(len(m)), 2 * (t + 1 - period) + [[0], [1]]]
+        keep = (t + 1) % period == 0 if include_imprimitive else period > t
+        out.append((runs[keep], m[keep], period[keep] > t))  # Lyndon
+        # spell the level's classes at once, each ended by a space
+        spell = np.column_stack((runs[keep], np.ones(keep.sum(), dt)))
+        lr = np.frombuffer((b"LR" * (t + 1) + b" ") * len(spell), np.uint8)
+        ws += str(np.repeat(lr, spell.ravel()), "ascii").split()
+    # (trace, word) order: the runs padded, a pad b keyed below every b
+    key = np.concatenate([np.pad(lv[0], ((0, 0), (0, 2 * (len(out) - t))))
+                          for t, lv in enumerate(out, 1)])
+    key[:, ::2] = np.where(key[:, ::2] > 0, -key[:, ::2], -X - 1)
+    m, prim = (np.concatenate([lv[i] for lv in out]) for i in (1, 2))
+    del out
     tr = m[:, 0] + m[:, 3]
-    ws = np.array(ws, dtype=object)
-    order = np.lexsort((ws, tr))
-    traces, at = np.unique(tr[order], return_inverse=True)
-    lengths = np.array([2.0 * math.acosh(t / 2.0) for t in traces.tolist()])
-    return GeodesicCensus(PLANE, tuple(ws[order].tolist()), lengths[at],
-                          h=Backend.of(PLANE).h, T=float(T),
-                          matrices=m[order], primitive=prim[order])
+    order = np.lexsort(np.vstack((key.T[::-1], tr.astype(dt))))
+    ws = tuple(map(ws.__getitem__, order.tolist()))
+    lengths = np.array([2.0 * math.acosh(t / 2.0) for t in range(2, X + 1)])
+    return GeodesicCensus(PLANE, ws, lengths[tr[order] - 2],
+                          Backend.of(PLANE).h, T, m[order], prim[order])
 
 
 def class_axes(m):

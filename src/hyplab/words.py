@@ -280,58 +280,33 @@ def _ramp(counts):
     return np.arange(counts.sum()) - np.repeat(starts, counts)
 
 
-def necklace_levels(alphabet, max_len, step, state, close,
-                    primitive_only=False):
-    """(words, states, primitive) of the necklaces of length 1..max_len
-    over `alphabet` (letters in increasing order) whose prefixes all pass
-    `step` and which pass `close`, in length-then-lexicographic order.
-
-    Fredricksen-Maiorana / Ruskey-Savage-Wang, one length at a time on a
-    uint8 matrix of letter codes: a prenecklace a[0..t-1] of period p
-    extends only by codes c >= a[t-p], to period p if c = a[t-p] and t+1
-    otherwise; it is a necklace iff p divides t, and a Lyndon word iff
-    p = t.  `state` is the empty prefix's state row; step(states, codes)
-    gives the children's state rows and a bool array, False pruning a
-    child with all its extensions; close(codes, states) picks the
-    necklaces to keep.  Parents stay in lexicographic order and each
-    one's children follow in increasing letter order: no sort is needed.
-    """
-    lut = np.frombuffer(alphabet.encode(), np.uint8)
-    codes, period = np.zeros((1, 0), np.uint8), np.ones(1, np.int64)
-    state = np.asarray(state)[None]
-    ws, states, prims = [], [state[:0]], [np.zeros(0, bool)]
-    for t in range(max_len):
-        ref = (codes[np.arange(len(codes)), t - period].astype(np.int64)
-               if t else np.zeros(1, np.int64))
-        parent = np.repeat(np.arange(len(codes)), len(lut) - ref)
-        c = ref[parent] + _ramp(len(lut) - ref)
-        state, keep = step(state[parent], c)
-        parent, c, state = parent[keep], c[keep], state[keep]
-        period = np.where(c == ref[parent], period[parent], t + 1)
-        codes = np.column_stack((codes[parent], c.astype(np.uint8)))
-        prim = period == t + 1
-        out = prim if primitive_only else (t + 1) % period == 0
-        out &= close(codes, state)
-        ws += lut[codes[out]].view(f"S{t + 1}").ravel().astype(str).tolist()
-        states.append(state[out])
-        prims.append(prim[out])
-    return ws, np.concatenate(states), np.concatenate(prims)
-
-
 def necklaces(max_len, rank=2, primitive_only=True):
     """All cyclically reduced cyclic words (canonical least rotation) of
     length <= max_len, i.e. conjugacy classes of F_rank, in
     length-then-lexicographic order.  Oriented: w and w^-1 are distinct
-    unless cyclically equal.
-
-    Complete: such a least rotation is a necklace and every prefix of it
-    is a reduced prenecklace, so necklace_levels, pruning each level's
-    unreduced prefixes, misses none; the closing check refuses a last
-    letter inverse to the first.
+    unless cyclically equal.  Fredricksen-Maiorana / Ruskey-Savage-Wang,
+    one length at a time on a uint8 matrix of letter codes: a prenecklace
+    a[0..t-1] of period p extends only by codes c >= a[t-p], to period p
+    if c = a[t-p] and t+1 otherwise; it is a necklace iff p divides t, and
+    a Lyndon word iff p = t.  Each parent's children follow it in letter
+    order: no sort.  Complete: a least rotation is a necklace and its
+    prefixes reduced prenecklaces; a last letter inverse to the first is
+    refused at close.
     """
     alpha = "".join(sorted(letters(rank)))
-    # inv[c] is the code of c's inverse; len(alpha) stands for no letter
-    inv = np.array([alpha.index(inv_letter(c)) for c in alpha] + [len(alpha)])
-    return necklace_levels(
-        alpha, max_len, lambda last, c: (c, c != inv[last]), len(alpha),
-        lambda codes, last: codes[:, 0] != inv[last], primitive_only)[0]
+    lut = np.frombuffer(alpha.encode(), np.uint8)
+    inv = np.array([alpha.index(inv_letter(c)) for c in alpha])  # codes
+    codes, period, ws = np.zeros((1, 0), np.uint8), np.ones(1, np.int64), []
+    ref = np.zeros(1, np.int64)  # a[t - p] of each prenecklace
+    for t in range(max_len):
+        parent = np.repeat(np.arange(len(codes)), len(lut) - ref)
+        c = ref[parent] + _ramp(len(lut) - ref)
+        keep = (inv[codes[parent, -1:]] != c[:, None]).all(axis=1)  # reduced
+        parent, c = parent[keep], c[keep]
+        period = np.where(c == ref[parent], period[parent], t + 1)
+        codes = np.column_stack((codes[parent], c.astype(np.uint8)))
+        ref = codes[np.arange(len(codes)), t + 1 - period].astype(np.int64)
+        out = period == t + 1 if primitive_only else (t + 1) % period == 0
+        out &= codes[:, 0] != inv[c]
+        ws += lut[codes[out]].view(f"S{t + 1}").ravel().astype(str).tolist()
+    return ws

@@ -12,7 +12,7 @@ import numpy as np
 
 from hyplab import halfplane as hp
 from hyplab import measures, modular, words
-from hyplab.geometry import PLANE, BackendMismatch
+from hyplab.geometry import PLANE, BackendMismatch, GeodesicCensus
 
 
 def ray(p, xi):
@@ -192,6 +192,66 @@ def conj_classes(T, include_imprimitive=False):
                lambda w, m: "L" in w and "R" in w, not include_imprimitive)]
     out.sort(key=lambda c: (c[3], c[0]))
     return out
+
+
+def necklace_levels(alphabet, max_len, step, state, close,
+                    primitive_only=False):
+    """(words, states, primitive) of the necklaces of length 1..max_len
+    over `alphabet` (letters in increasing order) whose prefixes all pass
+    `step` and which pass `close`, in length-then-lexicographic order.
+
+    Fredricksen-Maiorana one letter at a time on a uint8 matrix of letter
+    codes, with one state row per prefix: `state` is the empty prefix's
+    state row; step(states, codes) gives the children's state rows and a
+    bool array, False pruning a child with all its extensions;
+    close(codes, states) picks the necklaces to keep.
+    """
+    lut = np.frombuffer(alphabet.encode(), np.uint8)
+    codes, period = np.zeros((1, 0), np.uint8), np.ones(1, np.int64)
+    state = np.asarray(state)[None]
+    ws, states, prims = [], [state[:0]], [np.zeros(0, bool)]
+    for t in range(max_len):
+        ref = (codes[np.arange(len(codes)), t - period].astype(np.int64)
+               if t else np.zeros(1, np.int64))
+        parent = np.repeat(np.arange(len(codes)), len(lut) - ref)
+        c = ref[parent] + words._ramp(len(lut) - ref)
+        state, keep = step(state[parent], c)
+        parent, c, state = parent[keep], c[keep], state[keep]
+        period = np.where(c == ref[parent], period[parent], t + 1)
+        codes = np.column_stack((codes[parent], c.astype(np.uint8)))
+        prim = period == t + 1
+        out = prim if primitive_only else (t + 1) % period == 0
+        out &= close(codes, state)
+        ws += lut[codes[out]].view(f"S{t + 1}").ravel().astype(str).tolist()
+        states.append(state[out])
+        prims.append(prim[out])
+    return ws, np.concatenate(states), np.concatenate(prims)
+
+
+def letter_census(T, include_imprimitive=False):
+    """modular.enumerate_conj_classes one letter per level: the R/L words
+    by necklace_levels, each prefix's matrix an int64 row pruned on the
+    trace, both letters checked at closing, the word length cut off at
+    ceil(2 cosh(T/2)), then one lexsort on (trace, word) over the
+    words as Python strings.  A GeodesicCensus of the same columns."""
+    trmax = 2.0 * math.cosh(T / 2.0)
+
+    def step(m, r):  # int64 rows (a, b, c, d) times R if r = 1, L if 0
+        m[:, 1::2] += m[:, ::2] * r[:, None]  # R: b += a, d += c
+        m[:, ::2] += m[:, 1::2] * (1 - r[:, None])  # L: a += b, c += d
+        return m, m[:, 0] + m[:, 3] <= trmax
+
+    ws, m, prim = necklace_levels(
+        "LR", math.ceil(trmax), step, modular.IDENT,
+        lambda codes, m: m[:, 0] + m[:, 3] > 2, not include_imprimitive)
+    tr = m[:, 0] + m[:, 3]
+    ws = np.array(ws, dtype=object)
+    order = np.lexsort((ws, tr))
+    traces, at = np.unique(tr[order], return_inverse=True)
+    lengths = np.array([2.0 * math.acosh(t / 2.0) for t in traces.tolist()])
+    return GeodesicCensus(PLANE, tuple(ws[order].tolist()), lengths[at],
+                          h=1.0, T=float(T), matrices=m[order],
+                          primitive=prim[order])
 
 
 def _coprime_cd(rows, x, bmax):

@@ -116,6 +116,14 @@ def test_count_is_the_length_bisection_with_slack(backend, T):
 
 
 @pytest.mark.parametrize("backend", [TREE, PLANE])
+@pytest.mark.parametrize("T", [-3.0, math.inf, math.nan])
+def test_census_refuses_a_bound_that_is_not_finite_and_nonnegative(backend,
+                                                                  T):
+    with pytest.raises(ValueError, match="length bound must be finite"):
+        counting.geodesic_census(backend, T)
+
+
+@pytest.mark.parametrize("backend", [TREE, PLANE])
 def test_census_refuses_t_beyond_its_bound(backend):
     census = counting.geodesic_census(backend, 6)
     assert census.count(6) == len(census)

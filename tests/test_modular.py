@@ -542,13 +542,28 @@ def test_census_equals_the_depth_first_oracle(T, include_imprimitive):
     assert _census_fields(got) == _class_fields(want)
 
 
+@pytest.mark.parametrize("T", [12.0, 13.0, 14.0])
+@pytest.mark.parametrize("include_imprimitive", [False, True])
+def test_census_equals_the_letter_level_oracle(T, include_imprimitive):
+    # the depth-first oracle is too slow past T = 11; the letter levels
+    # run about 2 cosh(T/2) levels, 1097 at T = 14
+    got = modular.enumerate_conj_classes(T, include_imprimitive)
+    want = reference.letter_census(T, include_imprimitive)
+    assert _census_fields(got) == _census_fields(want)
+    assert (got.T, got.h) == (want.T, want.h)
+
+
 def test_census_size_at_T12():
     assert len(modular.enumerate_conj_classes(12.0)) == 14904
 
 
 def test_census_at_T14_needs_no_recursion():
-    # the L^k prefix chain is about 2 cosh 7 ~ 1097 letters deep
     assert len(modular.enumerate_conj_classes(14.0)) == 92856
+
+
+def test_census_size_at_T16():
+    # the count an independent run-length enumeration gave
+    assert len(modular.enumerate_conj_classes(16.0)) == 594786
 
 
 def test_fold_points_lands_in_fundamental_domain():
